@@ -23,21 +23,59 @@ enumerated in mixed-radix little-endian order for determinism.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
-from .errors import StateSpaceTooLarge
+from .errors import RescuePDError, StateSpaceTooLarge
 from .feasibility import Schedule, build_collaborative_schedule, verify_schedule
-from .model import (STRICT, Instance, build_derived_index, canon,
-                    classify_trivial, pd_of_subset)
-from .outcome import SolveOutcome
+from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
+                    capped_product, pd_of_subset)
+from .outcome import SolveOutcome, trivial_outcome
 
 NEG = -(2**62)
 
 STATE_GUARD = 10_000_000
 
 
+def team_vectors(idx: DerivedIndex, limit: int) -> int:
+    """Root budget vectors of the team-count DP: the product over slots up to
+    the last deadline of (teams at work + 1), taken per run of slots between
+    window endpoints so that the cost does not grow with window length."""
+    horizon = idx.max_ex
+    events = []
+    for t in idx.instance.teams:
+        if t.start < horizon:
+            events.append((t.start, 1))
+            events.append((t.end if t.end < horizon else horizon, -1))
+    events.sort()
+    bits = limit.bit_length()
+    factors, at_work, prev = [], 0, 0
+    for point, step in events:
+        if at_work and point > prev:
+            run = point - prev
+            factors.append((at_work + 1) ** (run if run < bits else bits))
+        prev = point
+        at_work += step
+    return capped_product(factors, limit)
+
+
+def hour_vectors(idx: DerivedIndex, limit: int) -> int:
+    """Root budget vectors of the hour-budget DP: prod of (prefix hours + 1)."""
+    return capped_product([h + 1 for h in idx.hours], limit)
+
+
+def subset_vectors(idx: DerivedIndex, limit: int) -> int:
+    """Budget vectors of the team-subset DP: 2^(|T| * last deadline)."""
+    exponent = len(idx.instance.teams) * idx.max_ex
+    return 2 ** exponent if exponent < limit.bit_length() else limit + 1
+
+
 class _BudgetDP:
-    """Shared engine; subclasses define the budget algebra and leaf rule."""
+    """Shared engine; subclasses define the budget algebra and leaf rule.
+
+    Budgets are count vectors unless a subclass overrides subtract and
+    child_shares.
+    """
 
     algorithm = "budget"
 
@@ -60,11 +98,21 @@ class _BudgetDP:
         raise NotImplementedError
 
     def subtract(self, budget, share):
-        raise NotImplementedError
+        return tuple(a - d for a, d in zip(budget, share))
 
     def child_shares(self, budget):
         """Every share a child may take, mixed-radix little-endian order."""
-        raise NotImplementedError
+        return [tuple(reversed(s)) for s in
+                itertools.product(*[range(a + 1) for a in reversed(budget)])]
+
+    def subtree_sums(self, leaf_vector):
+        """Per vertex, the elementwise sum of leaf_vector(x) over its leaves."""
+        sums = {}
+        for v in reversed(self.tree.preorder()):
+            cs = self.tree.children.get(v, ())
+            sums[v] = (tuple(map(sum, zip(*[sums[c] for c in cs]))) if cs
+                       else tuple(leaf_vector(v)))
+        return sums
 
     # engine -------------------------------------------------------------
     def value(self, v, budget, b):
@@ -138,7 +186,7 @@ class _BudgetDP:
                 saved.append(v)
                 details[v] = detail
                 return
-            raise AssertionError("collect reached an unsavable leaf")
+            raise RescuePDError("collect reached an unsavable leaf")
         self.collect_prefix(v, len(cs), budget, 1, saved, details)
 
     def collect_prefix(self, v, i, budget, b, saved, details):
@@ -171,20 +219,14 @@ class _BudgetDP:
         if self.prefix_value(v, i - 1, budget, 1) == target:
             self.collect_prefix(v, i - 1, budget, 1, saved, details)
             return
-        raise AssertionError("budget DP witness backtrack failed")
+        raise RescuePDError("budget DP witness backtrack failed")
 
     # entry point ----------------------------------------------------------
     def solve(self) -> SolveOutcome:
         instance, idx = self.instance, self.idx
-        check = classify_trivial(instance, idx)
-        if check.kind == "no":
-            return SolveOutcome(False, self.algorithm, value=idx.pd_total,
-                                diagnostics={"trivial": "target exceeds total diversity"})
-        if check.kind == "yes":
-            sched = (Schedule(STRICT, {}, ()) if instance.mode == STRICT
-                     else build_collaborative_schedule(idx, ()))
-            return SolveOutcome(True, self.algorithm, saved=(), schedule=sched,
-                                value=0, diagnostics={"trivial": "target is zero"})
+        out = trivial_outcome(idx, self.algorithm)
+        if out is not None:
+            return out
         root_budget = self.root_budget()
         best = self.value(self.tree.root, root_budget, 1)
         decision = best > NEG and best >= instance.target
@@ -198,7 +240,7 @@ class _BudgetDP:
         sched = self.witness_schedule(saved, details)
         report = verify_schedule(instance, sched)
         if not report.ok or pd_of_subset(self.tree, saved) < instance.target:
-            raise AssertionError("budget DP witness failed verification")
+            raise RescuePDError("budget DP witness failed verification")
         return SolveOutcome(True, self.algorithm, saved=saved, schedule=sched,
                             value=pd_of_subset(self.tree, saved),
                             diagnostics={"states": len(self.memo)})
@@ -208,52 +250,42 @@ class _BudgetDP:
 
 
 class _TeamCountDP(_BudgetDP):
-    """Budgets = available team count per timeslot (collaborative)."""
+    """Budgets = available team count per working slot (collaborative): a
+    slot up to the last deadline where some team works.  Idle slots carry no
+    budget and are left out, so the root budgets are the team_vectors."""
 
     algorithm = "hours-teams"
 
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance)
-        self.horizon = self.idx.max_ex
-        if (len(instance.teams) + 1) ** self.horizon > guard:
+        if team_vectors(self.idx, guard) > guard:
             raise StateSpaceTooLarge(
-                f"(|T|+1)^{self.horizon} budget vectors exceed the guard {guard}")
-        # per-vertex per-slot cap: hours usable at slot j by the subtree
-        deadlines = {}
-        for v in reversed(self.tree.preorder()):
-            cs = self.tree.children.get(v, ())
-            if not cs:
-                deadlines[v] = [(instance.deadline(v), instance.length(v))]
-            else:
-                merged = {}
-                for c in cs:
-                    for d, l in deadlines[c]:
-                        merged[d] = merged.get(d, 0) + l
-                deadlines[v] = sorted(merged.items())
-        self.slot_caps = {}
-        for v, pairs in deadlines.items():
-            caps = []
-            for j in range(1, self.horizon + 1):
-                caps.append(sum(l for d, l in pairs if d >= j))
-            self.slot_caps[v] = caps
+                f"team-count budget vectors exceed the guard {guard}")
+        # every working slot doubles the vectors, so the guard bounds them
+        counts = {}
+        for t in instance.teams:
+            for j in range(t.start + 1, min(t.end, self.idx.max_ex) + 1):
+                counts[j] = counts.get(j, 0) + 1
+        self.slots = sorted(counts)
+        self.counts = tuple(counts[j] for j in self.slots)
+        # per-vertex per-slot cap: hours usable at the slot by the subtree
+        self.slot_caps = self.subtree_sums(
+            lambda x: [instance.length(x) if instance.deadline(x) >= j else 0
+                       for j in self.slots])
 
     def root_budget(self):
-        counts = [0] * self.horizon
-        for t in self.instance.teams:
-            for j in range(t.start + 1, min(t.end, self.horizon) + 1):
-                counts[j - 1] += 1
-        return tuple(counts)
+        return self.counts
 
     def canon_budget(self, v, budget):
         caps = self.slot_caps[v]
         return tuple(min(a, c) for a, c in zip(budget, caps))
 
     def leaf_options(self, x, budget):
-        deadline = min(self.instance.deadline(x), self.horizon)
+        deadline = bisect.bisect_right(self.slots, self.instance.deadline(x))
         need = self.instance.length(x)
         if sum(budget[:deadline]) < need:
             return
-        share = [0] * self.horizon
+        share = [0] * len(self.slots)
         for j in range(deadline - 1, -1, -1):   # latest slots first
             take = min(budget[j], need)
             share[j] = take
@@ -261,13 +293,6 @@ class _TeamCountDP(_BudgetDP):
             if need == 0:
                 break
         yield tuple(share), tuple(share)
-
-    def subtract(self, budget, share):
-        return tuple(a - d for a, d in zip(budget, share))
-
-    def child_shares(self, budget):
-        return [tuple(reversed(s)) for s in
-                itertools.product(*[range(a + 1) for a in reversed(budget)])]
 
 
 class _HourBudgetDP(_BudgetDP):
@@ -277,27 +302,13 @@ class _HourBudgetDP(_BudgetDP):
 
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance)
-        space = 1
-        for h in self.idx.hours:
-            space *= h + 1
-            if space > guard:
-                raise StateSpaceTooLarge(
-                    f"hour-budget vectors exceed the guard {guard}")
+        if hour_vectors(self.idx, guard) > guard:
+            raise StateSpaceTooLarge(f"hour-budget vectors exceed the guard {guard}")
         # per-vertex per-class cap: total length of subtree taxa due by class
         idx = self.idx
-        self.class_caps = {}
-        for v in reversed(self.tree.preorder()):
-            cs = self.tree.children.get(v, ())
-            if not cs:
-                caps = [0] * idx.n_classes
-                for k in range(idx.class_of[v], idx.n_classes):
-                    caps[k] = self.instance.length(v)
-            else:
-                caps = [0] * idx.n_classes
-                for c in cs:
-                    for k, val in enumerate(self.class_caps[c]):
-                        caps[k] += val
-            self.class_caps[v] = caps
+        self.class_caps = self.subtree_sums(
+            lambda x: [instance.length(x) if k >= idx.class_of[x] else 0
+                       for k in range(idx.n_classes)])
 
     def root_budget(self):
         return tuple(self.idx.hours)
@@ -312,13 +323,6 @@ class _HourBudgetDP(_BudgetDP):
             share = tuple(need if j >= k else 0 for j in range(self.idx.n_classes))
             yield share, share
 
-    def subtract(self, budget, share):
-        return tuple(a - d for a, d in zip(budget, share))
-
-    def child_shares(self, budget):
-        return [tuple(reversed(s)) for s in
-                itertools.product(*[range(a + 1) for a in reversed(budget)])]
-
 
 class _TeamSubsetDP(_BudgetDP):
     """Budgets = team subset per timeslot (strict)."""
@@ -329,20 +333,12 @@ class _TeamSubsetDP(_BudgetDP):
         super().__init__(instance)
         self.horizon = self.idx.max_ex
         self.n_teams = len(instance.teams)
-        if 2 ** (self.n_teams * self.horizon) > guard:
+        if subset_vectors(self.idx, guard) > guard:
             raise StateSpaceTooLarge(
                 f"2^(|T|*{self.horizon}) subset vectors exceed the guard {guard}")
-        self.slot_relevant = {}
-        for v in reversed(self.tree.preorder()):
-            cs = self.tree.children.get(v, ())
-            if not cs:
-                d = min(instance.deadline(v), self.horizon)
-                self.slot_relevant[v] = tuple(j < d for j in range(self.horizon))
-            else:
-                rel = [False] * self.horizon
-                for c in cs:
-                    rel = [r or s for r, s in zip(rel, self.slot_relevant[c])]
-                self.slot_relevant[v] = tuple(rel)
+        # per-vertex per-slot count of subtree taxa due at or after the slot
+        self.slot_relevant = self.subtree_sums(
+            lambda x: [j < instance.deadline(x) for j in range(self.horizon)])
 
     def root_budget(self):
         masks = [0] * self.horizon

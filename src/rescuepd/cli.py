@@ -15,12 +15,12 @@ import sys
 import time
 
 from . import files
-from .driver import (applicable_algorithms, disagreement_report, run_algorithm,
-                     run_bench, smallest_disagreement, write_bench_csv)
+from .driver import (disagreement_report, run_algorithm, run_bench,
+                     smallest_disagreement, solve_auto, write_bench_csv)
 from .errors import RescuePDError
 from .feasibility import verify_schedule
 from .generators import gen_random_instance, reduce_subset_sum
-from .model import build_derived_index, pd_of_subset
+from .model import pd_of_subset
 
 EXIT_YES = 0
 EXIT_ERROR = 1
@@ -42,22 +42,20 @@ def cmd_solve(args) -> int:
                                   instance.target, args.mode)
     t0 = time.perf_counter()
     if args.algorithm == "auto":
-        algorithms = applicable_algorithms(instance, args.delta)
-        if not algorithms:
+        outcome = solve_auto(instance, args.delta, args.seed)
+        if outcome is None:
             print("all algorithm guards exceeded for this instance")
             return EXIT_ALL_GUARDED
-        chosen = algorithms[0]
     else:
-        chosen = args.algorithm
-    outcome = run_algorithm(instance, chosen, args.delta, args.seed)
+        outcome = run_algorithm(instance, args.algorithm, args.delta, args.seed)
     wall = time.perf_counter() - t0
     print(f"decision: {'yes' if outcome.decision else 'no'}")
-    print(f"algorithm: {chosen}")
+    print(f"algorithm: {outcome.algorithm}")
     if outcome.value is not None:
         print(f"pd: {outcome.value}")
     if outcome.trials is not None:
         print(f"trials: {outcome.trials}")
-    if not outcome.decision and chosen in ("fpt-d", "fpt-dbar"):
+    if not outcome.decision and outcome.algorithm in ("fpt-d", "fpt-dbar"):
         print(f"delta: {args.delta}")
     print(f"wall_s: {wall:.3f}")
     if outcome.decision and args.output:
@@ -100,9 +98,8 @@ def cmd_gen(args) -> int:
         values = [int(z) for z in args.values.split(",")]
         instance = reduce_subset_sum(values, args.k, args.goal, args.pad)
     files.save_instance(instance, args.out)
-    idx = build_derived_index(instance)
-    print(f"wrote {args.out} (n={len(instance.taxa)}, pd={idx.pd_total}, "
-          f"D={instance.target})")
+    print(f"wrote {args.out} (n={len(instance.taxa)}, "
+          f"pd={instance.tree.total_weight()}, D={instance.target})")
     return EXIT_YES
 
 

@@ -31,12 +31,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .color_target import INF, _trial_rng, trial_count
+from .color_target import INF, _collaborative_witness, _trial_rng, trial_count
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (DerivedIndex, Instance, PhyloTree, build_derived_index,
-                    canon, classify_trivial, pd_of_subset)
-from .outcome import SolveOutcome
+                    canon, pd_of_subset)
+from .outcome import SolveOutcome, trivial_outcome
 
 MINF = -INF
 LOSS_LIMIT = 14  # 2 * loss color bits
@@ -242,6 +242,14 @@ def loss_table_entry_count(loss: int, n_classes: int) -> int:
     """Exact size of the full dynamic-programming table."""
     return sum(math.comb(2 * loss, k) * 2 ** (2 * loss - k)
                for k in range(loss + 1)) * n_classes
+
+
+def planned_work(idx: DerivedIndex, delta: float) -> int:
+    """Planned trials times table entries; zero loss runs no trial."""
+    loss = idx.loss_budget
+    if loss <= 0:
+        return 0
+    return trial_count(2 * loss, delta) * loss_table_entry_count(loss, idx.n_classes)
 
 
 class _LossDP:
@@ -474,14 +482,9 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     no colors: saving everything either works or nothing does.
     """
     idx = build_derived_index(instance)
-    check = classify_trivial(instance, idx)
-    if check.kind == "no":
-        return SolveOutcome(False, "fpt-dbar", value=idx.pd_total, trials=0,
-                            diagnostics={"trivial": "target exceeds total diversity"})
-    if check.kind == "yes":
-        sched = build_collaborative_schedule(idx, ())
-        return SolveOutcome(True, "fpt-dbar", saved=(), schedule=sched, value=0,
-                            trials=0, diagnostics={"trivial": "target is zero"})
+    out = trivial_outcome(idx, "fpt-dbar", trials=0)
+    if out is not None:
+        return out
     if not instance.tree.is_binary():
         raise NonBinaryTree("the loss-parameterized solver needs a binary tree; "
                             "use the target-diversity or brute-force solver")
@@ -520,12 +523,8 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
         found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx)
         if found:
             sacrificed = {x for x, _, _ in anchored}
-            saved = canon(set(tree.taxa) - sacrificed)
-            if pd_of_subset(tree, saved) < instance.target:  # pragma: no cover
-                raise RescuePDError("loss witness failed the diversity re-check")
-            if not collaborative_feasible(idx, saved):  # pragma: no cover
-                raise RescuePDError("loss witness failed the feasibility re-check")
-            sched = build_collaborative_schedule(idx, saved)
+            saved, sched = _collaborative_witness(
+                instance, idx, canon(set(tree.taxa) - sacrificed))
             return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
                                 value=pd_of_subset(tree, saved), trials=trial,
                                 seed=seed,

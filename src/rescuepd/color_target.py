@@ -24,13 +24,11 @@ import numpy as np
 
 from .cover import boolean_cover_combine
 from .errors import BadParams, RescuePDError, TargetTooLarge
-from .feasibility import (Schedule, build_collaborative_schedule,
-                          collaborative_feasible, schedule_team_parts,
-                          verify_schedule)
+from .feasibility import (build_collaborative_schedule, collaborative_feasible,
+                          schedule_team_parts, verify_schedule)
 from .model import (STRICT, DerivedIndex, Instance, PhyloTree,
-                    build_derived_index, canon, classify_trivial,
-                    pd_of_subset, savable_alone)
-from .outcome import SolveOutcome
+                    build_derived_index, canon, pd_of_subset, savable_alone)
+from .outcome import SolveOutcome, trivial_outcome
 
 INF = 2**62  # saturating sentinel; real values stay far below
 
@@ -279,27 +277,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
 
-def _certify(instance, idx, saved, value_needed):
-    if pd_of_subset(instance.tree, saved) < value_needed:
-        raise RescuePDError("witness failed the diversity re-check")
-    if not collaborative_feasible(idx, saved):
-        raise RescuePDError("witness failed the feasibility re-check")
-
-
-def _trivial_outcome(instance, idx, algorithm):
-    check = classify_trivial(instance, idx)
-    if check.kind == "no":
-        return SolveOutcome(False, algorithm, value=idx.pd_total, trials=0,
-                            diagnostics={"trivial": "target exceeds total diversity"})
-    if check.kind == "yes":
-        sched = build_collaborative_schedule(idx, ())
-        if instance.mode == STRICT:
-            sched = Schedule(STRICT, {}, ())
-        return SolveOutcome(True, algorithm, saved=(), schedule=sched, value=0,
-                            trials=0, diagnostics={"trivial": "target is zero"})
-    return None
-
-
 def _singleton_shortcut(instance, idx, algorithm):
     """Any savable taxon whose root path already meets the target is a yes.
 
@@ -328,6 +305,53 @@ def _singleton_shortcut(instance, idx, algorithm):
                         trials=0, diagnostics={"shortcut": "single taxon"})
 
 
+def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness):
+    """The trial loop of both modes: ``kernel`` decides one coloring, and
+    ``witness`` turns its finding into a re-checked (saved set, schedule)."""
+    idx = build_derived_index(instance)
+    out = (trivial_outcome(idx, "fpt-d", trials=0)
+           or _singleton_shortcut(instance, idx, "fpt-d"))
+    if out is not None:
+        out.seed = seed
+        return out
+    k = instance.target
+    if k > mask_limit:
+        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {mask_limit}")
+    tree = instance.tree
+    width = tree.total_weight()
+    n_trials = trial_count(k, delta)
+    for trial in range(1, n_trials + 1):
+        rng = _trial_rng(seed, trial)
+        f = rng.integers(1, k + 1, size=width + 1)
+        coloring = color_edges_from_hash(tree, k, f)
+        ok, found = kernel(idx, coloring)
+        if ok:
+            saved, sched = witness(instance, idx, found)
+            return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
+                                value=pd_of_subset(tree, saved), trials=trial,
+                                seed=seed, diagnostics={"planned_trials": n_trials})
+    return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
+                        diagnostics={"planned_trials": n_trials, "delta": delta})
+
+
+def _collaborative_witness(instance, idx, saved):
+    if pd_of_subset(instance.tree, saved) < instance.target:
+        raise RescuePDError("witness failed the diversity re-check")
+    if not collaborative_feasible(idx, saved):
+        raise RescuePDError("witness failed the feasibility re-check")
+    return saved, build_collaborative_schedule(idx, saved)
+
+
+def _strict_witness(instance, idx, parts):
+    saved = canon(x for part in parts for x in part)
+    sched = schedule_team_parts(instance, parts)
+    if not verify_schedule(instance, sched).ok:  # pragma: no cover
+        raise RescuePDError("strict witness failed verification")
+    if pd_of_subset(instance.tree, saved) < instance.target:  # pragma: no cover
+        raise RescuePDError("witness failed the diversity re-check")
+    return saved, sched
+
+
 def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
                             seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
     """Randomized color-coding solver, collaborative mode.
@@ -335,65 +359,12 @@ def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
     One-sided: every yes ships a re-verified witness; a no is wrong with
     probability at most delta.
     """
-    idx = build_derived_index(instance)
-    out = _trivial_outcome(instance, idx, "fpt-d")
-    if out is None:
-        out = _singleton_shortcut(instance, idx, "fpt-d")
-    if out is not None:
-        out.seed = seed
-        return out
-    k = instance.target
-    if k > mask_limit:
-        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {mask_limit}")
-    tree = instance.tree
-    width = tree.total_weight()
-    n_trials = trial_count(k, delta)
-    for trial in range(1, n_trials + 1):
-        rng = _trial_rng(seed, trial)
-        f = rng.integers(1, k + 1, size=width + 1)
-        coloring = color_edges_from_hash(tree, k, f)
-        ok, saved = solve_colored_time_pd(idx, coloring)
-        if ok:
-            _certify(instance, idx, saved, k)
-            sched = build_collaborative_schedule(idx, saved)
-            return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
-                                value=pd_of_subset(tree, saved), trials=trial,
-                                seed=seed, diagnostics={"planned_trials": n_trials})
-    return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
-                        diagnostics={"planned_trials": n_trials, "delta": delta})
+    return _solve_by_target(instance, delta, seed, mask_limit,
+                            solve_colored_time_pd, _collaborative_witness)
 
 
 def solve_s_time_pd_by_target(instance: Instance, delta: float = 1e-3,
                               seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
     """Randomized color-coding solver, strict mode (same contract)."""
-    idx = build_derived_index(instance)
-    out = _trivial_outcome(instance, idx, "fpt-d")
-    if out is None:
-        out = _singleton_shortcut(instance, idx, "fpt-d")
-    if out is not None:
-        out.seed = seed
-        return out
-    k = instance.target
-    if k > mask_limit:
-        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {mask_limit}")
-    tree = instance.tree
-    width = tree.total_weight()
-    n_trials = trial_count(k, delta)
-    for trial in range(1, n_trials + 1):
-        rng = _trial_rng(seed, trial)
-        f = rng.integers(1, k + 1, size=width + 1)
-        coloring = color_edges_from_hash(tree, k, f)
-        ok, parts = solve_colored_s_time_pd(idx, coloring)
-        if ok:
-            saved = canon(x for part in parts for x in part)
-            sched = schedule_team_parts(instance, parts)
-            report = verify_schedule(instance, sched)
-            if not report.ok:  # pragma: no cover
-                raise RescuePDError("strict witness failed verification")
-            if pd_of_subset(tree, saved) < k:  # pragma: no cover
-                raise RescuePDError("witness failed the diversity re-check")
-            return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
-                                value=pd_of_subset(tree, saved), trials=trial,
-                                seed=seed, diagnostics={"planned_trials": n_trials})
-    return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
-                        diagnostics={"planned_trials": n_trials, "delta": delta})
+    return _solve_by_target(instance, delta, seed, mask_limit,
+                            solve_colored_s_time_pd, _strict_witness)

@@ -72,12 +72,12 @@ def cover_product_ranked(f, g) -> list[int]:
     return [1 if v >= 1 else 0 for v in out]
 
 
-def boolean_cover_combine(f, g, method: str = "auto") -> list[int]:
-    """Dispatch between the two implementations.
+def boolean_cover_combine(f, g) -> list[int]:
+    """Dispatch between the two implementations by mask width.
 
-    "auto" uses the direct sweep on narrow masks, where it beats the numpy
+    The direct sweep runs on narrow masks, where it beats the numpy
     transform overhead, and the ranked transform otherwise.
     """
-    if method == "direct" or (method == "auto" and len(f) <= 256):
+    if len(f) <= 256:
         return cover_product_direct(f, g)
     return cover_product_ranked(f, g)

@@ -1,11 +1,16 @@
 """Solver registry, automatic algorithm selection, and the bench harness.
 
-``auto`` picks the cheapest applicable algorithm in a fixed order: trivial
-screen, star solver, loss-parameterized color coding (binary trees, small
-loss), target-parameterized color coding (small target), the budget DPs and
-the count-matrix solver (small state spaces), and finally brute force.  A
-randomized "no" is never retried with another algorithm; the reported delta
-stands.
+``auto`` runs the first algorithm that the admission table of the
+instance's mode admits, in preference order: star, loss-parameterized color
+coding, target-parameterized color coding, the budget DPs and the
+count-matrix solver, and finally brute force.  A row admits when its cost
+is at most its cap.  The cost is the quantity the solver itself guards (the
+star solver's table cells, the loss budget, the target, a DP's budget
+vectors, the number of taxa), and it exceeds every cap where the solver
+does not apply.  No cap exceeds its solver's guard, so an admitted solver
+never raises a guard error.  Nothing is screened ahead of the table; each
+solver runs the trivial screen itself.  A randomized "no" is never retried
+with another algorithm; the reported delta stands.
 
 The bench harness runs a sweep of generated instances through every
 applicable solver, compares decisions against the brute-force oracle, and
@@ -21,83 +26,64 @@ from dataclasses import dataclass
 
 from . import budget_dp, structured
 from .brute import brute_force
-from .color_loss import solve_time_pd_by_loss
-from .color_target import (solve_s_time_pd_by_target, solve_time_pd_by_target,
-                           trial_count)
+from .color_loss import planned_work, solve_time_pd_by_loss
+from .color_target import solve_s_time_pd_by_target, solve_time_pd_by_target
 from .errors import RescuePDError
 from .feasibility import verify_schedule
 from .files import instance_to_dict
-from .model import STRICT, Instance, build_derived_index, pd_of_subset
+from .model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
+                    pd_of_subset)
 from .outcome import SolveOutcome
 
-# applicability caps used by `auto` and the bench; callers can exceed them
-# by invoking a solver directly with its own guard
-AUTO_CAPS = {
-    "target": 7,            # color-coding trials grow like e^target
-    "strict_target": 5,
-    "loss": 6,              # loss color coding: binary trees only
-    "loss_work": 5 * 10**7,  # planned trials x table entries
-    "team_vectors": 5000,   # budget vectors at the root
-    "hour_vectors": 5000,
-    "team_subsets": 4096,
-    "count_matrices": 5000,
-    "brute": 20,
-    "strict_brute": 8,
+LOSS_WORK_CAP = 5 * 10**7  # planned trials x table entries of fpt-dbar
+
+
+def _star(idx, limit):
+    return structured.star_cells(idx) if idx.instance.tree.is_star() else limit + 1
+
+
+def _loss(idx, limit):
+    loss = idx.loss_budget
+    return loss if 0 <= loss <= limit and idx.instance.tree.is_binary() else limit + 1
+
+
+def _target(idx, limit):
+    return idx.instance.target
+
+
+def _taxa(idx, limit):
+    return len(idx.order)
+
+
+# (algorithm, cost, cap) per mode, in preference order.  cost(idx, limit) is
+# exact whenever it is at most limit, and exceeds limit where the solver does
+# not apply.  Each solver checks the same cost against its own guard, and each
+# cap is at most that guard.
+ADMISSION = {
+    COLLABORATIVE: (
+        ("star", _star, structured.BOUND_GUARD),
+        ("fpt-dbar", _loss, 6),
+        ("fpt-d", _target, 7),  # color-coding trials grow like e^target
+        ("hours-teams", budget_dp.team_vectors, 5000),
+        ("hours-budget", budget_dp.hour_vectors, 5000),
+        ("xp-counts", structured.count_matrices, 5000),
+        ("brute", _taxa, 20),
+    ),
+    STRICT: (
+        ("fpt-d", _target, 5),
+        ("hours-subsets", budget_dp.subset_vectors, 4096),
+        ("brute", _taxa, 8),
+    ),
 }
 
 
-def _loss_work(idx, delta):
-    from .color_loss import loss_table_entry_count
-    loss = idx.loss_budget
-    if loss <= 0:
-        return 0
-    return trial_count(2 * loss, delta) * loss_table_entry_count(loss, idx.n_classes)
-
-
-def applicable_algorithms(instance: Instance, delta: float = 1e-3,
-                          caps: dict = None) -> list[str]:
-    """Algorithms whose guards admit this instance, in auto preference order."""
-    caps = {**AUTO_CAPS, **(caps or {})}
+def applicable_algorithms(instance: Instance, delta: float = 1e-3) -> list[str]:
+    """Algorithms the admission table admits, in auto preference order;
+    fpt-dbar must also keep its planned work at delta within LOSS_WORK_CAP."""
     idx = build_derived_index(instance)
-    out = []
-    strict = instance.mode == STRICT
-    if not strict and instance.tree.is_star():
-        out.append("star")
-    if not strict and instance.tree.is_binary() and 0 <= idx.loss_budget <= caps["loss"] \
-            and _loss_work(idx, delta) <= caps["loss_work"]:
-        out.append("fpt-dbar")
-    if instance.target <= (caps["strict_target"] if strict else caps["target"]):
-        out.append("fpt-d")
-    if not strict:
-        space = 1
-        for h in idx.hours:
-            space *= h + 1
-        counts = [0] * idx.max_ex
-        for t in instance.teams:
-            for j in range(t.start + 1, min(t.end, idx.max_ex) + 1):
-                counts[j - 1] += 1
-        vectors = 1
-        for c in counts:
-            vectors *= c + 1
-        if vectors <= caps["team_vectors"]:
-            out.append("hours-teams")
-        if space <= caps["hour_vectors"]:
-            out.append("hours-budget")
-        buckets = {}
-        for x in instance.taxa:
-            key = (instance.length(x), instance.deadline(x))
-            buckets[key] = buckets.get(key, 0) + 1
-        matrices = 1
-        for c in buckets.values():
-            matrices *= c + 1
-        if matrices <= caps["count_matrices"]:
-            out.append("xp-counts")
-    else:
-        if 2 ** (len(instance.teams) * idx.max_ex) <= caps["team_subsets"]:
-            out.append("hours-subsets")
-    if len(instance.taxa) <= (caps["strict_brute"] if strict else caps["brute"]):
-        out.append("brute")
-    return out
+    return [algorithm for algorithm, cost, cap in ADMISSION[instance.mode]
+            if cost(idx, cap) <= cap and (algorithm != "fpt-dbar" or
+                                          planned_work(idx, delta) <= LOSS_WORK_CAP)]
 
 
 def run_algorithm(instance: Instance, algorithm: str, delta: float = 1e-3,
@@ -163,41 +149,35 @@ def run_bench_instance(item, delta: float = 1e-3, seed: int = 0):
     disagreement.
     """
     instance_id, family, instance = item
-    idx = build_derived_index(instance)
+    pd_total = instance.tree.total_weight()
+    t0 = time.perf_counter()
     oracle = brute_force(instance)
+    oracle_ms = (time.perf_counter() - t0) * 1e3
     rows = []
     disagreement = None
     false_negative = 0
     randomized_runs = 0
 
     def record(algorithm, outcome, wall_ms):
+        if outcome.decision:
+            report = verify_schedule(instance, outcome.schedule)
+            if not report.ok or \
+                    pd_of_subset(instance.tree, outcome.saved) < instance.target:
+                raise RescuePDError(f"{algorithm} returned an unverifiable "
+                                    f"witness on instance {instance_id}")
         rows.append(BenchRow(instance_id, family, len(instance.taxa),
                              len(instance.teams), instance.mode,
-                             instance.target, idx.pd_total, algorithm,
+                             instance.target, pd_total, algorithm,
                              outcome.decision, outcome.value, outcome.trials,
                              round(wall_ms, 3)))
 
-    if oracle.decision:
-        report = verify_schedule(instance, oracle.schedule)
-        if not report.ok or \
-                pd_of_subset(instance.tree, oracle.saved) < instance.target:
-            raise RescuePDError(
-                f"brute returned an unverifiable witness on instance {instance_id}")
-    record("brute", oracle, 0.0)
+    record("brute", oracle, oracle_ms)
     for algorithm in applicable_algorithms(instance, delta):
         if algorithm == "brute":
             continue
         t0 = time.perf_counter()
         outcome = run_algorithm(instance, algorithm, delta, seed + instance_id)
-        wall = (time.perf_counter() - t0) * 1e3
-        if outcome.decision:
-            report = verify_schedule(instance, outcome.schedule)
-            if not report.ok or \
-                    pd_of_subset(instance.tree, outcome.saved) < instance.target:
-                raise RescuePDError(
-                    f"{algorithm} returned an unverifiable witness on "
-                    f"instance {instance_id}")
-        record(algorithm, outcome, wall)
+        record(algorithm, outcome, (time.perf_counter() - t0) * 1e3)
         randomized = algorithm in ("fpt-d", "fpt-dbar")
         if randomized:
             randomized_runs += 1

@@ -29,24 +29,37 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _integer(entry, key: str, where: str) -> int:
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where} needs an integer {key!r}, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
+    """Inverse of instance_to_dict; malformed input raises ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError("an instance file must hold a JSON object")
     if data.get("v") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {data.get('v')!r}")
-    for field in ("tree", "taxa", "teams", "D", "mode"):
+    for field, kind in (("tree", str), ("taxa", dict), ("teams", list),
+                        ("D", int), ("mode", str)):
         if field not in data:
             raise ParseError(f"instance file is missing {field!r}")
+        if not isinstance(data[field], kind) or isinstance(data[field], bool):
+            raise ParseError(f"{field!r} must be a JSON {kind.__name__}, "
+                             f"got {data[field]!r}")
     tree = parse_newick(data["tree"])
-    taxa = {}
-    for x, entry in data["taxa"].items():
-        try:
-            taxa[x] = TaxonInfo(int(entry["ell"]), int(entry["ex"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad taxon entry for {x!r}: {exc}") from None
+    taxa = {x: TaxonInfo(_integer(entry, "ell", f"taxon {x!r}"),
+                         _integer(entry, "ex", f"taxon {x!r}"))
+            for x, entry in data["taxa"].items()}
     if set(taxa) != set(tree.taxa):
-        diff = sorted(set(taxa) ^ set(tree.taxa))
+        diff = sorted(set(taxa) ^ set(tree.taxa), key=str)
         raise ParseError(f"taxa keys and Newick leaves differ on {diff}")
-    teams = tuple(TeamWindow(int(t["start"]), int(t["end"])) for t in data["teams"])
-    return Instance(tree, taxa, teams, int(data["D"]), data["mode"])
+    teams = tuple(TeamWindow(_integer(t, "start", f"team {i}"),
+                             _integer(t, "end", f"team {i}"))
+                  for i, t in enumerate(data["teams"]))
+    return Instance(tree, taxa, teams, data["D"], data["mode"])
 
 
 def schedule_to_dict(schedule: Schedule, pd_value: int) -> dict:

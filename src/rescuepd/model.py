@@ -293,6 +293,18 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
     )
 
 
+def capped_product(factors, limit: int) -> int:
+    """Product of the factors, or limit + 1 once the running product passes
+    limit.  A factor base ** e >= 2 ** e may be passed as base ** min(e,
+    limit.bit_length()), which keeps a huge cost cheap and the result equal."""
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product > limit:
+            return limit + 1
+    return product
+
+
 def pd_of_subset(tree: PhyloTree, taxa_set) -> int:
     """Total weight of edges with at least one member of the set below them.
 

@@ -97,7 +97,10 @@ def parse_newick(text: str) -> PhyloTree:
     """Parse a Newick string into a PhyloTree (stable child order)."""
     parser = _Parser(text.strip())
     edges: list = []
-    root = parser.node(edges)
+    try:
+        root = parser.node(edges)
+    except RecursionError:
+        raise ParseError("tree is nested too deeply to parse") from None
     if parser.peek() == ":":
         parser.error("root must not carry a branch length")
     if parser.peek() != ";":

@@ -1,8 +1,11 @@
-"""Uniform result type returned by every solver."""
+"""Uniform result type returned by every solver, and the trivial screen."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .feasibility import Schedule
+from .model import classify_trivial
 
 
 @dataclass
@@ -23,3 +26,20 @@ class SolveOutcome:
     trials: int = None
     seed: int = None
     diagnostics: dict = field(default_factory=dict)
+
+
+def trivial_outcome(idx, algorithm: str, **fields):
+    """The screen every solver runs first; None when the instance is nontrivial.
+
+    A target above the whole tree's diversity is a no; a zero target is a yes
+    with the empty set.  ``fields`` fill the solver's other outcome fields.
+    """
+    kind = classify_trivial(idx.instance, idx).kind
+    if kind == "no":
+        return SolveOutcome(False, algorithm, value=idx.pd_total, **fields,
+                            diagnostics={"trivial": "target exceeds total diversity"})
+    if kind == "yes":
+        return SolveOutcome(True, algorithm, saved=(),
+                            schedule=Schedule(idx.instance.mode, {}, ()), value=0,
+                            **fields, diagnostics={"trivial": "target is zero"})
+    return None

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from .budget_dp import NEG, STATE_GUARD, _BudgetDP
 from .errors import BoundTooLarge, NotAStar, RescuePDError, StateSpaceTooLarge
 from .feasibility import build_collaborative_schedule, verify_schedule
-from .model import (STRICT, Instance, build_derived_index, canon,
-                    classify_trivial, pd_of_subset)
-from .outcome import SolveOutcome
+from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
+                    capped_product, pd_of_subset)
+from .outcome import SolveOutcome, trivial_outcome
 
 INF = 2**62
 
@@ -38,6 +38,15 @@ KERNEL_MODES = (BY_CAPACITY, BY_PROFIT, BY_LOSS)
 
 # --------------------------------------------------------------------------
 # count-matrix XP solver
+
+
+def count_matrices(idx: DerivedIndex, limit: int) -> int:
+    """Root count matrices: prod over (length, deadline) buckets of (size + 1)."""
+    sizes = {}
+    for info in idx.instance.taxa.values():
+        key = (info.rescue_length, info.extinction_time)
+        sizes[key] = sizes.get(key, 0) + 1
+    return capped_product([n + 1 for n in sizes.values()], limit)
 
 
 class _CountMatrixDP(_BudgetDP):
@@ -54,25 +63,11 @@ class _CountMatrixDP(_BudgetDP):
         self.bucket_of = {x: self.bucket_keys.index(key)
                           for key, xs in buckets.items() for x in xs}
         self.caps = tuple(len(buckets[key]) for key in self.bucket_keys)
-        space = 1
-        for c in self.caps:
-            space *= c + 1
-            if space > guard:
-                raise StateSpaceTooLarge(
-                    f"count matrices exceed the guard {guard}")
-        self.subtree_counts = {}
+        if count_matrices(idx, guard) > guard:
+            raise StateSpaceTooLarge(f"count matrices exceed the guard {guard}")
         nb = len(self.bucket_keys)
-        for v in reversed(self.tree.preorder()):
-            cs = self.tree.children.get(v, ())
-            if not cs:
-                counts = [0] * nb
-                counts[self.bucket_of[v]] = 1
-            else:
-                counts = [0] * nb
-                for c in cs:
-                    for k, val in enumerate(self.subtree_counts[c]):
-                        counts[k] += val
-            self.subtree_counts[v] = tuple(counts)
+        self.subtree_counts = self.subtree_sums(
+            lambda x: [int(k == self.bucket_of[x]) for k in range(nb)])
 
     def admissible_root_budgets(self):
         """Count matrices whose length-weighted column prefixes fit the hours."""
@@ -105,23 +100,11 @@ class _CountMatrixDP(_BudgetDP):
             share = tuple(1 if i == k else 0 for i in range(len(budget)))
             yield share, None
 
-    def subtract(self, budget, share):
-        return tuple(a - d for a, d in zip(budget, share))
-
-    def child_shares(self, budget):
-        return [tuple(reversed(s)) for s in
-                itertools.product(*[range(a + 1) for a in reversed(budget)])]
-
     def solve(self) -> SolveOutcome:
         instance, idx = self.instance, self.idx
-        check = classify_trivial(instance, idx)
-        if check.kind == "no":
-            return SolveOutcome(False, self.algorithm, value=idx.pd_total,
-                                diagnostics={"trivial": "target exceeds total diversity"})
-        if check.kind == "yes":
-            sched = build_collaborative_schedule(idx, ())
-            return SolveOutcome(True, self.algorithm, saved=(), schedule=sched,
-                                value=0, diagnostics={"trivial": "target is zero"})
+        out = trivial_outcome(idx, self.algorithm)
+        if out is not None:
+            return out
         best, best_budget = NEG, None
         for budget in self.admissible_root_budgets():
             val = self.value(self.tree.root, budget, 1)
@@ -247,6 +230,13 @@ def _profile_from_kernel(items, mode: str, capacity: int) -> list[int]:
     return profile
 
 
+def star_cells(idx: DerivedIndex) -> int:
+    """Table cells of the star solver: the knapsack bound hours[-1] plus
+    hours[k-1] * hours[k] for each max-plus step of the class chain."""
+    hours = idx.hours
+    return hours[-1] + sum(a * b for a, b in zip(hours, hours[1:]))
+
+
 def solve_star(instance: Instance, kernel_mode: str = BY_CAPACITY) -> SolveOutcome:
     """Pseudo-polynomial collaborative solver for star trees.
 
@@ -260,14 +250,12 @@ def solve_star(instance: Instance, kernel_mode: str = BY_CAPACITY) -> SolveOutco
     if instance.mode == STRICT:
         raise RescuePDError("the star solver handles collaborative mode only")
     idx = build_derived_index(instance)
-    check = classify_trivial(instance, idx)
-    if check.kind == "no":
-        return SolveOutcome(False, "star", value=idx.pd_total,
-                            diagnostics={"trivial": "target exceeds total diversity"})
-    if check.kind == "yes":
-        sched = build_collaborative_schedule(idx, ())
-        return SolveOutcome(True, "star", saved=(), schedule=sched, value=0,
-                            diagnostics={"trivial": "target is zero"})
+    out = trivial_outcome(idx, "star")
+    if out is not None:
+        return out
+    cells = star_cells(idx)
+    if cells > BOUND_GUARD:
+        raise BoundTooLarge(f"{cells} star table cells exceed the guard {BOUND_GUARD}")
     class_items = [[(instance.length(x), tree.weight[x]) for x in members]
                    for members in idx.classes]
     profiles = [_profile_from_kernel(items, kernel_mode, idx.hours[k])

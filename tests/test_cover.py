@@ -45,8 +45,11 @@ def test_agreement_property(width, seed):
     assert cover_product_ranked(f, g) == cover_product_direct(f, g)
 
 
-def test_dispatch():
-    f = [1, 0, 0, 1]
-    g = [0, 1, 1, 0]
-    assert boolean_cover_combine(f, g, "direct") == \
-        boolean_cover_combine(f, g, "ranked")
+def test_dispatch_by_width():
+    # the direct sweep up to 256 masks, the ranked transform above
+    for width in (2, 8, 9):
+        rng = random.Random(width)
+        f = [rng.randint(0, 1) for _ in range(1 << width)]
+        g = [rng.randint(0, 1) for _ in range(1 << width)]
+        assert boolean_cover_combine(f, g) == cover_product_direct(f, g) \
+            == cover_product_ranked(f, g)

@@ -1,0 +1,152 @@
+"""The admission table of `auto`: costs, caps, guards and routing."""
+
+import inspect
+import math
+
+import pytest
+
+from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute,
+                      build_derived_index, gen_random_instance, pd_of_subset,
+                      verify_schedule)
+from rescuepd import budget_dp, color_loss, color_target, structured
+from rescuepd.driver import (ADMISSION, applicable_algorithms, run_bench_instance,
+                             solve_auto)
+from rescuepd.errors import BoundTooLarge
+from rescuepd.model import COLLABORATIVE, STRICT
+
+GUARDS = {
+    "star": structured.BOUND_GUARD,
+    "fpt-dbar": color_loss.LOSS_LIMIT,
+    "fpt-d": color_target.MASK_LIMIT,
+    "hours-teams": budget_dp.STATE_GUARD,
+    "hours-budget": budget_dp.STATE_GUARD,
+    "hours-subsets": budget_dp.STATE_GUARD,
+    "xp-counts": budget_dp.STATE_GUARD,
+}
+BRUTE_GUARDS = {
+    COLLABORATIVE: inspect.signature(brute.brute_force_time_pd).parameters["guard"].default,
+    STRICT: inspect.signature(brute.brute_force_s_time_pd).parameters["guard"].default,
+}
+
+
+def assert_matches_oracle(instance, outcome):
+    """Same decision as brute force, except that a randomized solver may
+    say no on a yes; every yes carries a witness that re-verifies."""
+    oracle = brute.brute_force(instance)
+    if outcome.decision:
+        assert oracle.decision
+        assert pd_of_subset(instance.tree, outcome.saved) >= instance.target
+        assert verify_schedule(instance, outcome.schedule).ok
+    elif outcome.algorithm not in ("fpt-d", "fpt-dbar"):
+        assert not oracle.decision
+
+
+def two_leaf_star(slots):
+    """Two taxa under one root, one team whose window spans every slot."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, slots), "b": TaxonInfo(1, slots)}
+    return Instance(tree, taxa, (TeamWindow(0, slots),), target=2)
+
+
+def test_every_cap_within_its_solver_guard():
+    for mode, rows in ADMISSION.items():
+        for algorithm, _, cap in rows:
+            guard = BRUTE_GUARDS[mode] if algorithm == "brute" else GUARDS[algorithm]
+            assert cap <= guard, (mode, algorithm)
+
+
+def one_team_tree(deadline, end):
+    """Five taxa, the internal child before two leaves, one team (0, end)."""
+    tree = PhyloTree.from_edges([("r", "v", 1), ("v", "a", 1), ("v", "b", 1),
+                                 ("v", "c", 1), ("r", "d", 4), ("r", "e", 4)])
+    taxa = {x: TaxonInfo(1, deadline) for x in "abcde"}
+    return Instance(tree, taxa, (TeamWindow(0, end),), target=8)
+
+
+def test_admitted_team_vectors_pass_the_solver_guard():
+    # one short team against deadlines 30: 4 team-count vectors, while
+    # (|T|+1)^30 is far above the guard
+    instance = one_team_tree(30, 2)
+    assert applicable_algorithms(instance)[0] == "hours-teams"
+    out = solve_auto(instance)
+    assert out.diagnostics["auto"] == "hours-teams" and out.decision
+    assert_matches_oracle(instance, out)
+
+
+def test_team_count_budgets_skip_idle_slots():
+    # 2^12 vectors over twelve working slots; the budgets must not grow
+    # with the 10^5 slots up to the deadlines
+    instance = one_team_tree(100_000, 12)
+    assert applicable_algorithms(instance)[0] == "hours-teams"
+    out = solve_auto(instance)
+    assert out.diagnostics["auto"] == "hours-teams" and out.decision
+    assert_matches_oracle(instance, out)
+    dp = budget_dp._TeamCountDP(instance)
+    assert len(dp.root_budget()) == 12
+
+
+def test_star_over_its_bound_is_left_out():
+    instance = two_leaf_star(structured.BOUND_GUARD + 100_000)
+    algorithms = applicable_algorithms(instance)
+    assert "star" not in algorithms
+    out = solve_auto(instance)
+    assert out.decision and out.algorithm == algorithms[0]
+    assert "star" in applicable_algorithms(two_leaf_star(structured.BOUND_GUARD))
+
+
+def test_star_cost_counts_the_class_chain():
+    # two deadline classes of 1500 hours each: the knapsack bound is within
+    # the guard, the max-plus chain between the classes is not
+    tree = PhyloTree.from_edges([("r", "a", 2), ("r", "b", 1), ("r", "c", 1)])
+    taxa = {"a": TaxonInfo(1, 1500), "b": TaxonInfo(1, 3000),
+            "c": TaxonInfo(1, 3000)}
+    instance = Instance(tree, taxa, (TeamWindow(0, 3000),), target=3)
+    idx = build_derived_index(instance)
+    assert idx.hours[-1] <= structured.BOUND_GUARD < structured.star_cells(idx)
+    assert "star" not in applicable_algorithms(instance)
+    with pytest.raises(BoundTooLarge):
+        structured.solve_star(instance)
+    out = solve_auto(instance)
+    assert out.decision
+    assert_matches_oracle(instance, out)
+
+
+def test_routing_cost_ignores_window_length():
+    assert applicable_algorithms(two_leaf_star(3_000_000)) == \
+        ["fpt-dbar", "fpt-d", "xp-counts", "brute"]
+
+
+def test_team_vectors_match_the_per_slot_product():
+    for seed in range(60):
+        instance = gen_random_instance(n=5, n_teams=1 + seed % 4,
+                                       max_ex=4 + seed % 9, seed=seed)
+        idx = build_derived_index(instance)
+        counts = [sum(t.start < j <= t.end for t in instance.teams)
+                  for j in range(1, idx.max_ex + 1)]
+        exact = math.prod(c + 1 for c in counts)
+        for limit in (1, 50, exact, 10**9):
+            got = budget_dp.team_vectors(idx, limit)
+            assert got == exact if exact <= limit else got > limit
+
+
+def test_auto_admits_no_guard_error_on_long_horizons():
+    # deadlines and windows stretched far past the team counts: the
+    # admission table must keep auto to solvers whose guards pass
+    for seed in range(40):
+        base = gen_random_instance(n=5, n_teams=1 + seed % 3, max_ex=5,
+                                   max_len=2, max_weight=3, seed=900 + seed,
+                                   mode=STRICT if seed % 4 == 0 else COLLABORATIVE)
+        stretch = 1 + seed % 7 * 5
+        taxa = {x: TaxonInfo(info.rescue_length, info.extinction_time * stretch)
+                for x, info in base.taxa.items()}
+        instance = Instance(base.tree, taxa, base.teams, base.target, base.mode)
+        out = solve_auto(instance, seed=seed)
+        if out is not None:
+            assert_matches_oracle(instance, out)
+
+
+def test_bench_times_the_oracle():
+    instance = gen_random_instance(n=6, seed=4)
+    rows = run_bench_instance((0, "tiny", instance))[0]
+    assert rows[0].algorithm == "brute" and rows[0].wall_ms > 0
+    assert all(row.pd_total == instance.tree.total_weight() for row in rows)

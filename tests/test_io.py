@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescuepd import (build_collaborative_schedule,
                       build_derived_index, parse_newick, pd_of_subset,
                       to_newick, verify_schedule)
-from rescuepd.errors import DuplicateLeaf, NonIntegerWeight, ParseError
+from rescuepd.errors import (DuplicateLeaf, NonIntegerWeight, ParseError,
+                            RescuePDError)
 from rescuepd.files import (instance_from_dict, instance_to_dict,
                             load_instance, load_schedule, save_instance,
                             save_schedule)
 from rescuepd.generators import gen_random_instance
+from rescuepd.model import MODES
 
 
 def test_parse_simple_star():
@@ -101,3 +105,54 @@ def test_schedule_roundtrip(tmp_path):
     assert verify_schedule(inst, back).ok
     save_schedule(back, pd_back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == path.read_text()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def instance_dicts(draw):
+    """Generated instance dicts with some values replaced by arbitrary JSON."""
+    inst = gen_random_instance(n=draw(st.integers(2, 5)),
+                               seed=draw(st.integers(0, 40)),
+                               mode=draw(st.sampled_from(MODES)))
+    data = instance_to_dict(inst)
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(JSON_VALUES)
+        where = draw(st.sampled_from(("whole", "field", "taxon", "team")))
+        if where == "whole":
+            return value
+        if where == "field":
+            data[draw(st.sampled_from(sorted(data)))] = value
+        elif where == "taxon" and isinstance(data.get("taxa"), dict) and data["taxa"]:
+            entry = data["taxa"][draw(st.sampled_from(sorted(data["taxa"])))]
+            if isinstance(entry, dict):
+                entry[draw(st.sampled_from(("ell", "ex")))] = value
+        elif where == "team" and isinstance(data.get("teams"), list) and data["teams"]:
+            team = data["teams"][draw(st.integers(0, len(data["teams"]) - 1))]
+            key = draw(st.sampled_from(("start", "end")))
+            if isinstance(team, dict) and value is None:
+                team.pop(key, None)
+            elif isinstance(team, dict):
+                team[key] = value
+    return data
+
+
+@given(instance_dicts())
+@settings(max_examples=300, deadline=None)
+def test_instance_dict_roundtrips_or_raises(data):
+    try:
+        inst = instance_from_dict(data)
+    except RescuePDError:
+        return
+    assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+def test_deeply_nested_newick_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_newick("(" * 5000 + "a:1,b:1" + "):1" * 4999 + ");")
