@@ -92,7 +92,6 @@ def exhaustive_schedule_search(instance: Instance, taxa_set,
     insight is used anywhere, so this is an independent oracle.
     """
     members = canon(taxa_set)
-    pairs = sorted(instance.availability(), key=lambda ij: (ij[1], ij[0]))
     if instance.mode == STRICT:
         run_options = []
         for x in members:
@@ -125,9 +124,11 @@ def exhaustive_schedule_search(instance: Instance, taxa_set,
 
         return place(0)
 
-    if (len(members) + 1) ** len(pairs) > guard:
+    n_pairs = instance.pair_count()
+    if (len(members) + 1) ** n_pairs > guard:
         raise SearchSpaceTooLarge(
-            f"({len(members)}+1)^{len(pairs)} assignments exceed {guard}")
+            f"({len(members)}+1)^{n_pairs} assignments exceed {guard}")
+    pairs = list(instance.pairs_by_slot())
     need0 = tuple(instance.length(x) for x in members)
     seen = {}
 

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .color_target import INF, _collaborative_witness, _trial_rng, trial_count
+from .color_target import INF, _collaborative_witness, trial_count, trial_draws
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (DerivedIndex, Instance, PhyloTree, build_derived_index,
@@ -147,11 +147,12 @@ def is_good(tree: PhyloTree, coloring: LossColoring, tup, c1: int, c2: int) -> b
 
 
 def candidate_tuples(tree: PhyloTree, coloring: LossColoring, idx: DerivedIndex,
-                     q: int):
+                     q: int, tuples=None):
     """Tuples with the taxon due within class q that any good set may use:
-    eligible unique-color path whose colors avoid the sibling key color."""
+    eligible unique-color path whose colors avoid the sibling key color.
+    ``tuples`` is ``anchored_tuples(tree)`` when the caller already has it."""
     out = []
-    for x, v, e, path in anchored_tuples(tree):
+    for x, v, e, path in anchored_tuples(tree) if tuples is None else tuples:
         if idx.class_of[x] > q:
             continue
         if any(p not in coloring.eligible for p in path):
@@ -252,19 +253,39 @@ def planned_work(idx: DerivedIndex, delta: float) -> int:
     return trial_count(2 * loss, delta) * loss_table_entry_count(loss, idx.n_classes)
 
 
+@dataclass(frozen=True)
+class LossPlan:
+    """What every trial of one request shares: the anchored tuples of the
+    tree and the order in which the table visits path-color sets c1 (by
+    popcount up to the loss, then lexicographic positions)."""
+
+    tuples: tuple
+    c1_order: tuple
+
+
+def loss_plan(tree: PhyloTree, loss: int) -> LossPlan:
+    return LossPlan(tuple(anchored_tuples(tree)),
+                    tuple(c1 for pc in range(loss + 1)
+                          for c1 in _masks_of_popcount(2 * loss, pc)))
+
+
 class _LossDP:
     """Full-table dynamic program over (path colors, sibling colors, class)."""
 
-    def __init__(self, idx: DerivedIndex, coloring: LossColoring, loss: int):
+    def __init__(self, idx: DerivedIndex, coloring: LossColoring, loss: int,
+                 plan: LossPlan = None):
+        tree = idx.instance.tree
+        plan = plan or loss_plan(tree, loss)
         self.idx = idx
         self.coloring = coloring
         self.loss = loss
         self.bits = 2 * loss
         self.full = (1 << self.bits) - 1
         self.nc = idx.n_classes
-        tree = idx.instance.tree
+        self.c1_order = plan.c1_order
         self.tuples = []
-        for x, v, e, path in candidate_tuples(tree, coloring, idx, self.nc - 1):
+        for x, v, e, path in candidate_tuples(tree, coloring, idx, self.nc - 1,
+                                              plan.tuples):
             self.tuples.append((idx.class_of[x], idx.instance.length(x),
                                 coloring.path_mask(path), coloring.key_bit(e),
                                 (x, v, e)))
@@ -278,9 +299,8 @@ class _LossDP:
         return ((c1 << self.bits) | c2) * 16 + q
 
     def run(self):
-        for pc in range(self.loss + 1):
-            for c1 in _masks_of_popcount(self.bits, pc):
-                self._fill_c1(c1)
+        for c1 in self.c1_order:
+            self._fill_c1(c1)
 
     def _fill_c1(self, c1):
         nc = self.nc
@@ -305,7 +325,8 @@ class _LossDP:
             ground_keys.append(running)
             by_class.append(acc)
         comp = self.full ^ c1
-        table, key = self.table, self._key
+        table, bits = self.table, self.bits
+        high = c1 << bits
         for q in range(nc):
             gk = ground_keys[q]
             bq = base[q]
@@ -314,19 +335,20 @@ class _LossDP:
             c2 = comp
             while True:
                 if c2 & gk == 0:
-                    table[key(c1, c2, q)] = bq
+                    table[(high | c2) * 16 + q] = bq
                 else:
                     best = MINF
                     for cls_t, ell_t, pmask, kbit, _ in cands:
                         if not kbit & c2:
                             continue
-                        child = table[key(c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t)]
+                        child = table[(((c1 & ~pmask) << bits)
+                                       | ((c2 | pmask) & ~kbit)) * 16 + cls_t]
                         if child == MINF:
                             continue
                         val = child + ell_t
                         if val > best and (cls_t > q - 1 or val >= seg[cls_t][q - 1]):
                             best = val
-                    table[key(c1, c2, q)] = best
+                    table[(high | c2) * 16 + q] = best
                 self.entries += 1
                 if c2 == 0:
                     break
@@ -336,16 +358,15 @@ class _LossDP:
         """First (c1, c2) cell meeting the final deficit, scan order fixed."""
         last = self.nc - 1
         threshold = self.idx.deficits[last]
-        for pc in range(self.loss + 1):
-            for c1 in _masks_of_popcount(self.bits, pc):
-                comp = self.full ^ c1
-                c2 = comp
-                while True:
-                    if self.table[self._key(c1, c2, last)] >= threshold:
-                        return c1, c2
-                    if c2 == 0:
-                        break
-                    c2 = (c2 - 1) & comp
+        for c1 in self.c1_order:
+            comp = self.full ^ c1
+            c2 = comp
+            while True:
+                if self.table[self._key(c1, c2, last)] >= threshold:
+                    return c1, c2
+                if c2 == 0:
+                    break
+                c2 = (c2 - 1) & comp
         return None
 
     def extract(self, c1, c2):
@@ -388,14 +409,17 @@ def _masks_of_popcount(bits, pc):
 
 
 def loss_dp_solve(instance: Instance, coloring: LossColoring, loss: int,
-                  idx: DerivedIndex = None):
-    """Colored decision: (found, anchored set or None, table entry count)."""
+                  idx: DerivedIndex = None, plan: LossPlan = None):
+    """Colored decision: (found, anchored set or None, table entry count).
+
+    ``idx`` and ``plan`` are the request's index and ``loss_plan`` when the
+    caller already has them."""
     if not instance.tree.is_binary():
         raise NonBinaryTree("the loss-parameterized solver needs a binary tree; "
                             "use the target-diversity or brute-force solver")
     if idx is None:
         idx = build_derived_index(instance)
-    dp = _LossDP(idx, coloring, loss)
+    dp = _LossDP(idx, coloring, loss, plan)
     dp.run()
     cell = dp.accept()
     if cell is None:
@@ -506,10 +530,10 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     n_edges = len(ordered)
     width = n_edges + sum(tree.weight[e] - 1 for e in small)
     n_trials = trial_count(2 * loss, delta)
+    plan = loss_plan(tree, loss)
     entries = None
     for trial in range(1, n_trials + 1):
-        rng = _trial_rng(seed, trial)
-        f = rng.integers(1, 2 * loss + 1, size=width + 1)
+        f = trial_draws(seed, trial, 1, 2 * loss, width)[0]
         key = {e: int(f[j + 1]) for j, e in enumerate(ordered)}
         extras = {}
         pos = n_edges
@@ -520,7 +544,7 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
                 mask |= 1 << (int(f[pos]) - 1)
             extras[e] = mask
         coloring = make_loss_coloring(tree, loss, key, extras)
-        found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx)
+        found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
         if found:
             sacrificed = {x for x, _, _ in anchored}
             saved, sched = _collaborative_witness(

@@ -13,10 +13,22 @@ The colored decision itself is exact dynamic programming over color masks:
 taxa are added in deadline order and a capacity check against the prefix
 hours keeps every partial selection schedulable.  The strict variant runs
 the mask DP per team and merges teams with the boolean cover product.
+
+Trial t colors the tree from its own seeded generator, so every trial is
+decided independently of the others.  The solver decides trial 1 with the
+scalar kernel (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``),
+which keeps cheap yes-instances cheap, and the later trials in batches of
+4, 16, 64, ... colorings per numpy pass, up to 2^14 table cells.  A
+batch runs the same recurrence taxa-major over (trials x masks): entry
+g[C] is the least rescue length of a schedulable set covering at least the
+colors C.  The reported trial is the lowest successful index, and its
+witness comes from the scalar kernel re-run on that coloring, so the
+outcome is the one a trial-by-trial loop gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +45,8 @@ from .outcome import SolveOutcome, trivial_outcome
 INF = 2**62  # saturating sentinel; real values stay far below
 
 MASK_LIMIT = 30
+BATCH_CELLS = 2**14  # trials x masks per batched table; bounds the extra memory
+_UNREACHED = np.uint64(2**64 - 1)  # above every capacity, which fits in 63 bits
 
 
 @dataclass(frozen=True)
@@ -277,6 +291,98 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
 
+def trial_draws(seed: int, first: int, count: int, n_colors: int,
+                width: int) -> np.ndarray:
+    """Color draws of trials first .. first + count - 1, one row per trial.
+
+    Row r holds the colors in [1, n_colors] at positions 0 .. width of trial
+    first + r (position 0 is drawn but unused); each row comes from the
+    trial's own generator, so a trial's coloring does not depend on how the
+    trials are grouped.
+    """
+    draws = np.empty((count, width + 1), dtype=np.int64)
+    for r in range(count):
+        draws[r] = _trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)
+    return draws
+
+
+@functools.lru_cache(maxsize=None)
+def _submask_pairs(k: int):
+    """Every (S, C ^ S) with S a submask of C, grouped by C in increasing
+    order, and the start of each group; only built for k <= 8."""
+    cells = np.arange(1 << k)
+    c, s = np.nonzero((cells[None, :] & ~cells[:, None]) == 0)
+    return s, c ^ s, np.searchsorted(c, cells)
+
+
+def _cover_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Boolean cover product of each row of f with the same row of g."""
+    if f.shape[1] > 256:
+        return np.array([boolean_cover_combine(a, b) for a, b in zip(f, g)],
+                        dtype=bool)
+    left, right, starts = _submask_pairs(f.shape[1].bit_length() - 1)
+    both = f[:, left]
+    both &= g[:, right]
+    return np.logical_or.reduceat(both, starts, axis=1)
+
+
+class _TrialPlan:
+    """What every batch of one request shares: each edge's slice of the draw
+    positions, each taxon's root-path edges, and per capacity row (the
+    prefix hours, or each team's) the room cap - length left by each taxon;
+    taxa are in deadline order."""
+
+    def __init__(self, idx: DerivedIndex, n_colors: int, caps):
+        tree = idx.instance.tree
+        column = {e: j for j, e in enumerate(tree.edge_order)}
+        weights = [tree.weight[e] for e in tree.edge_order]
+        paths = [[column[e] for e in tree.root_path(x)] for x in idx.order]
+        self.edge_starts = np.cumsum([0] + weights[:-1])
+        self.path_edges = np.array([j for path in paths for j in path])
+        self.path_starts = np.cumsum([0] + [len(path) for path in paths[:-1]])
+        self.ell = [idx.instance.length(x) for x in idx.order]
+        self.room = [[cap[idx.class_of[x]] - ell for x, ell in zip(idx.order, self.ell)]
+                     for cap in caps]
+        self.n_colors = n_colors
+
+    def decide(self, draws: np.ndarray) -> np.ndarray:
+        """Colored decision of every trial whose draws are a row of draws."""
+        bits = np.left_shift(1, draws[:, 1:] - 1)
+        edge_masks = np.bitwise_or.reduceat(bits, self.edge_starts, axis=1)
+        masks = np.bitwise_or.reduceat(edge_masks[:, self.path_edges],
+                                       self.path_starts, axis=1)
+        tables = [self._reachable(masks, room) for room in self.room]
+        acc = tables[0]
+        if len(tables) == 1:
+            return acc[:, -1]
+        for team in tables[1:-1]:
+            acc = _cover_rows(acc, team)
+        return (acc & tables[-1][:, ::-1]).any(axis=1)
+
+    def _reachable(self, masks: np.ndarray, room) -> np.ndarray:
+        """Per trial and color set C: does some set that fits the capacity
+        row cover at least C?  g[C] = min(g[C], g[C & ~m] + ell) per taxon."""
+        batch, size = len(masks), 1 << self.n_colors
+        g = np.full((batch, size), _UNREACHED)
+        g[:, 0] = 0
+        flat = g.reshape(-1)
+        cells = np.arange(size)
+        rows = np.arange(0, batch * size, size)[:, None]
+        at = np.empty((batch, size), dtype=np.int64)  # buffers reused per taxon
+        src = np.empty_like(g)
+        fits = np.empty((batch, size), dtype=bool)
+        for t, limit in enumerate(room):
+            if limit < 0:
+                continue
+            np.bitwise_and(cells, ~masks[:, t, None], out=at)
+            at += rows
+            np.take(flat, at, out=src)
+            np.less_equal(src, limit, out=fits)
+            np.add(src, self.ell[t], out=src, where=fits)
+            np.minimum(g, src, out=g, where=fits)
+        return g != _UNREACHED
+
+
 def _singleton_shortcut(instance, idx, algorithm):
     """Any savable taxon whose root path already meets the target is a yes.
 
@@ -305,9 +411,11 @@ def _singleton_shortcut(instance, idx, algorithm):
                         trials=0, diagnostics={"shortcut": "single taxon"})
 
 
-def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness):
+def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, per_team):
     """The trial loop of both modes: ``kernel`` decides one coloring, and
-    ``witness`` turns its finding into a re-checked (saved set, schedule)."""
+    ``witness`` turns its finding into a re-checked (saved set, schedule).
+    The batched trials check each team's hours when ``per_team``, else the
+    prefix hours of all teams, as the kernel does."""
     idx = build_derived_index(instance)
     out = (trivial_outcome(idx, "fpt-d", trials=0)
            or _singleton_shortcut(instance, idx, "fpt-d"))
@@ -320,16 +428,28 @@ def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness):
     tree = instance.tree
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
-    for trial in range(1, n_trials + 1):
-        rng = _trial_rng(seed, trial)
-        f = rng.integers(1, k + 1, size=width + 1)
-        coloring = color_edges_from_hash(tree, k, f)
-        ok, found = kernel(idx, coloring)
-        if ok:
-            saved, sched = witness(instance, idx, found)
-            return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
-                                value=pd_of_subset(tree, saved), trials=trial,
-                                seed=seed, diagnostics={"planned_trials": n_trials})
+    most = max(1, BATCH_CELLS >> k)
+    plan = None
+    first, count = 1, 1
+    while first <= n_trials:
+        count = min(count, most, n_trials - first + 1)
+        draws = trial_draws(seed, first, count, k, width)
+        if first == 1:
+            hits = [0]
+        else:
+            plan = plan or _TrialPlan(idx, k, idx.team_hours if per_team else (idx.hours,))
+            hits = np.flatnonzero(plan.decide(draws)).tolist()
+        for h in hits:
+            # the kernel confirms each hit and extracts its witness
+            ok, found = kernel(idx, color_edges_from_hash(tree, k, draws[h]))
+            if ok:
+                saved, sched = witness(instance, idx, found)
+                return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
+                                    value=pd_of_subset(tree, saved),
+                                    trials=first + h, seed=seed,
+                                    diagnostics={"planned_trials": n_trials})
+        first += count
+        count *= 4
     return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
 
@@ -360,11 +480,11 @@ def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
     probability at most delta.
     """
     return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_time_pd, _collaborative_witness)
+                            solve_colored_time_pd, _collaborative_witness, False)
 
 
 def solve_s_time_pd_by_target(instance: Instance, delta: float = 1e-3,
                               seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
     """Randomized color-coding solver, strict mode (same contract)."""
     return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_s_time_pd, _strict_witness)
+                            solve_colored_s_time_pd, _strict_witness, True)

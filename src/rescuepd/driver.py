@@ -236,7 +236,7 @@ def smallest_disagreement(disagreements):
     """Triage pick: fewest taxa, then fewest availability pairs, then id."""
     def key(entry):
         instance_id, (_, _, instance), _ = entry
-        return (len(instance.taxa), len(instance.availability()), instance_id)
+        return (len(instance.taxa), instance.pair_count(), instance_id)
     return min(disagreements, key=key)
 
 

@@ -15,6 +15,7 @@ feasibility tries every ordering.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, InfeasibleSet, SetTooLarge
@@ -76,14 +77,12 @@ def build_collaborative_schedule(idx: DerivedIndex, taxa_set) -> Schedule:
     if not collaborative_feasible(idx, members):
         raise InfeasibleSet(f"no collaborative schedule saves {members}")
     inst = idx.instance
-    pairs = sorted(inst.availability(), key=lambda ij: (ij[1], ij[0]))
+    pairs = inst.pairs_by_slot()
     queue = sorted(members, key=lambda x: (idx.class_of[x], x))
     assignment = {}
-    cursor = 0
     for x in queue:
         for _ in range(inst.length(x)):
-            assignment[pairs[cursor]] = x
-            cursor += 1
+            assignment[next(pairs)] = x
     return Schedule(COLLABORATIVE, assignment, members)
 
 
@@ -186,11 +185,22 @@ def strict_feasible_by_partition(instance: Instance, taxa_set):
     return False
 
 
+def _available(instance: Instance, key) -> bool:
+    """Is key a (team index, timeslot) pair inside that team's window?"""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return False
+    try:
+        i, j = map(operator.index, key)
+    except TypeError:
+        return False
+    teams = instance.teams
+    return 0 <= i < len(teams) and teams[i].start < j <= teams[i].end
+
+
 def verify_schedule(instance: Instance, schedule: Schedule) -> VerificationReport:
     """Check validity, saving, and (strict mode) one-team consecutive runs."""
-    pairs = set(instance.availability())
     for key in schedule.assignment:
-        if key not in pairs:
+        if not _available(instance, key):
             raise DomainMismatch(f"pair {key} is outside the availability set")
     hours: dict[str, int] = {}
     slots: dict[str, list] = {}

@@ -16,6 +16,8 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidInstance, UnknownTaxon
@@ -212,6 +214,17 @@ class Instance:
         """All (team index, timeslot) pairs where some team can work."""
         return tuple((i, j) for i, t in enumerate(self.teams)
                      for j in range(t.start + 1, t.end + 1))
+
+    def pairs_by_slot(self):
+        """The same pairs in (slot, team) order, generated lazily by merging
+        the teams' windows, so a consumer pays only for the pairs it takes."""
+        runs = (zip(range(t.start + 1, t.end + 1), itertools.repeat(i))
+                for i, t in enumerate(self.teams))
+        return ((i, j) for j, i in heapq.merge(*runs))
+
+    def pair_count(self) -> int:
+        """Number of (team, slot) pairs, without listing them."""
+        return sum(t.end - t.start for t in self.teams)
 
 
 @dataclass(frozen=True)

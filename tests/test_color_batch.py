@@ -1,0 +1,162 @@
+"""The batched fpt-d trials against the scalar kernel and the trial-by-trial loop."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
+                      build_derived_index, color_edges_from_hash,
+                      solve_colored_s_time_pd, solve_colored_time_pd,
+                      solve_s_time_pd_by_target, solve_time_pd_by_target)
+from rescuepd.color_target import _TrialPlan, _trial_rng, trial_draws
+from rescuepd.feasibility import strict_feasible_by_partition
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
+from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
+
+from reference import solve_by_target_trial_by_trial
+from test_color_target import colored_brute
+
+# first trials of the solver's batches of 4, 16, 64 and 256 colorings
+BATCH_STARTS = (2, 6, 22, 86, 342)
+
+
+def plan_for(idx, strict):
+    k = idx.instance.target
+    return _TrialPlan(idx, k, idx.team_hours if strict else (idx.hours,))
+
+
+def kernel_decisions(idx, draws, strict):
+    kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
+    tree, k = idx.instance.tree, idx.instance.target
+    return [kernel(idx, color_edges_from_hash(tree, k, row))[0] for row in draws]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_batched_decisions_match_the_scalar_kernel(data):
+    strict = data.draw(st.booleans(), label="strict")
+    k = data.draw(st.integers(1, 7), label="k")
+    inst = gen_random_instance(
+        n=data.draw(st.integers(2, 7), label="n"),
+        n_teams=data.draw(st.integers(1, 3), label="teams"),
+        max_ex=8, max_len=data.draw(st.integers(1, 3), label="max length"),
+        max_weight=3, savable_frac=1.0,
+        tree_shape=data.draw(st.sampled_from(TREE_SHAPES), label="shape"),
+        seed=data.draw(st.integers(0, 10**6), label="instance"),
+        target=k, mode=STRICT if strict else COLLABORATIVE)
+    idx = build_derived_index(inst)
+    start = data.draw(st.sampled_from(BATCH_STARTS), label="batch start")
+    first = data.draw(st.integers(max(1, start - 8), start), label="first")
+    count = data.draw(st.integers(1, 16), label="count")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    width = inst.tree.total_weight()
+    draws = trial_draws(seed, first, count, k, width)
+    for r, row in enumerate(draws):
+        assert np.array_equal(
+            row, _trial_rng(seed, first + r).integers(1, k + 1, size=width + 1))
+    got = plan_for(idx, strict).decide(draws).tolist()
+    assert got == kernel_decisions(idx, draws, strict)
+
+
+def test_batched_decisions_on_a_wide_palette():
+    # nine colors: the team merge takes the cover product row by row
+    for seed in range(3):
+        inst = gen_random_instance(n=6, n_teams=3, max_ex=8, max_len=2,
+                                   max_weight=3, seed=seed, target=9, mode=STRICT)
+        idx = build_derived_index(inst)
+        draws = trial_draws(seed, 2, 6, 9, inst.tree.total_weight())
+        got = plan_for(idx, True).decide(draws).tolist()
+        assert got == kernel_decisions(idx, draws, True)
+
+
+def colored_brute_by_partition(instance, coloring):
+    """Strict colored oracle that never lists slots: every subset covering
+    the palette, split over the teams by single-team feasibility."""
+    masks = coloring.taxon_masks(instance.tree)
+    full = (1 << coloring.n_colors) - 1
+    for size in range(len(instance.tree.taxa) + 1):
+        for subset in itertools.combinations(instance.tree.taxa, size):
+            got = 0
+            for x in subset:
+                got |= masks[x]
+            if got & full == full and strict_feasible_by_partition(instance, subset):
+                return True
+    return False
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_batched_decisions_near_max_hours(data):
+    """Capacities and lengths up to 2^63 - 1: the batched table neither
+    overflows nor mistakes a real length for its unreached marker."""
+    strict = data.draw(st.booleans(), label="strict")
+    k = data.draw(st.integers(1, 4), label="k")
+    n_teams = data.draw(st.integers(1, 3), label="teams")
+    base = gen_random_instance(n=data.draw(st.integers(2, 5), label="n"),
+                               n_teams=n_teams, max_weight=2,
+                               seed=data.draw(st.integers(0, 10**6), label="tree"))
+    big = MAX_HOURS // n_teams
+    huge = st.one_of(st.integers(1, MAX_HOURS), st.integers(MAX_HOURS - 64, MAX_HOURS),
+                     st.integers(big - 64, big))
+    teams = []
+    for _ in range(n_teams):
+        start = data.draw(st.integers(0, 3), label="start")
+        end = data.draw(st.integers(start + 1, big), label="end")
+        teams.append(TeamWindow(start, end))
+    taxa = {x: TaxonInfo(data.draw(huge, label="length"),
+                         data.draw(st.integers(1, big), label="deadline"))
+            for x in base.tree.taxa}
+    inst = Instance(base.tree, taxa, tuple(teams), k,
+                    STRICT if strict else COLLABORATIVE)
+    idx = build_derived_index(inst)
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    draws = trial_draws(seed, 1, 4, k, inst.tree.total_weight())
+    got = plan_for(idx, strict).decide(draws).tolist()
+    want = []
+    for row in draws:
+        coloring = color_edges_from_hash(inst.tree, k, row)
+        want.append(colored_brute_by_partition(inst, coloring) if strict
+                    else colored_brute(idx, coloring))
+    assert got == want
+
+
+def test_batched_decisions_at_max_hours_exactly():
+    # the saved set's length equals the whole capacity, 2^63 - 1
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(MAX_HOURS - 1, MAX_HOURS), "b": TaxonInfo(1, MAX_HOURS)}
+    for mode in (COLLABORATIVE, STRICT):
+        inst = Instance(tree, taxa, (TeamWindow(0, MAX_HOURS),), 2, mode)
+        idx = build_derived_index(inst)
+        draws = np.array([[1, 1, 2], [1, 2, 1], [1, 1, 1]])
+        got = plan_for(idx, mode == STRICT).decide(draws).tolist()
+        assert got == [True, True, False]
+
+
+def test_outcomes_equal_the_trial_by_trial_loop():
+    """100 instances whose taxa each fall short of the target, so no shortcut
+    answers them: first successes spread over the batches, and no-instances
+    run every planned trial."""
+    full_runs, later_hits, case, kept = 0, 0, 0, 0
+    while kept < 100:
+        case += 1
+        strict = case % 3 == 0
+        k = (4, 5, 6)[case // 3 % 3]
+        delta = {4: 1e-3, 5: 0.05, 6: 0.3}[k]
+        inst = gen_random_instance(n=6 + case % 2, n_teams=1 + case // 9 % 3,
+                                   max_ex=6, max_len=3, max_weight=2,
+                                   tree_shape=TREE_SHAPES[case % len(TREE_SHAPES)],
+                                   seed=500 + case, target=k,
+                                   savable_frac=(0.3, 0.9)[case % 2],
+                                   mode=STRICT if strict else COLLABORATIVE)
+        if max(pd_of_subset(inst.tree, [x]) for x in inst.tree.taxa) >= k:
+            continue
+        kept += 1
+        solve = solve_s_time_pd_by_target if strict else solve_time_pd_by_target
+        got = solve(inst, delta=delta, seed=case)
+        assert got == solve_by_target_trial_by_trial(inst, delta, case, strict)
+        planned = got.diagnostics["planned_trials"]
+        full_runs += not got.decision and got.trials == planned
+        later_hits += got.decision and got.trials > 1
+    assert full_runs >= 20 and later_hits >= 20, (full_runs, later_hits)

@@ -150,3 +150,16 @@ def test_bench_times_the_oracle():
     rows = run_bench_instance((0, "tiny", instance))[0]
     assert rows[0].algorithm == "brute" and rows[0].wall_ms > 0
     assert all(row.pd_total == instance.tree.total_weight() for row in rows)
+
+
+def test_long_windows_are_never_listed(monkeypatch):
+    # one (0, 10^6) team with deadlines 10, and a two-leaf star over 1.1 * 10^6
+    # slots: building and checking their schedules must not list every
+    # (team, slot) pair
+    def listed(self):
+        raise AssertionError("every (team, slot) pair was listed")
+
+    monkeypatch.setattr(Instance, "availability", listed)
+    for instance in (one_team_tree(10, 10**6), two_leaf_star(1_100_000)):
+        out = solve_auto(instance)
+        assert out.decision and verify_schedule(instance, out.schedule).ok

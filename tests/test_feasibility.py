@@ -183,3 +183,33 @@ def test_exhaustive_search_examples():
     inst2 = two_leaf_instance(TaxonInfo(2, 2), TaxonInfo(1, 1),
                               (TeamWindow(0, 3),))
     assert exhaustive_schedule_search(inst2, ["a"])
+
+
+def test_schedules_follow_the_listed_pairs():
+    from reference import collaborative_schedule_from_pairs
+    checked = 0
+    for seed in range(40):
+        inst = gen_random_instance(n=5, n_teams=1 + seed % 4, max_ex=9,
+                                   max_len=3, seed=seed)
+        idx = build_derived_index(inst)
+        for size in range(1, 4):
+            for subset in itertools.combinations(inst.tree.taxa, size):
+                if not collaborative_feasible(idx, subset):
+                    continue
+                sched = build_collaborative_schedule(idx, subset)
+                assert sched == collaborative_schedule_from_pairs(idx, subset)
+                assert list(inst.pairs_by_slot()) == sorted(
+                    inst.availability(), key=lambda ij: (ij[1], ij[0]))
+                checked += 1
+    assert checked > 100
+
+
+def test_malformed_pairs_are_outside_the_availability_set():
+    inst = two_leaf_instance(TaxonInfo(1, 3), TaxonInfo(1, 3),
+                             (TeamWindow(0, 3), TeamWindow(1, 2)))
+    assert verify_schedule(inst, Schedule("collaborative", {(1, 2): "a",
+                                                           (False, 1): "b"})).ok
+    for key in [(0, 0), (0, 4), (1, 1), (2, 1), (-1, 2), (0, 1.0), ("0", 1),
+                (0,), (0, 1, 2), "01", None, frozenset({0, 1})]:
+        with pytest.raises(DomainMismatch):
+            verify_schedule(inst, Schedule("collaborative", {key: "a"}, ()))
