@@ -1,30 +1,39 @@
 """Tree dynamic programs over person-hour budget vectors.
 
-Three exact solvers sharing one skeleton: walk the tree bottom-up, tracking
-for each vertex and each remaining budget the best diversity achievable in
-that subtree, with a flag b telling whether at least one taxon below is
-saved (only then does the vertex's own edge count toward an ancestor).
-Children consume disjoint shares of the budget; shares are enumerated child
-by child through an auxiliary prefix table.
+Four exact solvers share one engine.  A budget is a vector of counts, one
+coordinate per resource.  For each vertex v and each budget B in v's grid,
+0 <= B <= min(root budget, what v's subtree can use), numbered mixed-radix
+little-endian, v's table holds the best diversity of a rescue in v's
+subtree that saves some taxon below v within B; below zero, none exists.
 
-Budget flavors:
+Tables are filled bottom-up.  The children u of v are merged in source
+order through prefix tables over v's grid,
 
-* team counts per timeslot (collaborative) - a leaf is savable when the
-  slots up to its deadline carry enough team-hours in total;
-* hour budgets per deadline class (collaborative) - a leaf consumes its
-  rescue length from every class at or after its own;
-* team subsets per timeslot (strict) - a leaf needs one team granted for
-  enough consecutive slots ending by its deadline.
+    P_i(B) = max(P_{i-1}(B), max_{S <= B} max(0, P_{i-1}(B - S)) + V_u(S) + w_u),
 
-Budgets are canonicalized against what a subtree can actually use, which
-keeps the memoized state space near the reachable minimum.  Splits are
-enumerated in mixed-radix little-endian order for determinism.
+with P_0 nowhere feasible and V_v the last one.  The first child, if
+internal, is one gather V_u(min(B, cap_u)) + w_u, values growing with the
+budget; a later internal child is a max-plus convolution over the (B, S)
+pairs, PAIR_CELLS per numpy pass; a leaf is one gather of B - S per share
+it may take.  The flavors differ in coordinates and leaf rule: team counts
+per working slot, taken latest slot first up to the deadline; hour budgets
+per deadline class, the rescue length taken from the leaf's class on; one
+0/1 coordinate per (slot, team) pair where the team works, a leaf taking
+one team for consecutive slots ending by its deadline (by start, then
+team); and bucket counts for ``structured.solve_time_pd_xp``.
+
+The witness reads the tables back from the root in top-down search order:
+per child, shares S in grid order, each first alone and then joined to the
+earlier children's rescue, and last the choice to skip the child.  Entries are int64, or Python ints once the total
+weight reaches 2^62.  ``diagnostics["states"]`` counts prefix-table cells.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
+
+import numpy as np
 
 from .errors import RescuePDError, StateSpaceTooLarge
 from .feasibility import Schedule, build_collaborative_schedule, verify_schedule
@@ -32,9 +41,9 @@ from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
                     capped_product, pd_of_subset)
 from .outcome import SolveOutcome, trivial_outcome
 
-NEG = -(2**62)
-
 STATE_GUARD = 10_000_000
+
+PAIR_CELLS = 2**20  # (budget, share) pairs per numpy pass of a child merge
 
 
 def team_vectors(idx: DerivedIndex, limit: int) -> int:
@@ -70,12 +79,53 @@ def subset_vectors(idx: DerivedIndex, limit: int) -> int:
     return 2 ** exponent if exponent < limit.bit_length() else limit + 1
 
 
-class _BudgetDP:
-    """Shared engine; subclasses define the budget algebra and leaf rule.
+class _Grid:
+    """The budgets 0 <= B <= caps of one vertex, in mixed-radix little-endian
+    order.  ``codes`` packs each B into bit fields with a guard bit above
+    each field, so that (codes[B] - packed S) & guard == guard exactly when
+    S <= B coordinatewise."""
 
-    Budgets are count vectors unless a subclass overrides subtract and
-    child_shares.
-    """
+    def __init__(self, caps):
+        self.caps = caps
+        strides, step, fields, shift, guard = [], 1, [], 0, 0
+        for c in caps:
+            strides.append(step)
+            step *= c + 1
+            bits = c.bit_length()
+            fields.append(1 << shift if bits else 0)
+            if bits:
+                guard |= 1 << (shift + bits)
+                shift += bits + 1
+        if shift > 62:
+            raise StateSpaceTooLarge(f"a {step}-vector budget grid needs "
+                                     f"{shift} code bits, over 62")
+        self.size, self.guard = step, guard
+        self.index = np.arange(step)
+        self.strides = np.array(strides, dtype=np.int64)
+        self.fields = np.array(fields, dtype=np.int64)
+        radices = np.array(caps, dtype=np.int64) + 1
+        self.digits = self.index // self.strides[:, None] % radices[:, None]
+
+    @functools.cached_property
+    def codes(self):
+        return self.fields @ self.digits | self.guard
+
+    @functools.cached_property
+    def suffix(self):
+        sums = np.zeros((len(self.caps) + 1, self.size), dtype=np.int64)
+        np.cumsum(self.digits[::-1], axis=0, out=sums[-2::-1])
+        return sums
+
+    def rests(self, packed, offsets, b):
+        """Index of b - S for every share (packed, offset) that fits in
+        budget b, and self.size where it does not."""
+        fits = (self.codes[b] - packed) & self.guard == self.guard
+        return np.where(fits, self.index[b] - offsets, self.size)
+
+
+class _BudgetDP:
+    """The engine; subclasses set the root budget, the per-vertex caps
+    (``self.caps``) and the leaf rule."""
 
     algorithm = "budget"
 
@@ -83,143 +133,162 @@ class _BudgetDP:
         self.instance = instance
         self.idx = build_derived_index(instance)
         self.tree = instance.tree
-        self.memo = {}
-        self.pmemo = {}
+        self.postorder = self.tree.preorder()[::-1]
 
-    # budget algebra -----------------------------------------------------
     def root_budget(self):
         raise NotImplementedError
 
-    def canon_budget(self, v, budget):
+    def leaf_rests(self, x, grid):
+        """Per way to save leaf x within a budget of the grid, in the leaf
+        rule's order: (rest-budget index per budget, grid.size where the
+        budget cannot pay, detail)."""
         raise NotImplementedError
 
-    def leaf_options(self, x, budget):
-        """Yield (consumed share, leaf detail) for ways to save leaf x."""
-        raise NotImplementedError
-
-    def subtract(self, budget, share):
-        return tuple(a - d for a, d in zip(budget, share))
-
-    def child_shares(self, budget):
-        """Every share a child may take, mixed-radix little-endian order."""
-        return [tuple(reversed(s)) for s in
-                itertools.product(*[range(a + 1) for a in reversed(budget)])]
+    def share_rests(self, grid, shares):
+        """leaf_rests for shares that do not depend on the budget."""
+        out = []
+        for share, detail in shares:
+            if all(s <= c for s, c in zip(share, grid.caps)):
+                packed = int(grid.fields @ np.array(share, dtype=np.int64))
+                offset = int(grid.strides @ np.array(share, dtype=np.int64))
+                out.append((grid.rests(packed, offset, slice(None)), detail))
+        return out
 
     def subtree_sums(self, leaf_vector):
         """Per vertex, the elementwise sum of leaf_vector(x) over its leaves."""
         sums = {}
-        for v in reversed(self.tree.preorder()):
+        for v in self.postorder:
             cs = self.tree.children.get(v, ())
             sums[v] = (tuple(map(sum, zip(*[sums[c] for c in cs]))) if cs
                        else tuple(leaf_vector(v)))
         return sums
 
     # engine -------------------------------------------------------------
-    def value(self, v, budget, b):
-        if b == 0:
-            return 0
-        budget = self.canon_budget(v, budget)
-        key = (v, budget)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        cs = self.tree.children.get(v, ())
-        if not cs:
-            best = NEG
-            for share, _ in self.leaf_options(v, budget):
-                best = 0
-                break
-            self.memo[key] = best
-            return best
-        best = self.prefix_value(v, len(cs), budget, 1)
-        self.memo[key] = best
-        return best
-
-    def prefix_value(self, v, i, budget, b):
-        """Best over the first i children of v."""
-        cs = self.tree.children[v]
-        u = cs[i - 1]
-        w = self.tree.weight[u]
-        if i == 1:
-            sub = self.value(u, budget, b)
-            return sub + w * b if sub > NEG else (0 if b == 0 else NEG)
-        if b == 0:
-            return 0
-        budget = self.canon_budget(v, budget)
-        key = (v, i, budget)
-        got = self.pmemo.get(key)
-        if got is not None:
-            return got
-        best = NEG
-        if self.tree.children.get(u):
-            shares = self.child_shares(budget)
-        else:
-            shares = [share for share, _ in self.leaf_options(u, budget)]
-        # b2 = 1 with every share the child can use
-        for share in shares:
-            sub = self.value(u, self.canon_budget(u, share), 1)
-            if sub <= NEG:
+    def fill(self):
+        """Every internal vertex's grid and prefix tables, bottom-up; the
+        merge step of each child is kept for the witness."""
+        tree, root = self.tree, self.root_budget()
+        self.dtype = np.int64 if self.idx.pd_total < 2**62 else object
+        self.neg = -1 - self.idx.pd_total
+        self.grids, self.tables, self.steps = {}, {}, {}
+        by_caps = {}
+        for v in self.postorder:
+            cs = tree.children.get(v, ())
+            if not cs:
                 continue
-            rest = self.subtract(budget, share)
-            for b1 in (0, 1):
-                head = self.prefix_value(v, i - 1, rest, b1)
-                if head <= NEG:
-                    continue
-                cand = head + sub + w
-                if cand > best:
-                    best = cand
-        # b2 = 0: child gets nothing
-        head = self.prefix_value(v, i - 1, budget, 1)
-        if head > best:
-            best = head
-        self.pmemo[key] = best
-        return best
+            caps = tuple(map(min, root, self.caps[v]))
+            if caps not in by_caps:
+                by_caps[caps] = _Grid(caps)
+            g = self.grids[v] = by_caps[caps]
+            prefix = self.tables[v] = []
+            for i, u in enumerate(cs):
+                w = tree.weight[u]
+                if not tree.children.get(u):
+                    step = self.leaf_rests(u, g)
+                    table = self._leaf_merge(g, step, w, table if i else None)
+                elif i == 0:
+                    gu = self.grids[u]
+                    step = gu.strides @ np.minimum(
+                        g.digits, np.array(gu.caps, dtype=np.int64)[:, None])
+                    table = self.tables[u][-1][step] + w
+                else:
+                    gu = self.grids[u]           # u's budgets as shares of v's
+                    step = g.fields @ gu.digits, g.strides @ gu.digits
+                    table = self._merge(g, step, self.tables[u][-1] + w, table)
+                self.steps[v, i] = step
+                prefix.append(table)
+
+    def _head(self, table):
+        """max(0, table) with one more cell, the unreachable budget."""
+        head = np.empty(len(table) + 1, self.dtype)
+        np.maximum(table, 0, out=head[:-1])
+        head[-1] = self.neg
+        return head
+
+    def _leaf_merge(self, g, step, w, table):
+        """The prefix table after a leaf child; table is None for the first
+        child, whose rescue cannot join an earlier one."""
+        if table is None:
+            out = np.full(g.size, self.neg, self.dtype)
+            for rest, _ in step:
+                out[rest < g.size] = w
+            return out
+        head, out = self._head(table), table.copy()
+        for rest, _ in step:
+            np.maximum(out, head[rest] + w, out=out)
+        return out
+
+    def _merge(self, g, pairs, sub, table):
+        """The prefix table after an internal child whose table plus edge
+        weight is sub: max(table(B), max(0, table(B - S)) + sub(S)) over the
+        shares S <= B, PAIR_CELLS pairs per pass."""
+        packed, offsets = pairs
+        head, out = self._head(table), table.copy()
+        rows = max(1, PAIR_CELLS // len(sub))
+        for lo in range(0, g.size, rows):
+            b = slice(lo, lo + rows)
+            cand = head[g.rests(packed, offsets[None, :], (b, None))]
+            cand += sub
+            np.maximum(out[b], cand.max(axis=1), out=out[b])
+        return out
 
     # witness --------------------------------------------------------------
-    def collect(self, v, budget, b, saved, details):
-        if b == 0:
-            return
-        budget = self.canon_budget(v, budget)
-        cs = self.tree.children.get(v, ())
-        if not cs:
-            for share, detail in self.leaf_options(v, budget):
-                saved.append(v)
-                details[v] = detail
-                return
-            raise RescuePDError("collect reached an unsavable leaf")
-        self.collect_prefix(v, len(cs), budget, 1, saved, details)
-
-    def collect_prefix(self, v, i, budget, b, saved, details):
-        target = self.prefix_value(v, i, budget, b)
-        cs = self.tree.children[v]
-        u = cs[i - 1]
-        w = self.tree.weight[u]
-        if i == 1:
-            if b == 1:
-                self.collect(u, budget, 1, saved, details)
-            return
-        if b == 0:
-            return
-        budget = self.canon_budget(v, budget)
-        if self.tree.children.get(u):
-            shares = self.child_shares(budget)
-        else:
-            shares = [share for share, _ in self.leaf_options(u, budget)]
-        for share in shares:
-            sub = self.value(u, self.canon_budget(u, share), 1)
-            if sub <= NEG:
+    def collect(self, v, b):
+        """Saved leaves (and each leaf's detail) of the rescue that attains
+        V_v at budget index b."""
+        tree, saved, details = self.tree, [], {}
+        stack = [(v, len(tree.children[v]), b)]
+        while stack:
+            v, i, b = stack.pop()
+            u = tree.children[v][i - 1]
+            step, leaf = self.steps[v, i - 1], not tree.children.get(u)
+            if i == 1 and leaf:
+                options = [d for rest, d in step if rest[b] < len(rest)]
+                if not options:
+                    raise RescuePDError("collect reached an unsavable leaf")
+                saved.append(u)
+                details[u] = options[0]
                 continue
-            rest = self.subtract(budget, share)
-            for b1 in (0, 1):
-                head = self.prefix_value(v, i - 1, rest, b1)
-                if head > NEG and head + sub + w == target:
-                    self.collect(u, share, 1, saved, details)
-                    self.collect_prefix(v, i - 1, rest, b1, saved, details)
-                    return
-        if self.prefix_value(v, i - 1, budget, 1) == target:
-            self.collect_prefix(v, i - 1, budget, 1, saved, details)
-            return
-        raise RescuePDError("budget DP witness backtrack failed")
+            if i == 1:
+                stack.append((u, len(tree.children[u]), int(step[b])))
+                continue
+            g, prefix, w = self.grids[v], self.tables[v], tree.weight[u]
+            target, before = prefix[i - 1][b], prefix[i - 2]
+            # shares in order, each first alone (b1 = 0), then joined to the
+            # earlier children's rescue (b1 = 1); else u is skipped
+            hit = None
+            if leaf:
+                for s, (rest, _) in enumerate(step):
+                    r = rest[b]
+                    if r < g.size and (w == target or
+                                       before[r] >= 0 and before[r] + w == target):
+                        hit = s, r, w == target
+                        break
+            else:
+                rest = g.rests(*step, b)
+                sub = self.tables[u][-1]
+                ok = (rest < g.size) & (sub >= 0)
+                alone = ok & (sub + w == target)
+                head = np.append(before, self.neg)[rest]
+                joint = ok & (head >= 0) & (head + sub + w == target)
+                hits = np.flatnonzero(alone | joint)
+                if hits.size:
+                    s = int(hits[0])
+                    hit = s, rest[s], alone[s]
+            if hit is None:
+                if before[b] != target:
+                    raise RescuePDError("budget DP witness backtrack failed")
+                stack.append((v, i - 1, b))
+                continue
+            s, r, alone = hit
+            if leaf:
+                saved.append(u)
+                details[u] = step[s][1]
+            else:
+                stack.append((u, len(tree.children[u]), s))
+            if not alone:
+                stack.append((v, i - 1, int(r)))
+        return saved, details
 
     # entry point ----------------------------------------------------------
     def solve(self) -> SolveOutcome:
@@ -227,15 +296,13 @@ class _BudgetDP:
         out = trivial_outcome(idx, self.algorithm)
         if out is not None:
             return out
-        root_budget = self.root_budget()
-        best = self.value(self.tree.root, root_budget, 1)
-        decision = best > NEG and best >= instance.target
-        if not decision:
-            return SolveOutcome(False, self.algorithm,
-                                value=best if best > NEG else 0,
-                                diagnostics={"states": len(self.memo)})
-        saved, details = [], {}
-        self.collect(self.tree.root, root_budget, 1, saved, details)
+        self.fill()
+        best, b = self.best_root()
+        states = sum(len(t) for prefix in self.tables.values() for t in prefix)
+        if best < instance.target:
+            return SolveOutcome(False, self.algorithm, value=max(best, 0),
+                                diagnostics={"states": states})
+        saved, details = self.collect(self.tree.root, b)
         saved = canon(saved)
         sched = self.witness_schedule(saved, details)
         report = verify_schedule(instance, sched)
@@ -243,7 +310,13 @@ class _BudgetDP:
             raise RescuePDError("budget DP witness failed verification")
         return SolveOutcome(True, self.algorithm, saved=saved, schedule=sched,
                             value=pd_of_subset(self.tree, saved),
-                            diagnostics={"states": len(self.memo)})
+                            diagnostics={"states": states})
+
+    def best_root(self):
+        """(value, budget index) of the root entry that answers: the whole
+        root budget."""
+        b = self.grids[self.tree.root].size - 1
+        return int(self.tables[self.tree.root][-1][b]), b
 
     def witness_schedule(self, saved, details) -> Schedule:
         return build_collaborative_schedule(self.idx, saved)
@@ -269,30 +342,25 @@ class _TeamCountDP(_BudgetDP):
         self.slots = sorted(counts)
         self.counts = tuple(counts[j] for j in self.slots)
         # per-vertex per-slot cap: hours usable at the slot by the subtree
-        self.slot_caps = self.subtree_sums(
+        self.caps = self.subtree_sums(
             lambda x: [instance.length(x) if instance.deadline(x) >= j else 0
                        for j in self.slots])
 
     def root_budget(self):
         return self.counts
 
-    def canon_budget(self, v, budget):
-        caps = self.slot_caps[v]
-        return tuple(min(a, c) for a, c in zip(budget, caps))
-
-    def leaf_options(self, x, budget):
-        deadline = bisect.bisect_right(self.slots, self.instance.deadline(x))
+    def leaf_rests(self, x, grid):
+        """Latest slots first: slot j < due gives min(B_j, max(0, need -
+        (B_{j+1} + ... + B_{due-1}))), due the slots up to the deadline."""
+        due = bisect.bisect_right(self.slots, self.instance.deadline(x))
         need = self.instance.length(x)
-        if sum(budget[:deadline]) < need:
-            return
-        share = [0] * len(self.slots)
-        for j in range(deadline - 1, -1, -1):   # latest slots first
-            take = min(budget[j], need)
-            share[j] = take
-            need -= take
-            if need == 0:
-                break
-        yield tuple(share), tuple(share)
+        if need > sum(grid.caps[:due]):
+            return []
+        suffix = grid.suffix                 # suffix[j] = B_j + B_{j+1} + ...
+        base = suffix[due] + need
+        taken = np.minimum(np.maximum(base - suffix[1:due + 1], 0), grid.digits[:due])
+        rest = grid.index - grid.strides[:due] @ taken
+        return [(np.where(suffix[0] >= base, rest, grid.size), None)]
 
 
 class _HourBudgetDP(_BudgetDP):
@@ -306,26 +374,23 @@ class _HourBudgetDP(_BudgetDP):
             raise StateSpaceTooLarge(f"hour-budget vectors exceed the guard {guard}")
         # per-vertex per-class cap: total length of subtree taxa due by class
         idx = self.idx
-        self.class_caps = self.subtree_sums(
+        self.caps = self.subtree_sums(
             lambda x: [instance.length(x) if k >= idx.class_of[x] else 0
                        for k in range(idx.n_classes)])
 
     def root_budget(self):
         return tuple(self.idx.hours)
 
-    def canon_budget(self, v, budget):
-        return tuple(min(a, c) for a, c in zip(budget, self.class_caps[v]))
-
-    def leaf_options(self, x, budget):
+    def leaf_rests(self, x, grid):
         k = self.idx.class_of[x]
         need = self.instance.length(x)
-        if all(budget[j] >= need for j in range(k, self.idx.n_classes)):
-            share = tuple(need if j >= k else 0 for j in range(self.idx.n_classes))
-            yield share, share
+        share = tuple(need if j >= k else 0 for j in range(self.idx.n_classes))
+        return self.share_rests(grid, [(share, None)])
 
 
 class _TeamSubsetDP(_BudgetDP):
-    """Budgets = team subset per timeslot (strict)."""
+    """Budgets = team subset per timeslot (strict), one 0/1 coordinate per
+    (slot, team) pair where the team works, slots first."""
 
     algorithm = "hours-subsets"
 
@@ -336,50 +401,29 @@ class _TeamSubsetDP(_BudgetDP):
         if subset_vectors(self.idx, guard) > guard:
             raise StateSpaceTooLarge(
                 f"2^(|T|*{self.horizon}) subset vectors exceed the guard {guard}")
-        # per-vertex per-slot count of subtree taxa due at or after the slot
-        self.slot_relevant = self.subtree_sums(
-            lambda x: [j < instance.deadline(x) for j in range(self.horizon)])
+        self.pairs = [(j, i) for j in range(self.horizon)
+                      for i, t in enumerate(instance.teams) if t.start <= j < t.end]
+        self.coordinate = {pair: n for n, pair in enumerate(self.pairs)}
+        # per-vertex per-pair count of subtree taxa due after the slot
+        self.caps = self.subtree_sums(
+            lambda x: [int(j < instance.deadline(x)) for j, _ in self.pairs])
 
     def root_budget(self):
-        masks = [0] * self.horizon
-        for i, t in enumerate(self.instance.teams):
-            for j in range(t.start + 1, min(t.end, self.horizon) + 1):
-                masks[j - 1] |= 1 << i
-        return tuple(masks)
+        return (1,) * len(self.pairs)
 
-    def canon_budget(self, v, budget):
-        return tuple(m if rel else 0
-                     for m, rel in zip(budget, self.slot_relevant[v]))
-
-    def leaf_options(self, x, budget):
+    def leaf_rests(self, x, grid):
         need = self.instance.length(x)
         deadline = min(self.instance.deadline(x), self.horizon)
+        shares = []
         for start in range(deadline - need + 1):
-            common = (1 << self.n_teams) - 1
-            for j in range(start, start + need):
-                common &= budget[j]
             for i in range(self.n_teams):
-                if common >> i & 1:
-                    share = tuple((1 << i) if start <= j < start + need else 0
-                                  for j in range(self.horizon))
-                    yield share, (i, start)
-
-    def subtract(self, budget, share):
-        return tuple(a & ~d for a, d in zip(budget, share))
-
-    def child_shares(self, budget):
-        subs = []
-        for m in budget:
-            opts = []
-            s = 0
-            while True:
-                opts.append(s)
-                if s == m:
-                    break
-                s = (s | ~m) + 1 & m
-            subs.append(opts)
-        return [tuple(reversed(s)) for s in
-                itertools.product(*list(reversed(subs)))]
+                run = [self.coordinate.get((j, i)) for j in range(start, start + need)]
+                if None not in run:
+                    share = [0] * len(self.pairs)
+                    for n in run:
+                        share[n] = 1
+                    shares.append((share, (i, start)))
+        return self.share_rests(grid, shares)
 
     def witness_schedule(self, saved, details) -> Schedule:
         assignment = {}

@@ -164,27 +164,6 @@ def schedule_team_parts(instance: Instance, parts) -> Schedule:
     return Schedule(STRICT, assignment, canon(saved))
 
 
-def strict_feasible_by_partition(instance: Instance, taxa_set):
-    """Second oracle: enumerate assignments of taxa to teams directly.
-
-    Used only in tests as a cross-check of the ordering-based search; a set
-    is strictly feasible iff it splits into per-team single-team-feasible
-    parts.
-    """
-    members = canon(taxa_set)
-    if not members:
-        return True
-    n_teams = len(instance.teams)
-    for choice in itertools.product(range(n_teams), repeat=len(members)):
-        parts = [[] for _ in range(n_teams)]
-        for x, i in zip(members, choice):
-            parts[i].append(x)
-        if all(single_team_feasible(instance.teams[i], instance.taxa, part)
-               for i, part in enumerate(parts)):
-            return True
-    return False
-
-
 def _available(instance: Instance, key) -> bool:
     """Is key a (team index, timeslot) pair inside that team's window?"""
     if not (isinstance(key, tuple) and len(key) == 2):

@@ -3,8 +3,8 @@
 The count-matrix solver budgets how many taxa of each (rescue length,
 deadline) bucket may be selected and reuses the budget-DP engine; a root
 matrix is admissible when the lengths-weighted column prefixes fit the
-per-class hours.  With few distinct lengths and deadlines this is
-polynomial for fixed shape.
+per-class hours, and the root table holds the value of every matrix.  With
+few distinct lengths and deadlines this is polynomial for fixed shape.
 
 On stars the problem decomposes per deadline class into 0/1 knapsacks
 (weight = rescue length, profit = leaf edge weight) chained by a max-plus
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget_dp import NEG, STATE_GUARD, _BudgetDP
+from .budget_dp import STATE_GUARD, _BudgetDP
 from .errors import BoundTooLarge, NotAStar, RescuePDError, StateSpaceTooLarge
 from .feasibility import build_collaborative_schedule, verify_schedule
 from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
@@ -27,6 +27,7 @@ from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
 from .outcome import SolveOutcome, trivial_outcome
 
 INF = 2**62
+NEG = -(2**62)
 
 BOUND_GUARD = 1_000_000
 
@@ -62,11 +63,11 @@ class _CountMatrixDP(_BudgetDP):
         self.bucket_keys = sorted(buckets)
         self.bucket_of = {x: self.bucket_keys.index(key)
                           for key, xs in buckets.items() for x in xs}
-        self.caps = tuple(len(buckets[key]) for key in self.bucket_keys)
+        self.counts = tuple(len(buckets[key]) for key in self.bucket_keys)
         if count_matrices(idx, guard) > guard:
             raise StateSpaceTooLarge(f"count matrices exceed the guard {guard}")
         nb = len(self.bucket_keys)
-        self.subtree_counts = self.subtree_sums(
+        self.caps = self.subtree_sums(
             lambda x: [int(k == self.bucket_of[x]) for k in range(nb)])
 
     def admissible_root_budgets(self):
@@ -75,7 +76,7 @@ class _CountMatrixDP(_BudgetDP):
         class_of_deadline = {ex: k for k, ex in enumerate(idx.ex_values)}
         bucket_class = [class_of_deadline[deadline]
                         for _, deadline in self.bucket_keys]
-        for combo in itertools.product(*[range(c + 1) for c in self.caps]):
+        for combo in itertools.product(*[range(c + 1) for c in self.counts]):
             ok = True
             for k in range(idx.n_classes):
                 used = sum(cnt * length
@@ -88,41 +89,25 @@ class _CountMatrixDP(_BudgetDP):
             if ok:
                 yield combo
 
-    def root_budget(self):  # pragma: no cover - solve() is overridden
-        raise NotImplementedError
+    def root_budget(self):
+        return self.counts
 
-    def canon_budget(self, v, budget):
-        return tuple(min(a, c) for a, c in zip(budget, self.subtree_counts[v]))
-
-    def leaf_options(self, x, budget):
+    def leaf_rests(self, x, grid):
         k = self.bucket_of[x]
-        if budget[k] > 0:
-            share = tuple(1 if i == k else 0 for i in range(len(budget)))
-            yield share, None
+        share = tuple(1 if i == k else 0 for i in range(len(self.counts)))
+        return self.share_rests(grid, [(share, None)])
 
-    def solve(self) -> SolveOutcome:
-        instance, idx = self.instance, self.idx
-        out = trivial_outcome(idx, self.algorithm)
-        if out is not None:
-            return out
-        best, best_budget = NEG, None
+    def best_root(self):
+        """The first admissible matrix of the best value, in product order."""
+        root = self.tree.root
+        strides = self.grids[root].strides.tolist()
+        best, best_b = -1, None     # below zero: nothing savable
         for budget in self.admissible_root_budgets():
-            val = self.value(self.tree.root, budget, 1)
+            b = sum(c * s for c, s in zip(budget, strides))
+            val = int(self.tables[root][-1][b])
             if val > best:
-                best, best_budget = val, budget
-        if best < instance.target:
-            return SolveOutcome(False, self.algorithm,
-                                value=best if best > NEG else 0,
-                                diagnostics={"states": len(self.memo)})
-        saved, details = [], {}
-        self.collect(self.tree.root, best_budget, 1, saved, details)
-        saved = canon(saved)
-        sched = build_collaborative_schedule(idx, saved)
-        if pd_of_subset(self.tree, saved) < instance.target:  # pragma: no cover
-            raise RescuePDError("count-matrix witness failed the diversity re-check")
-        return SolveOutcome(True, self.algorithm, saved=saved, schedule=sched,
-                            value=pd_of_subset(self.tree, saved),
-                            diagnostics={"states": len(self.memo)})
+                best, best_b = val, b
+        return best, best_b
 
 
 def solve_time_pd_xp(instance: Instance, guard: int = STATE_GUARD) -> SolveOutcome:

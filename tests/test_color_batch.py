@@ -11,11 +11,10 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
 from rescuepd.color_target import _TrialPlan, _trial_rng, trial_draws
-from rescuepd.feasibility import strict_feasible_by_partition
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
 
-from reference import solve_by_target_trial_by_trial
+from reference import solve_by_target_trial_by_trial, strict_feasible_by_partition
 from test_color_target import colored_brute
 
 # first trials of the solver's batches of 4, 16, 64 and 256 colorings

@@ -9,8 +9,9 @@ from rescuepd import (Instance, PhyloTree, Schedule, TaxonInfo, TeamWindow,
                       strict_feasible, strict_feasible_given_ordering,
                       verify_schedule)
 from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge
-from rescuepd.feasibility import strict_feasible_by_partition
 from rescuepd.generators import gen_random_instance
+
+from reference import strict_feasible_by_partition
 
 
 def two_leaf_instance(info_a, info_b, teams, mode="collaborative"):
