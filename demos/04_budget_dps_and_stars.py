@@ -2,8 +2,8 @@
 
 Three exact alternatives to color coding: budget the teams per timeslot,
 budget the hours per deadline class, or (strict mode) budget team subsets
-per timeslot.  On stars the problem collapses to per-deadline knapsacks
-chained over capacity; all three knapsack indexings agree.
+per timeslot.  On stars the problem collapses to per-deadline knapsacks,
+each indexed by capacity, chained over capacity.
 """
 
 from rescuepd import (brute_force, gen_random_instance, reduce_subset_sum,
@@ -31,7 +31,6 @@ print(f"\nstrict instance: team-subset DP says"
 
 star = reduce_subset_sum([3, 5, 6, 9], 2, 11)
 print("\nsubset-sum star (pick 2 of {3,5,6,9} summing to 11):")
-for mode in ("by-capacity", "by-profit", "by-loss"):
-    out = solve_star(star, mode)
-    print(f"  kernel {mode:11s}: {'yes' if out.decision else 'no'}"
-          f" via {out.saved if out.decision else '-'}")
+out = solve_star(star)
+print(f"  star solver: {'yes' if out.decision else 'no'}"
+      f" via {out.saved if out.decision else '-'}")

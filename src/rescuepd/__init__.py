@@ -33,6 +33,6 @@ from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
                     canon, classify_trivial, pd_of_subset, savable_alone)
 from .newick import parse_newick, to_newick
 from .outcome import SolveOutcome
-from .structured import knapsack_kernel, solve_star, solve_time_pd_xp
+from .structured import solve_star, solve_time_pd_xp
 
 __version__ = "0.1.0"

@@ -28,13 +28,12 @@ outcome is the one a trial-by-trial loop gives.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import boolean_cover_combine
+from .cover import boolean_cover_combine, cover_rows
 from .errors import BadParams, RescuePDError, TargetTooLarge
 from .feasibility import (build_collaborative_schedule, collaborative_feasible,
                           schedule_team_parts, verify_schedule)
@@ -42,7 +41,7 @@ from .model import (STRICT, DerivedIndex, Instance, PhyloTree,
                     build_derived_index, canon, pd_of_subset, savable_alone)
 from .outcome import SolveOutcome, trivial_outcome
 
-INF = 2**62  # saturating sentinel; real values stay far below
+INF = 2**63  # above every capacity (MAX_HOURS = 2^63 - 1); -INF is below every deficit
 
 MASK_LIMIT = 30
 BATCH_CELLS = 2**14  # trials x masks per batched table; bounds the extra memory
@@ -155,18 +154,14 @@ def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     return True, canon(saved)
 
 
-def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring,
-                            capacity_rule: str = "added-class"):
+def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     """Exact decision for one coloring, strict mode.
 
     Per-team mask tables as in the collaborative DP but against the team's
     own prefix hours; teams are combined by the boolean cover product.
-    Returns (True, per-team parts) or (False, None).
-
-    capacity_rule selects the bound used when taxon x of class p extends a
-    partial set of top class q <= p: "added-class" checks the team's hours
-    up to class p (the default; cross-validated against the strict oracle),
-    "printed" checks up to class q (kept for comparison experiments).
+    Returns (True, per-team parts) or (False, None).  When taxon x of class
+    p extends a partial set of top class q <= p, the bound checked is the
+    team's hours up to class p, the class added.
     """
     labels, masks, cls, ell = _taxa_arrays(idx, coloring)
     nc = idx.n_classes
@@ -190,22 +185,12 @@ def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring,
                 if m & mask == 0:
                     continue
                 p = cls[t]
-                sub = mask & ~m
-                if capacity_rule == "added-class":
-                    prev = pm[sub][p]
-                    if prev >= INF:
-                        continue
-                    cand = prev + ell[t]
-                    if cand <= th[p] and cand < tmp[p]:
-                        tmp[p] = cand
-                else:
-                    for q in range(p + 1):
-                        prev = dp0[sub][q]
-                        if prev >= INF:
-                            continue
-                        cand = prev + ell[t]
-                        if cand <= th[q] and cand < tmp[p]:
-                            tmp[p] = cand
+                prev = pm[mask & ~m][p]
+                if prev >= INF:
+                    continue
+                cand = prev + ell[t]
+                if cand <= th[p] and cand < tmp[p]:
+                    tmp[p] = cand
             dp0[mask] = tmp
             run = INF
             pm[mask] = [run := min(run, v) for v in tmp]
@@ -231,24 +216,11 @@ def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring,
                 if m & mask == 0 or cls[t] != p:
                     continue
                 sub = mask & ~m
-                if capacity_rule == "added-class":
-                    prev = pm[sub][p]
-                    bound_ok = prev < INF and prev + ell[t] == goal and goal <= th[p]
-                    if not bound_ok:
-                        continue
-                    q = min(qq for qq in range(p + 1) if dp0[sub][qq] == prev)
-                else:
-                    found = None
-                    for qq in range(p + 1):
-                        prev = dp0[sub][qq]
-                        if prev < INF and prev + ell[t] == goal and goal <= th[qq]:
-                            found = qq
-                            break
-                    if found is None:
-                        continue
-                    q = found
+                prev = pm[sub][p]
+                if prev >= INF or prev + ell[t] != goal or goal > th[p]:
+                    continue
                 part.append(labels[t])
-                mask, p = sub, q
+                mask, p = sub, min(q for q in range(p + 1) if dp0[sub][q] == prev)
                 break
             else:  # pragma: no cover
                 raise RescuePDError("strict witness backtrack failed")
@@ -306,26 +278,6 @@ def trial_draws(seed: int, first: int, count: int, n_colors: int,
     return draws
 
 
-@functools.lru_cache(maxsize=None)
-def _submask_pairs(k: int):
-    """Every (S, C ^ S) with S a submask of C, grouped by C in increasing
-    order, and the start of each group; only built for k <= 8."""
-    cells = np.arange(1 << k)
-    c, s = np.nonzero((cells[None, :] & ~cells[:, None]) == 0)
-    return s, c ^ s, np.searchsorted(c, cells)
-
-
-def _cover_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Boolean cover product of each row of f with the same row of g."""
-    if f.shape[1] > 256:
-        return np.array([boolean_cover_combine(a, b) for a, b in zip(f, g)],
-                        dtype=bool)
-    left, right, starts = _submask_pairs(f.shape[1].bit_length() - 1)
-    both = f[:, left]
-    both &= g[:, right]
-    return np.logical_or.reduceat(both, starts, axis=1)
-
-
 class _TrialPlan:
     """What every batch of one request shares: each edge's slice of the draw
     positions, each taxon's root-path edges, and per capacity row (the
@@ -356,7 +308,7 @@ class _TrialPlan:
         if len(tables) == 1:
             return acc[:, -1]
         for team in tables[1:-1]:
-            acc = _cover_rows(acc, team)
+            acc = cover_rows(acc, team)
         return (acc & tables[-1][:, ::-1]).any(axis=1)
 
     def _reachable(self, masks: np.ndarray, room) -> np.ndarray:

@@ -9,15 +9,13 @@ few distinct lengths and deadlines this is polynomial for fixed shape.
 On stars the problem decomposes per deadline class into 0/1 knapsacks
 (weight = rescue length, profit = leaf edge weight) chained by a max-plus
 convolution over capacity, clamping the running capacity at each class to
-that class's available hours.  Three knapsack table indexings (by capacity,
-by profit, by tolerated profit loss) are interchangeable; all are provided
-and must induce identical decisions.
+that class's available hours.  Each class's knapsack is indexed by
+capacity: entry c is the best profit within weight c.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import numpy as np
 
 from .budget_dp import STATE_GUARD, _BudgetDP
 from .errors import BoundTooLarge, NotAStar, RescuePDError, StateSpaceTooLarge
@@ -26,15 +24,9 @@ from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
                     capped_product, pd_of_subset)
 from .outcome import SolveOutcome, trivial_outcome
 
-INF = 2**62
 NEG = -(2**62)
 
 BOUND_GUARD = 1_000_000
-
-BY_CAPACITY = "by-capacity"
-BY_PROFIT = "by-profit"
-BY_LOSS = "by-loss"
-KERNEL_MODES = (BY_CAPACITY, BY_PROFIT, BY_LOSS)
 
 
 # --------------------------------------------------------------------------
@@ -70,25 +62,6 @@ class _CountMatrixDP(_BudgetDP):
         self.caps = self.subtree_sums(
             lambda x: [int(k == self.bucket_of[x]) for k in range(nb)])
 
-    def admissible_root_budgets(self):
-        """Count matrices whose length-weighted column prefixes fit the hours."""
-        idx = self.idx
-        class_of_deadline = {ex: k for k, ex in enumerate(idx.ex_values)}
-        bucket_class = [class_of_deadline[deadline]
-                        for _, deadline in self.bucket_keys]
-        for combo in itertools.product(*[range(c + 1) for c in self.counts]):
-            ok = True
-            for k in range(idx.n_classes):
-                used = sum(cnt * length
-                           for cnt, (length, _), bc in
-                           zip(combo, self.bucket_keys, bucket_class)
-                           if bc <= k)
-                if used > idx.hours[k]:
-                    ok = False
-                    break
-            if ok:
-                yield combo
-
     def root_budget(self):
         return self.counts
 
@@ -98,16 +71,29 @@ class _CountMatrixDP(_BudgetDP):
         return self.share_rests(grid, [(share, None)])
 
     def best_root(self):
-        """The first admissible matrix of the best value, in product order."""
-        root = self.tree.root
-        strides = self.grids[root].strides.tolist()
-        best, best_b = -1, None     # below zero: nothing savable
-        for budget in self.admissible_root_budgets():
-            b = sum(c * s for c, s in zip(budget, strides))
-            val = int(self.tables[root][-1][b])
-            if val > best:
-                best, best_b = val, b
-        return best, best_b
+        """The first admissible matrix of the best value, in the order of
+        itertools.product over the buckets (first bucket most significant).
+        A matrix is admissible when, for every class k, the lengths of its
+        taxa due by class k fit hours[k]; those sums are exact Python ints
+        once they could reach 2^63."""
+        idx, root = self.idx, self.tree.root
+        digits = self.grids[root].digits
+        class_of_deadline = {ex: k for k, ex in enumerate(idx.ex_values)}
+        due = [[length if class_of_deadline[deadline] <= k else 0
+                for length, deadline in self.bucket_keys]
+               for k in range(idx.n_classes)]
+        most = sum(length * c for (length, _), c in zip(self.bucket_keys, self.counts))
+        dtype = np.int64 if most < 2**63 else object
+        used = np.array(due, dtype=dtype) @ digits.astype(dtype)
+        fits = np.flatnonzero((used <= np.array(idx.hours, dtype=dtype)[:, None]).all(axis=0))
+        values = self.tables[root][-1][fits]
+        best = values.max()     # the empty matrix always fits
+        if best < 0:            # nothing savable
+            return -1, None
+        hits = fits[values == best]
+        order = np.cumprod([1] + [c + 1 for c in self.counts[:0:-1]])[::-1]
+        first = hits[np.argmin(order @ digits[:, hits])]
+        return int(best), int(first)
 
 
 def solve_time_pd_xp(instance: Instance, guard: int = STATE_GUARD) -> SolveOutcome:
@@ -116,103 +102,28 @@ def solve_time_pd_xp(instance: Instance, guard: int = STATE_GUARD) -> SolveOutco
 
 
 # --------------------------------------------------------------------------
-# knapsack kernels
+# star solver
 
 
-@dataclass(frozen=True)
-class KnapsackKernelResult:
-    """One 0/1-knapsack table in the requested indexing.
-
-    by-capacity: table[c] = max profit with total weight <= c.
-    by-profit:   table[p] = min weight with total profit >= p (INF if none).
-    by-loss:     table[l] = max weight with total profit <= l.
-    """
-
-    mode: str
-    bound: int
-    table: tuple
-    total_weight: int
-    total_profit: int
-
-
-def knapsack_kernel(items, mode: str, bound: int,
-                    guard: int = BOUND_GUARD) -> KnapsackKernelResult:
-    """Dense 0/1 knapsack in one of three indexings."""
-    if mode not in KERNEL_MODES:
-        raise RescuePDError(f"unknown kernel mode {mode!r}")
-    if bound < 0 or bound > guard:
-        raise BoundTooLarge(f"kernel bound {bound} outside [0, {guard}]")
+def _knapsack_rows(items, capacity):
+    """The by-capacity 0/1 knapsack, one row per item taken in: row i holds,
+    per capacity c <= capacity, the best profit of items[:i] within weight c."""
+    row = [0] * (capacity + 1)
+    yield row
     for w, p in items:
-        if w < 0 or p < 0:
-            raise RescuePDError("weights and profits must be nonnegative")
-    total_w = sum(w for w, _ in items)
-    total_p = sum(p for _, p in items)
-    if mode == BY_CAPACITY:
-        table = [0] * (bound + 1)
-        for w, p in items:
-            for c in range(bound, w - 1, -1):
-                cand = table[c - w] + p
-                if cand > table[c]:
-                    table[c] = cand
-    elif mode == BY_PROFIT:
-        exact = [INF] * (total_p + 1)
-        exact[0] = 0
-        for w, p in items:
-            for q in range(total_p, p - 1, -1):
-                if exact[q - p] < INF and exact[q - p] + w < exact[q]:
-                    exact[q] = exact[q - p] + w
-        suffix = [INF] * (total_p + 2)
-        for q in range(total_p, -1, -1):
-            suffix[q] = min(exact[q], suffix[q + 1])
-        table = [suffix[p] if p <= total_p else INF for p in range(bound + 1)]
-    else:
-        exact = [NEG] * (total_p + 1)
-        exact[0] = 0
-        for w, p in items:
-            for q in range(total_p, p - 1, -1):
-                if exact[q - p] > NEG and exact[q - p] + w > exact[q]:
-                    exact[q] = exact[q - p] + w
-        table = []
-        run = NEG
-        for l in range(bound + 1):
-            if l <= total_p and exact[l] > run:
-                run = exact[l]
-            table.append(run)
-    return KnapsackKernelResult(mode, bound, tuple(table), total_w, total_p)
+        prev, row = row, row[:]
+        for c in range(capacity, w - 1, -1):
+            cand = prev[c - w] + p
+            if cand > row[c]:
+                row[c] = cand
+        yield row
 
 
-def _profile_from_kernel(items, mode: str, capacity: int) -> list[int]:
-    """Max profit per capacity in [0, capacity], derived from any indexing."""
-    total_p = sum(p for _, p in items)
-    total_w = sum(w for w, _ in items)
-    if mode == BY_CAPACITY:
-        return list(knapsack_kernel(items, mode, capacity).table)
-    if mode == BY_PROFIT:
-        table = knapsack_kernel(items, mode, total_p).table
-        profile = []
-        p = total_p
-        for c in range(capacity + 1):
-            best = 0
-            for q in range(total_p, -1, -1):
-                if table[q] <= c:
-                    best = q
-                    break
-            profile.append(best)
-        return profile
-    table = knapsack_kernel(items, BY_LOSS, total_p).table
-    profile = []
-    for c in range(capacity + 1):
-        needed = total_w - c
-        if needed <= 0:
-            profile.append(total_p)
-            continue
-        best = 0
-        for l in range(total_p + 1):
-            if table[l] >= needed:
-                best = total_p - l
-                break
-        profile.append(best)
-    return profile
+def _profile(items, capacity) -> list[int]:
+    """Best profit of the items per capacity in [0, capacity]."""
+    for row in _knapsack_rows(items, capacity):
+        pass
+    return row
 
 
 def star_cells(idx: DerivedIndex) -> int:
@@ -222,7 +133,7 @@ def star_cells(idx: DerivedIndex) -> int:
     return hours[-1] + sum(a * b for a, b in zip(hours, hours[1:]))
 
 
-def solve_star(instance: Instance, kernel_mode: str = BY_CAPACITY) -> SolveOutcome:
+def solve_star(instance: Instance) -> SolveOutcome:
     """Pseudo-polynomial collaborative solver for star trees.
 
     Per-class knapsacks chained by max-plus convolution over capacity; the
@@ -243,8 +154,7 @@ def solve_star(instance: Instance, kernel_mode: str = BY_CAPACITY) -> SolveOutco
         raise BoundTooLarge(f"{cells} star table cells exceed the guard {BOUND_GUARD}")
     class_items = [[(instance.length(x), tree.weight[x]) for x in members]
                    for members in idx.classes]
-    profiles = [_profile_from_kernel(items, kernel_mode, idx.hours[k])
-                for k, items in enumerate(class_items)]
+    profiles = [_profile(items, idx.hours[k]) for k, items in enumerate(class_items)]
     nc = idx.n_classes
     tables = [[profiles[0][c] for c in range(idx.hours[0] + 1)]]
     for k in range(1, nc):
@@ -260,16 +170,14 @@ def solve_star(instance: Instance, kernel_mode: str = BY_CAPACITY) -> SolveOutco
         tables.append(nxt)
     value = max(tables[-1])
     if value < instance.target:
-        return SolveOutcome(False, "star", value=max(0, value),
-                            diagnostics={"kernel": kernel_mode})
+        return SolveOutcome(False, "star", value=max(0, value))
     saved = _star_witness(instance, idx, class_items, profiles, tables)
     sched = build_collaborative_schedule(idx, saved)
     report = verify_schedule(instance, sched)
     if not report.ok or pd_of_subset(tree, saved) < instance.target:  # pragma: no cover
         raise RescuePDError("star witness failed verification")
     return SolveOutcome(True, "star", saved=saved, schedule=sched,
-                        value=pd_of_subset(tree, saved),
-                        diagnostics={"kernel": kernel_mode})
+                        value=pd_of_subset(tree, saved))
 
 
 def _star_witness(instance, idx, class_items, profiles, tables):
@@ -297,15 +205,7 @@ def _star_witness(instance, idx, class_items, profiles, tables):
 
 def _knapsack_subset(items, labels, capacity, goal):
     """Recover one subset achieving the goal profit within the capacity."""
-    rows = [[0] * (capacity + 1)]
-    for w, p in items:
-        prev = rows[-1]
-        row = prev[:]
-        for c in range(capacity, w - 1, -1):
-            cand = prev[c - w] + p
-            if cand > row[c]:
-                row[c] = cand
-        rows.append(row)
+    rows = list(_knapsack_rows(items, capacity))
     chosen = []
     c = capacity
     for i in range(len(items) - 1, -1, -1):

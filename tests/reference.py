@@ -14,25 +14,35 @@ oracle of the library's dense tables: ``memo_team_vectors``,
 the library solvers' decision, value, saved set and schedule.
 ``strict_feasible_by_partition`` is a second strict-feasibility oracle that
 splits a set over the teams directly.
+
+``cover_product_direct`` is the 3^w submask sweep, the oracle of the
+library's cover product.  ``printed_rule_decision`` is the strict colored
+decision under the capacity rule as the paper prints it, kept for the
+erratum tests.  ``knapsack_kernel`` is the star solver's first knapsack,
+in three indexings (by capacity, by profit, by tolerated profit loss) that
+must induce the same profiles.
 """
 
 import bisect
 import itertools
+from dataclasses import dataclass
 
 from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
                                 team_vectors)
-from rescuepd.color_target import (MASK_LIMIT, _collaborative_witness,
+from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    _singleton_shortcut, _strict_witness,
-                                   _trial_rng, color_edges_from_hash,
+                                   _taxa_arrays, _trial_rng,
+                                   color_edges_from_hash,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
-from rescuepd.errors import RescuePDError, StateSpaceTooLarge, TargetTooLarge
+from rescuepd.errors import (BoundTooLarge, RescuePDError, StateSpaceTooLarge,
+                             TargetTooLarge)
 from rescuepd.feasibility import (Schedule, build_collaborative_schedule,
                                   single_team_feasible, verify_schedule)
 from rescuepd.model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
                             canon, pd_of_subset)
 from rescuepd.outcome import SolveOutcome, trivial_outcome
-from rescuepd.structured import NEG, count_matrices
+from rescuepd.structured import BOUND_GUARD, NEG, count_matrices
 
 
 def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False,
@@ -98,6 +108,163 @@ def strict_feasible_by_partition(instance: Instance, taxa_set):
                for i, part in enumerate(parts)):
             return True
     return False
+
+
+def cover_product_direct(f, g) -> list[int]:
+    """3^w submask iteration; f and g are 0/1 sequences of length 2^w."""
+    size = len(f)
+    assert len(g) == size and size & (size - 1) == 0
+    h = [0] * size
+    for mask in range(size):
+        sub = mask
+        while True:
+            if f[sub] and g[mask ^ sub]:
+                h[mask] = 1
+                break
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+    return h
+
+
+def printed_rule_decision(idx, coloring) -> bool:
+    """solve_colored_s_time_pd's decision under the printed capacity rule:
+    taxon x of class p extending a partial set of top class q <= p is
+    checked against the team's hours up to class q, not p."""
+    labels, masks, cls, ell = _taxa_arrays(idx, coloring)
+    nc = idx.n_classes
+    k = coloring.n_colors
+    if k == 0:
+        return True
+    full = (1 << k) - 1
+    team_bits = []
+    for th in idx.team_hours:
+        dp0 = [None] * (full + 1)
+        dp0[0] = [0] * nc
+        for mask in range(1, full + 1):
+            tmp = [INF] * nc
+            for t, m in enumerate(masks):
+                if m & mask == 0:
+                    continue
+                p = cls[t]
+                sub = mask & ~m
+                for q in range(p + 1):
+                    prev = dp0[sub][q]
+                    if prev >= INF:
+                        continue
+                    cand = prev + ell[t]
+                    if cand <= th[q] and cand < tmp[p]:
+                        tmp[p] = cand
+            dp0[mask] = tmp
+        team_bits.append([1 if min(dp0[mask]) < INF else 0
+                          for mask in range(full + 1)])
+    stage = team_bits[0]
+    for bits in team_bits[1:]:
+        stage = cover_product_direct(stage, bits)
+    return bool(stage[full])
+
+
+KNAPSACK_INF = 2**62
+BY_CAPACITY = "by-capacity"
+BY_PROFIT = "by-profit"
+BY_LOSS = "by-loss"
+KERNEL_MODES = (BY_CAPACITY, BY_PROFIT, BY_LOSS)
+
+
+@dataclass(frozen=True)
+class KnapsackKernelResult:
+    """One 0/1-knapsack table in the requested indexing.
+
+    by-capacity: table[c] = max profit with total weight <= c.
+    by-profit:   table[p] = min weight with total profit >= p (KNAPSACK_INF if none).
+    by-loss:     table[l] = max weight with total profit <= l.
+    """
+
+    mode: str
+    bound: int
+    table: tuple
+    total_weight: int
+    total_profit: int
+
+
+def knapsack_kernel(items, mode: str, bound: int,
+                    guard: int = BOUND_GUARD) -> KnapsackKernelResult:
+    """Dense 0/1 knapsack in one of three indexings."""
+    if mode not in KERNEL_MODES:
+        raise RescuePDError(f"unknown kernel mode {mode!r}")
+    if bound < 0 or bound > guard:
+        raise BoundTooLarge(f"kernel bound {bound} outside [0, {guard}]")
+    for w, p in items:
+        if w < 0 or p < 0:
+            raise RescuePDError("weights and profits must be nonnegative")
+    total_w = sum(w for w, _ in items)
+    total_p = sum(p for _, p in items)
+    if mode == BY_CAPACITY:
+        table = [0] * (bound + 1)
+        for w, p in items:
+            for c in range(bound, w - 1, -1):
+                cand = table[c - w] + p
+                if cand > table[c]:
+                    table[c] = cand
+    elif mode == BY_PROFIT:
+        exact = [KNAPSACK_INF] * (total_p + 1)
+        exact[0] = 0
+        for w, p in items:
+            for q in range(total_p, p - 1, -1):
+                if exact[q - p] < KNAPSACK_INF and exact[q - p] + w < exact[q]:
+                    exact[q] = exact[q - p] + w
+        suffix = [KNAPSACK_INF] * (total_p + 2)
+        for q in range(total_p, -1, -1):
+            suffix[q] = min(exact[q], suffix[q + 1])
+        table = [suffix[p] if p <= total_p else KNAPSACK_INF for p in range(bound + 1)]
+    else:
+        exact = [NEG] * (total_p + 1)
+        exact[0] = 0
+        for w, p in items:
+            for q in range(total_p, p - 1, -1):
+                if exact[q - p] > NEG and exact[q - p] + w > exact[q]:
+                    exact[q] = exact[q - p] + w
+        table = []
+        run = NEG
+        for l in range(bound + 1):
+            if l <= total_p and exact[l] > run:
+                run = exact[l]
+            table.append(run)
+    return KnapsackKernelResult(mode, bound, tuple(table), total_w, total_p)
+
+
+def profile_from_kernel(items, mode: str, capacity: int) -> list[int]:
+    """Max profit per capacity in [0, capacity], derived from any indexing."""
+    total_p = sum(p for _, p in items)
+    total_w = sum(w for w, _ in items)
+    if mode == BY_CAPACITY:
+        return list(knapsack_kernel(items, mode, capacity).table)
+    if mode == BY_PROFIT:
+        table = knapsack_kernel(items, mode, total_p).table
+        profile = []
+        p = total_p
+        for c in range(capacity + 1):
+            best = 0
+            for q in range(total_p, -1, -1):
+                if table[q] <= c:
+                    best = q
+                    break
+            profile.append(best)
+        return profile
+    table = knapsack_kernel(items, BY_LOSS, total_p).table
+    profile = []
+    for c in range(capacity + 1):
+        needed = total_w - c
+        if needed <= 0:
+            profile.append(total_p)
+            continue
+        best = 0
+        for l in range(total_p + 1):
+            if table[l] >= needed:
+                best = total_p - l
+                break
+        profile.append(best)
+    return profile
 
 
 class _BudgetDP:

@@ -11,8 +11,11 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       make_loss_coloring, pd_of_subset, solve_time_pd_by_loss,
                       verify_schedule)
 from rescuepd.color_loss import candidate_tuples, path_between
+from rescuepd.driver import solve_auto
 from rescuepd.errors import LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
+from rescuepd.model import MAX_HOURS
+from rescuepd.newick import parse_newick
 
 from conftest import color_mask
 
@@ -229,3 +232,18 @@ def test_witness_construction_properties():
                     idx.pd_total - sum(tree.weight[e] for e in dead)
                 assert find_valid_ordering(tree, col, anchored,
                                            deadline_of(inst)) is not None
+
+
+def test_deficit_near_the_hours_bound():
+    """A deficit of -(2^63 - 9) lies above the table's -infinity: the loss
+    DP backtracks to a good base and fpt-dbar finds the yes."""
+    tree = parse_newick("((a:1,b:1):1,c:1);")
+    taxa = {"a": TaxonInfo(1, 1), "b": TaxonInfo(1, MAX_HOURS),
+            "c": TaxonInfo(1, MAX_HOURS)}
+    inst = Instance(tree, taxa, (TeamWindow(5, MAX_HOURS),), target=3)
+    assert brute_force_time_pd(inst).value == 3
+    for seed in range(3):
+        out = solve_auto(inst, seed=seed)
+        assert out.algorithm == "fpt-dbar"
+        assert out.decision and out.value == 3 and out.saved == ("b", "c")
+        assert verify_schedule(inst, out.schedule).ok

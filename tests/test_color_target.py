@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
@@ -9,9 +10,12 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target,
                       strict_feasible, trial_count, verify_schedule)
-from rescuepd.color_target import TargetColoring
+from rescuepd.color_target import TargetColoring, _TrialPlan
 from rescuepd.errors import BadParams, TargetTooLarge
 from rescuepd.generators import gen_random_instance
+from rescuepd.model import MAX_HOURS
+
+from reference import printed_rule_decision
 
 
 def mask(*colors):
@@ -168,16 +172,16 @@ def test_colored_strict_split_example():
 def test_capacity_rule_variants():
     """The printed per-team bound checks the intermediate class and misses
     sets where a quick early rescue precedes a long one; the added-class
-    bound matches the strict oracle.  Kept switchable so any oracle
-    disagreement localizes to this choice."""
+    bound matches the strict oracle.  The printed rule is kept in the test
+    reference so any oracle disagreement localizes to this choice."""
     tree = PhyloTree.from_edges([("r", "a", 1), ("r", "x", 1)])
     inst = Instance(tree, {"a": TaxonInfo(1, 1), "x": TaxonInfo(5, 10)},
                     (TeamWindow(0, 10),), target=2, mode="strict")
     idx = build_derived_index(inst)
     col = TargetColoring(2, {"a": mask(1), "x": mask(2)})
     assert strict_feasible(inst, ["a", "x"]) is not None
-    ok_fixed, _ = solve_colored_s_time_pd(idx, col, "added-class")
-    ok_printed, _ = solve_colored_s_time_pd(idx, col, "printed")
+    ok_fixed, _ = solve_colored_s_time_pd(idx, col)
+    ok_printed = printed_rule_decision(idx, col)
     assert ok_fixed and not ok_printed
 
 
@@ -191,12 +195,31 @@ def test_capacity_rules_agree_when_oracle_does():
         width = inst.tree.total_weight()
         f = [(pos % inst.target) + 1 for pos in range(width + 1)]
         col = color_edges_from_hash(inst.tree, inst.target, f)
-        fixed, _ = solve_colored_s_time_pd(idx, col, "added-class")
-        printed, _ = solve_colored_s_time_pd(idx, col, "printed")
+        fixed, _ = solve_colored_s_time_pd(idx, col)
+        printed = printed_rule_decision(idx, col)
         oracle = colored_brute_strict(inst, col)
         assert fixed == oracle
         if printed:          # the printed rule is only ever too strict
             assert oracle
+
+
+def test_kernels_accept_lengths_near_the_hours_bound():
+    """A partial length of 2^62 is reachable, not the sentinel: both scalar
+    kernels agree with the batched table on a 2^62 + 1 hour rescue."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(2**62, MAX_HOURS), "b": TaxonInfo(1, MAX_HOURS)}
+    draws = np.array([[1, 1, 2]])       # one color per edge, both covered
+    for mode, kernel in (("collaborative", solve_colored_time_pd),
+                         ("strict", solve_colored_s_time_pd)):
+        inst = Instance(tree, taxa, (TeamWindow(0, MAX_HOURS),), target=2,
+                        mode=mode)
+        idx = build_derived_index(inst)
+        ok, found = kernel(idx, color_edges_from_hash(tree, 2, draws[0]))
+        assert ok, mode
+        saved = [x for part in found for x in part] if mode == "strict" else found
+        assert sorted(saved) == ["a", "b"]
+        caps = idx.team_hours if mode == "strict" else (idx.hours,)
+        assert _TrialPlan(idx, 2, caps).decide(draws).tolist() == [True]
 
 
 def test_trial_count():

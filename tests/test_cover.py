@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescuepd.cover import (boolean_cover_combine, cover_product_direct,
-                            cover_product_ranked)
+from rescuepd.cover import boolean_cover_combine, cover_product_ranked, cover_rows
+
+from reference import cover_product_direct
 
 
 def test_indicator_of_empty_is_identity():
@@ -46,10 +48,24 @@ def test_agreement_property(width, seed):
 
 
 def test_dispatch_by_width():
-    # the direct sweep up to 256 masks, the ranked transform above
+    # the submask-pair gather up to 256 masks, the ranked transform above
     for width in (2, 8, 9):
         rng = random.Random(width)
         f = [rng.randint(0, 1) for _ in range(1 << width)]
         g = [rng.randint(0, 1) for _ in range(1 << width)]
         assert boolean_cover_combine(f, g) == cover_product_direct(f, g) \
             == cover_product_ranked(f, g)
+
+
+@given(st.integers(0, 9), st.integers(1, 5), st.integers(0, 2**10))
+@settings(max_examples=40, deadline=None)
+def test_rows_match_the_sweep(width, rows, seed):
+    # the submask-pair gather up to 256 masks, the ranked transform above,
+    # each row on its own
+    rng = np.random.default_rng(seed)
+    f = rng.random((rows, 1 << width)) < 0.3
+    g = rng.random((rows, 1 << width)) < 0.3
+    h = cover_rows(f, g)
+    assert h.dtype == bool and h.shape == f.shape
+    for a, b, c in zip(f, g, h):
+        assert c.astype(int).tolist() == cover_product_direct(a.tolist(), b.tolist())

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
-                      brute_force_time_pd, knapsack_kernel, solve_star,
+                      brute_force_time_pd, build_derived_index, solve_star,
                       solve_time_pd_xp, verify_schedule)
 from rescuepd.errors import BoundTooLarge, NotAStar, StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance, reduce_subset_sum
-from rescuepd.structured import KERNEL_MODES, _profile_from_kernel
+from rescuepd.model import MAX_HOURS
+from rescuepd.structured import _knapsack_rows, _profile
+
+from reference import KERNEL_MODES, knapsack_kernel, memo_xp, profile_from_kernel
 
 
 def brute_knapsack(items, capacity):
@@ -52,10 +55,15 @@ def test_kernel_tables_monotone():
 def test_kernel_matches_bruteforce(items, capacity):
     result = knapsack_kernel(items, "by-capacity", capacity)
     assert result.table[capacity] == brute_knapsack(items, capacity)
-    profile = _profile_from_kernel(items, "by-profit", capacity)
+    profile = profile_from_kernel(items, "by-profit", capacity)
     assert profile == [brute_knapsack(items, c) for c in range(capacity + 1)]
-    profile = _profile_from_kernel(items, "by-loss", capacity)
+    profile = profile_from_kernel(items, "by-loss", capacity)
     assert profile == [brute_knapsack(items, c) for c in range(capacity + 1)]
+    # the star solver's knapsack: row i over the first i items
+    rows = list(_knapsack_rows(items, capacity))
+    assert len(rows) == len(items) + 1
+    for i, row in enumerate(rows):
+        assert row == [brute_knapsack(items[:i], c) for c in range(capacity + 1)]
 
 
 def test_kernel_guard():
@@ -64,10 +72,9 @@ def test_kernel_guard():
 
 
 def test_star_prop5(prop5_instance):
-    for mode in KERNEL_MODES:
-        out = solve_star(prop5_instance, mode)
-        assert out.decision and out.value == 19
-        assert verify_schedule(prop5_instance, out.schedule).ok
+    out = solve_star(prop5_instance)
+    assert out.decision and out.value == 19
+    assert verify_schedule(prop5_instance, out.schedule).ok
     out = solve_star(reduce_subset_sum([2, 4], 1, 3))
     assert not out.decision
 
@@ -86,12 +93,16 @@ def test_star_oracle_sweep_and_mode_consistency():
         inst = gen_random_instance(n=9, n_teams=2, max_ex=7, max_len=5,
                                    max_weight=4, seed=seed, tree_shape="star")
         oracle = brute_force_time_pd(inst)
-        decisions = set()
-        for mode in KERNEL_MODES:
-            out = solve_star(inst, mode)
-            decisions.add(out.decision)
-            assert max(0, out.value) == oracle.value, (seed, mode)
-        assert decisions == {oracle.decision}
+        out = solve_star(inst)
+        assert max(0, out.value) == oracle.value, seed
+        assert out.decision == oracle.decision, seed
+        # every knapsack indexing gives each class the solver's profile
+        idx = build_derived_index(inst)
+        for k, members in enumerate(idx.classes):
+            items = [(inst.length(x), inst.tree.weight[x]) for x in members]
+            want = _profile(items, idx.hours[k])
+            for mode in KERNEL_MODES:
+                assert profile_from_kernel(items, mode, idx.hours[k]) == want, (seed, mode)
 
 
 def test_star_rejects_non_star_and_strict():
@@ -148,3 +159,21 @@ def test_xp_target_zero_and_guard():
     big = gen_random_instance(n=8, seed=5)
     with pytest.raises(StateSpaceTooLarge):
         solve_time_pd_xp(big, guard=3)
+
+
+def test_xp_lengths_near_the_hours_bound():
+    """Count matrices whose length sums pass 2^63 are judged exactly: {a, b,
+    d} needs 2^63 + 2^62 + 1 hours by the last deadline, which 64-bit
+    arithmetic would wrap below the 2^63 - 1 there are, for a value of 5."""
+    star = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 2), ("r", "c", 2),
+                                 ("r", "d", 2)])
+    early = 3 * 2**61
+    taxa = {"a": TaxonInfo(MAX_HOURS, MAX_HOURS),
+            "b": TaxonInfo(2**62 + 1, MAX_HOURS),
+            "c": TaxonInfo(early, early), "d": TaxonInfo(1, early)}
+    inst = Instance(star, taxa, (TeamWindow(0, MAX_HOURS),), target=6)
+    out = solve_time_pd_xp(inst)
+    # the best set that fits is {b, d}
+    assert not out.decision and out.value == 4
+    want = memo_xp(inst)
+    assert (out.decision, out.value) == (want.decision, want.value)
