@@ -31,8 +31,18 @@ ALGORITHMS = ("auto", "brute", "fpt-d", "fpt-dbar", "hours-teams",
               "hours-budget", "hours-subsets", "xp-counts", "star")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TPD_SEED", "0"))
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the seed (--seed or TPD_SEED) must be an integer, got {text!r}") from None
+
+
+def _default_seed() -> str:
+    # argparse runs a string default through the argument's type, so a bad
+    # TPD_SEED is reported like a bad --seed when the command is parsed
+    return os.environ.get("TPD_SEED", "0")
 
 
 def cmd_solve(args) -> int:
@@ -142,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--output", help="write the witness schedule here")
     p.add_argument("--mode", choices=("collaborative", "strict"))
     p.set_defaults(func=cmd_solve)
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default="random-binary")
     p.add_argument("--mode", choices=("collaborative", "strict"),
                    default="collaborative")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--target", type=int)
     p.add_argument("--values", help="subset-sum values, comma-separated")
     p.add_argument("--k", type=int, help="subset-sum cardinality")

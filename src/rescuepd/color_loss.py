@@ -31,7 +31,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .color_target import INF, _collaborative_witness, trial_count, trial_draws
+from .color_target import (INF, _collaborative_witness, checked_seed,
+                           trial_count, trial_draws)
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (DerivedIndex, Instance, PhyloTree, build_derived_index,
@@ -40,6 +41,7 @@ from .outcome import SolveOutcome, trivial_outcome
 
 MINF = -INF
 LOSS_LIMIT = 14  # 2 * loss color bits
+DRAW_ROWS = 256  # most colorings drawn per block; bounds the draws' memory
 
 
 @dataclass(frozen=True)
@@ -503,8 +505,10 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
 
     One-sided like the target solver: yes answers ship verified witnesses,
     a no is wrong with probability at most delta.  Loss budget zero needs
-    no colors: saving everything either works or nothing does.
+    no colors: saving everything either works or nothing does.  Colorings
+    are drawn for blocks of 1, 4, 16, ... trials and decided in trial order.
     """
+    seed = checked_seed(seed, delta)
     idx = build_derived_index(instance)
     out = trivial_outcome(idx, "fpt-dbar", trials=0)
     if out is not None:
@@ -532,28 +536,33 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     n_trials = trial_count(2 * loss, delta)
     plan = loss_plan(tree, loss)
     entries = None
-    for trial in range(1, n_trials + 1):
-        f = trial_draws(seed, trial, 1, 2 * loss, width)[0]
-        key = {e: int(f[j + 1]) for j, e in enumerate(ordered)}
-        extras = {}
-        pos = n_edges
-        for e in small:
-            mask = 0
-            for _ in range(tree.weight[e] - 1):
-                pos += 1
-                mask |= 1 << (int(f[pos]) - 1)
-            extras[e] = mask
-        coloring = make_loss_coloring(tree, loss, key, extras)
-        found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
-        if found:
-            sacrificed = {x for x, _, _ in anchored}
-            saved, sched = _collaborative_witness(
-                instance, idx, canon(set(tree.taxa) - sacrificed))
-            return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
-                                value=pd_of_subset(tree, saved), trials=trial,
-                                seed=seed,
-                                diagnostics={"planned_trials": n_trials,
-                                             "table_entries": entries})
+    first, count = 1, 1
+    while first <= n_trials:
+        count = min(count, DRAW_ROWS, n_trials - first + 1)
+        block = trial_draws(seed, first, count, 2 * loss, width).tolist()
+        for trial, f in enumerate(block, first):
+            key = {e: f[j + 1] for j, e in enumerate(ordered)}
+            extras = {}
+            pos = n_edges
+            for e in small:
+                mask = 0
+                for _ in range(tree.weight[e] - 1):
+                    pos += 1
+                    mask |= 1 << (f[pos] - 1)
+                extras[e] = mask
+            coloring = make_loss_coloring(tree, loss, key, extras)
+            found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
+            if found:
+                sacrificed = {x for x, _, _ in anchored}
+                saved, sched = _collaborative_witness(
+                    instance, idx, canon(set(tree.taxa) - sacrificed))
+                return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
+                                    value=pd_of_subset(tree, saved), trials=trial,
+                                    seed=seed,
+                                    diagnostics={"planned_trials": n_trials,
+                                                 "table_entries": entries})
+        first += count
+        count *= 4
     return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta,
                                      "table_entries": entries})

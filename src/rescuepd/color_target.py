@@ -14,11 +14,20 @@ taxa are added in deadline order and a capacity check against the prefix
 hours keeps every partial selection schedulable.  The strict variant runs
 the mask DP per team and merges teams with the boolean cover product.
 
-Trial t colors the tree from its own seeded generator, so every trial is
-decided independently of the others.  The solver decides trial 1 with the
-scalar kernel (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``),
-which keeps cheap yes-instances cheap, and the later trials in batches of
-4, 16, 64, ... colorings per numpy pass, up to 2^14 table cells.  A
+Trial t colors the tree from its own seeded generator,
+``Generator(PCG64(SeedSequence([seed, t])))``, so every trial is decided
+independently of the others.  ``trial_draws`` makes the colorings of a
+block of trials at once: from 16 rows up it runs the SeedSequence hashing
+of every row in numpy, lets one reused PCG64 step each row's seeded state,
+and applies Lemire's bounded draw to the whole block.  Its rows are
+bit-identical to the per-trial generator, which redraws the rare row that
+hits Lemire's rejection; ``tests/test_trial_draws.py`` pins this for the
+installed numpy.
+
+The solver decides trial 1 with the scalar kernel
+(``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
+cheap yes-instances cheap, and the later trials in batches of 4, 16, 64,
+... colorings per numpy pass, up to 2^14 table cells.  A
 batch runs the same recurrence taxa-major over (trials x masks): entry
 g[C] is the least rescue length of a schedulable set covering at least the
 colors C.  The reported trial is the lowest successful index, and its
@@ -29,6 +38,8 @@ outcome is the one a trial-by-trial loop gives.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,10 +263,27 @@ def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     return True, tuple(clean)
 
 
+def _check_delta(delta) -> None:
+    if not isinstance(delta, numbers.Real) or not 0 < delta < 1:
+        raise BadParams(f"delta must be a real number in (0, 1), got {delta!r}")
+
+
+def checked_seed(seed, delta) -> int:
+    """The seed as an int, once seed and delta are known to be valid: a
+    non-negative integer, and a real number in (0, 1)."""
+    _check_delta(delta)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise BadParams(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise BadParams(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def trial_count(n_colors: int, delta: float) -> int:
     """ceil(e^k * ln(1/delta)) independent colorings."""
-    if not 0 < delta < 1:
-        raise BadParams(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     return math.ceil(math.exp(n_colors) * math.log(1 / delta))
 
 
@@ -263,17 +291,112 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
 
+# numpy's SeedSequence: a pool of four uint32 words, each input word and each
+# pool word hashed with the next constant of a fixed sequence, and the words
+# crossed by mix().  mix_entropy makes 4 + 12 hashes, generate_state(4,
+# uint64) eight.  PCG64 is then seeded with PCG's srandom: inc = 2 seq + 1,
+# state = (inc + init) M + inc (mod 2^128).
+_POOL = 4
+_BLOCK_ROWS = 16  # below this the per-call cost beats the per-row saving
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xca01f9dd), np.uint32(0x4973f715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
+    out = [value]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_MIX_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
+_STATE_HASH = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix with consecutive constants: row j of the result is
+    value (or its row j) xored with consts[j], times consts[j + 1]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _seed_words(seed: int) -> list:
+    """The 32-bit words SeedSequence takes from a non-negative int."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _seeded_pcg_states(words: list, first: int, count: int):
+    """(state, inc) of PCG64(SeedSequence([seed, t])) for each trial t of
+    first .. first + count - 1 < 2^32, where ``words`` are the seed's words
+    and leave room for t in the pool."""
+    entropy = np.zeros((_POOL, count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
+    pool = _hashmix(entropy, _MIX_HASH[:_POOL + 1])
+    n = _POOL
+    for src, others in enumerate(_OTHERS):
+        # pool[src] is fixed while it is mixed into the other three words
+        mixed = (_MIX_L * pool[others]
+                 - _MIX_R * _hashmix(pool[src], _MIX_HASH[n:n + _POOL]))
+        pool[others] = mixed ^ (mixed >> _XSHIFT)
+        n += _POOL - 1
+    # uint64 word j of the state is its uint32 words 2j (low) and 2j + 1
+    half = _hashmix(np.tile(pool, (2, 1)), _STATE_HASH).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = (half[0::2] | half[1::2] << np.uint64(32)).tolist()
+    for a, b, c, d in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc
+
+
 def trial_draws(seed: int, first: int, count: int, n_colors: int,
                 width: int) -> np.ndarray:
     """Color draws of trials first .. first + count - 1, one row per trial.
 
     Row r holds the colors in [1, n_colors] at positions 0 .. width of trial
-    first + r (position 0 is drawn but unused); each row comes from the
-    trial's own generator, so a trial's coloring does not depend on how the
-    trials are grouped.
+    first + r (position 0 is drawn but unused), bit-identical to
+    ``_trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)``,
+    so a trial's coloring does not depend on how the trials are grouped.
+
+    Blocks of 16 rows or more seed every row's PCG64 at once: the
+    SeedSequence hashing runs in numpy over the trial indices, one reused
+    PCG64 is set to each row's seeded state and numpy steps it with
+    ``random_raw``, and Lemire's bounded draw maps the 32-bit halves (low
+    half first) to colors for the whole block.  A row in which some draw
+    falls in Lemire's rejection zone is redrawn by ``_trial_rng``, as are
+    small blocks, seeds of four or more words and blocks that reach trial
+    2^32 (whose entropy no longer fits the pool).  numpy does not promise
+    stable streams across versions (NEP 19); the equality test against
+    ``_trial_rng`` pins the installed numpy.
     """
     draws = np.empty((count, width + 1), dtype=np.int64)
-    for r in range(count):
+    words = _seed_words(seed)
+    if count < _BLOCK_ROWS or len(words) >= _POOL or first + count > 2**32:
+        redraw = range(count)
+    else:
+        bitgen = np.random.PCG64(0)
+        state = {"state": 0, "inc": 0}
+        setting = {"bit_generator": "PCG64", "state": state,
+                   "has_uint32": 0, "uinteger": 0}
+        n_raw = width // 2 + 1
+        raw = np.empty((count, n_raw), dtype=np.uint64)
+        for r, (seeded, inc) in enumerate(_seeded_pcg_states(words, first, count)):
+            state["state"], state["inc"] = seeded, inc
+            bitgen.state = setting
+            raw[r] = bitgen.random_raw(n_raw)
+        halves = np.empty((count, 2 * n_raw), dtype=np.uint64)
+        halves[:, 0::2] = raw & np.uint64(_MASK32)
+        halves[:, 1::2] = raw >> np.uint64(32)
+        scaled = halves[:, :width + 1] * np.uint64(n_colors)
+        np.add(scaled >> np.uint64(32), 1, out=draws, casting="unsafe")
+        threshold = np.uint64((2**32 - n_colors) % n_colors)
+        redraw = np.flatnonzero(
+            ((scaled & np.uint64(_MASK32)) < threshold).any(axis=1)).tolist()
+    for r in redraw:
         draws[r] = _trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)
     return draws
 
@@ -368,6 +491,7 @@ def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, per_tea
     ``witness`` turns its finding into a re-checked (saved set, schedule).
     The batched trials check each team's hours when ``per_team``, else the
     prefix hours of all teams, as the kernel does."""
+    seed = checked_seed(seed, delta)
     idx = build_derived_index(instance)
     out = (trivial_outcome(idx, "fpt-d", trials=0)
            or _singleton_shortcut(instance, idx, "fpt-d"))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from . import budget_dp, structured
 from .brute import brute_force
 from .color_loss import planned_work, solve_time_pd_by_loss
-from .color_target import solve_s_time_pd_by_target, solve_time_pd_by_target
+from .color_target import (checked_seed, solve_s_time_pd_by_target,
+                           solve_time_pd_by_target)
 from .errors import RescuePDError
 from .feasibility import verify_schedule
 from .files import instance_to_dict
@@ -114,7 +115,9 @@ def run_algorithm(instance: Instance, algorithm: str, delta: float = 1e-3,
 
 
 def solve_auto(instance: Instance, delta: float = 1e-3, seed: int = 0):
-    """First applicable algorithm in preference order; None if all guarded."""
+    """First applicable algorithm in preference order; None if all guarded.
+    A bad seed or delta is rejected whichever algorithm is picked."""
+    seed = checked_seed(seed, delta)
     algorithms = applicable_algorithms(instance, delta)
     if not algorithms:
         return None

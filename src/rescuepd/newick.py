@@ -8,11 +8,14 @@ must be positive integers.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DuplicateLeaf, NonIntegerWeight, ParseError
 from .model import PhyloTree
 
 _LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                    "0123456789_.-|/")
+_LABEL_RUN = re.compile(f"[{re.escape(''.join(sorted(_LABEL_CHARS)))}]+")
 
 
 class _Parser:
@@ -21,6 +24,7 @@ class _Parser:
         self.pos = 0
         self.counter = 0
         self.names = set()
+        self.labels = None  # every label-like run of the text, once needed
 
     def error(self, message):
         raise ParseError(f"{message} at byte {self.pos}")
@@ -54,9 +58,12 @@ class _Parser:
         return value
 
     def fresh_name(self):
+        # skip every label in the text, also those still to come
+        if self.labels is None:
+            self.labels = set(_LABEL_RUN.findall(self.text))
         self.counter += 1
         name = f"_{self.counter}"
-        while name in self.names:
+        while name in self.labels:
             self.counter += 1
             name = f"_{self.counter}"
         return name

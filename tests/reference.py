@@ -3,9 +3,11 @@
 ``solve_by_target_trial_by_trial`` is the fpt-d trial loop that decides one
 coloring per trial with the scalar kernel, in trial order, and stops at the
 first success.  The library's batched loop must return the same outcome,
-field for field.  ``collaborative_schedule_from_pairs`` builds the greedy
-collaborative schedule from the full list of (team, slot) pairs, which the
-library now merges lazily from the team windows.
+field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
+with one generator per trial, the oracle of the loss solver's block draws.
+``collaborative_schedule_from_pairs`` builds the greedy collaborative
+schedule from the full list of (team, slot) pairs, which the library now
+merges lazily from the team windows.
 
 The budget DPs' first engine, a top-down memo keyed by budget tuples with
 one recursive call per (share, b1) pair, is kept here unchanged as the
@@ -29,16 +31,19 @@ from dataclasses import dataclass
 
 from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
                                 team_vectors)
+from rescuepd.color_loss import (LOSS_LIMIT, loss_dp_solve, loss_plan,
+                                 make_loss_coloring)
 from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    _singleton_shortcut, _strict_witness,
                                    _taxa_arrays, _trial_rng,
                                    color_edges_from_hash,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
-from rescuepd.errors import (BoundTooLarge, RescuePDError, StateSpaceTooLarge,
-                             TargetTooLarge)
+from rescuepd.errors import (BoundTooLarge, LossTooLarge, NonBinaryTree,
+                             RescuePDError, StateSpaceTooLarge, TargetTooLarge)
 from rescuepd.feasibility import (Schedule, build_collaborative_schedule,
-                                  single_team_feasible, verify_schedule)
+                                  collaborative_feasible, single_team_feasible,
+                                  verify_schedule)
 from rescuepd.model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
                             canon, pd_of_subset)
 from rescuepd.outcome import SolveOutcome, trivial_outcome
@@ -73,6 +78,60 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False,
                                 seed=seed, diagnostics={"planned_trials": n_trials})
     return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
+
+
+def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0, mask_limit=LOSS_LIMIT):
+    """fpt-dbar with one ``_trial_rng`` generator per trial, drawn and
+    decided in trial order, as solve_time_pd_by_loss decides its blocks."""
+    idx = build_derived_index(instance)
+    out = trivial_outcome(idx, "fpt-dbar", trials=0)
+    if out is not None:
+        return out
+    if not instance.tree.is_binary():
+        raise NonBinaryTree("the loss-parameterized solver needs a binary tree")
+    loss = idx.loss_budget
+    if loss == 0:
+        if collaborative_feasible(idx, instance.tree.taxa):
+            saved = instance.tree.taxa
+            return SolveOutcome(True, "fpt-dbar", saved=saved,
+                                schedule=build_collaborative_schedule(idx, saved),
+                                value=idx.pd_total, trials=0, seed=seed)
+        return SolveOutcome(False, "fpt-dbar", trials=0, seed=seed,
+                            diagnostics={"deterministic": "zero loss budget"})
+    if loss > mask_limit:
+        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {mask_limit}")
+    tree = instance.tree
+    small = [e for e in tree.edge_order if tree.weight[e] <= loss]
+    big = [e for e in tree.edge_order if tree.weight[e] > loss]
+    ordered = small + big
+    width = len(ordered) + sum(tree.weight[e] - 1 for e in small)
+    n_trials = trial_count(2 * loss, delta)
+    plan = loss_plan(tree, loss)
+    entries = None
+    for trial in range(1, n_trials + 1):
+        f = _trial_rng(seed, trial).integers(1, 2 * loss + 1, size=width + 1)
+        key = {e: int(f[j + 1]) for j, e in enumerate(ordered)}
+        extras = {}
+        pos = len(ordered)
+        for e in small:
+            mask = 0
+            for _ in range(tree.weight[e] - 1):
+                pos += 1
+                mask |= 1 << (int(f[pos]) - 1)
+            extras[e] = mask
+        coloring = make_loss_coloring(tree, loss, key, extras)
+        found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
+        if found:
+            sacrificed = {x for x, _, _ in anchored}
+            saved, sched = _collaborative_witness(
+                instance, idx, canon(set(tree.taxa) - sacrificed))
+            return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
+                                value=pd_of_subset(tree, saved), trials=trial,
+                                seed=seed, diagnostics={"planned_trials": n_trials,
+                                                        "table_entries": entries})
+    return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
+                        diagnostics={"planned_trials": n_trials, "delta": delta,
+                                     "table_entries": entries})
 
 
 def collaborative_schedule_from_pairs(idx, taxa_set):

@@ -141,6 +141,20 @@ def test_seed_env_default(monkeypatch):
     assert args.seed == 77
 
 
+def test_bad_seed_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(gen_random_instance(n=5, seed=6, target=3), path)
+    solve = ["solve", "--instance", str(path), "--algorithm", "fpt-d"]
+    assert main(solve + ["--seed=-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert main(solve + ["--seed", "1", "--delta", "2"]) == 1
+    assert "delta must be" in capsys.readouterr().err
+    monkeypatch.setenv("TPD_SEED", "x")
+    assert main(solve) == 1
+    assert "TPD_SEED" in capsys.readouterr().err
+    assert main(solve + ["--seed", "3"]) in (0, 3)
+
+
 def test_bench_jobs_deterministic(tmp_path):
     from rescuepd.driver import run_bench
     items = [(i, "tiny", gen_random_instance(n=4, n_teams=1, max_ex=4,

@@ -9,7 +9,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       injective_coloring, is_good, is_q_grounding,
                       loss_dp_solve, loss_table_entry_count,
                       make_loss_coloring, pd_of_subset, solve_time_pd_by_loss,
-                      verify_schedule)
+                      trial_count, verify_schedule)
 from rescuepd.color_loss import candidate_tuples, path_between
 from rescuepd.driver import solve_auto
 from rescuepd.errors import LossTooLarge, NonBinaryTree
@@ -18,6 +18,7 @@ from rescuepd.model import MAX_HOURS
 from rescuepd.newick import parse_newick
 
 from conftest import color_mask
+from reference import solve_by_loss_trial_by_trial
 
 
 def deadline_of(instance):
@@ -129,6 +130,35 @@ def test_loss_solver_against_oracle():
                 assert verify_schedule(inst, out.schedule).ok
             else:
                 assert not out.decision, (seed, loss)
+
+
+def outcome_fields(out):
+    return (out.decision, out.algorithm, out.saved, out.value, out.trials,
+            out.seed, out.diagnostics, out.schedule and out.schedule.assignment)
+
+
+def test_block_draws_match_the_trial_by_trial_loop():
+    # yes-instances at loss 2 whose first success falls in several blocks,
+    # and no-instances at losses 1 and 2 that run every planned trial
+    late = []
+    for seed in (51, 61, 68, 110):
+        base = gen_random_instance(n=6, n_teams=2, max_ex=6, max_len=2,
+                                   max_weight=3, seed=seed, savable_frac=1.0)
+        inst = Instance(base.tree, base.taxa, base.teams, base.tree.total_weight() - 2)
+        for solver_seed in range(8):
+            out = solve_time_pd_by_loss(inst, 1e-3, solver_seed)
+            assert out.decision
+            assert outcome_fields(out) == outcome_fields(
+                solve_by_loss_trial_by_trial(inst, 1e-3, solver_seed))
+            late.append(out.trials > 5)
+    assert sum(late) >= 8
+    for seed, loss in ((0, 1), (1, 2), (3, 2)):
+        base = gen_random_instance(n=6, max_ex=8, max_len=3, max_weight=3, seed=seed)
+        inst = Instance(base.tree, base.taxa, base.teams, base.tree.total_weight() - loss)
+        out = solve_time_pd_by_loss(inst, 1e-3, seed)
+        assert not out.decision and out.trials == trial_count(2 * loss, 1e-3)
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 1e-3, seed))
 
 
 def test_loss_requires_binary_tree():

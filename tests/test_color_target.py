@@ -8,9 +8,11 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       build_derived_index, collaborative_feasible,
                       color_edges_from_hash, pd_of_subset,
                       solve_colored_s_time_pd, solve_colored_time_pd,
-                      solve_s_time_pd_by_target, solve_time_pd_by_target,
-                      strict_feasible, trial_count, verify_schedule)
+                      solve_s_time_pd_by_target, solve_time_pd_by_loss,
+                      solve_time_pd_by_target, strict_feasible, trial_count,
+                      verify_schedule)
 from rescuepd.color_target import TargetColoring, _TrialPlan
+from rescuepd.driver import solve_auto
 from rescuepd.errors import BadParams, TargetTooLarge
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import MAX_HOURS
@@ -229,6 +231,35 @@ def test_trial_count():
         trial_count(3, 0.0)
     with pytest.raises(BadParams):
         trial_count(3, 1.5)
+    for delta in ("0.1", None, float("nan")):
+        with pytest.raises(BadParams):
+            trial_count(3, delta)
+
+
+RANDOMIZED_ENTRIES = (solve_time_pd_by_target, solve_s_time_pd_by_target,
+                      solve_time_pd_by_loss, solve_auto)
+
+
+@pytest.mark.parametrize("solve", RANDOMIZED_ENTRIES)
+def test_bad_seed_or_delta_is_bad_params(solve):
+    inst = gen_random_instance(n=5, seed=6, target=3)
+    hopeless = Instance(inst.tree, inst.taxa, inst.teams, inst.tree.total_weight() + 1)
+    for inst in (inst, hopeless):  # a trivial no is rejected too
+        for seed in (-1, 1.5, "3", None):
+            with pytest.raises(BadParams):
+                solve(inst, 1e-3, seed)
+        for delta in ("0.1", None, 0, 1, -0.5, float("nan")):
+            with pytest.raises(BadParams):
+                solve(inst, delta, 0)
+
+
+def test_seed_accepts_any_integer_type():
+    inst = gen_random_instance(n=5, seed=9, target=4)
+    plain = solve_time_pd_by_target(inst, 0.01, 7)
+    for seed in (np.int64(7), np.uint8(7)):
+        out = solve_time_pd_by_target(inst, 0.01, seed)
+        assert (out.decision, out.trials, out.seed) == (plain.decision, plain.trials, 7)
+        assert type(out.seed) is int
 
 
 def test_target_solver_against_oracle():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescuepd import (build_collaborative_schedule,
@@ -156,3 +156,43 @@ def test_instance_dict_roundtrips_or_raises(data):
 def test_deeply_nested_newick_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_newick("(" * 5000 + "a:1,b:1" + "):1" * 4999 + ");")
+
+
+NEWICK_LABELS = st.sampled_from(("a", "b", "c", "x1", "T-2", "s.3", "_1", "_2", "_9"))
+NEWICK_LENGTHS = st.sampled_from(("1", "2", "7", "0", "+3", "1.5", "-1", ""))
+
+
+@st.composite
+def newick_texts(draw):
+    """Newick texts: trees rendered with arbitrary labels and lengths, some
+    of them then cut or spliced with Newick tokens."""
+    def render(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(NEWICK_LABELS)
+        kids = [f"{render(depth - 1)}:{draw(NEWICK_LENGTHS)}"
+                for _ in range(draw(st.integers(1, 3)))]
+        label = draw(st.just("") | NEWICK_LABELS)
+        return "(" + ",".join(kids) + ")" + label
+    text = render(3) + draw(st.sampled_from((";", ";", ";", "", ":1;", "; x")))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        token = draw(st.sampled_from(("", "(", ")", ",", ":", ";", "a", "_1", " ", "1")))
+        text = text[:at] + token + text[at + cut:]
+    return text
+
+
+@given(newick_texts())
+# written back without the label _9, the inner vertex once got the fresh
+# name _1 of a leaf that comes later
+@example("((a:1,b:1)_9:1,_1:1);")
+@settings(max_examples=400, deadline=None)
+def test_newick_roundtrips_or_raises(text):
+    try:
+        tree = parse_newick(text)
+    except RescuePDError:
+        return
+    again = parse_newick(to_newick(tree))
+    assert to_newick(again) == to_newick(tree)
+    assert again.taxa == tree.taxa
+    assert again.total_weight() == tree.total_weight()
