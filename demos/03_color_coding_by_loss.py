@@ -8,10 +8,7 @@ seeded random palettes and re-verifies every yes.
 """
 
 from rescuepd import (Instance, brute_force_time_pd, build_derived_index,
-                      anchored_set_for_sacrifice, gen_random_instance,
-                      injective_coloring, find_valid_ordering,
-                      solve_time_pd_by_loss)
-from rescuepd.color_loss import path_between
+                      gen_random_instance, solve_time_pd_by_loss)
 
 base = gen_random_instance(n=6, n_teams=2, max_ex=8, max_len=5,
                            max_weight=4, min_weight=2, savable_frac=0.85,
@@ -30,17 +27,11 @@ for budget in range(max(0, best_loss - 1), best_loss + 2):
           f"sacrificed {sorted(set(base.tree.taxa) - set(out.saved))}"
           if out.decision else "")
 
-# the anchored-set view of one concrete sacrifice
-sacrificed = set(base.tree.taxa) - set(oracle.saved)
-if sacrificed:
-    anchored = anchored_set_for_sacrifice(base.tree, sacrificed,
-                                          lambda x: base.deadline(x))
-    print("\nanchored tuples for the optimal sacrifice:")
-    for x, v, e in anchored:
-        print(f"  lose {x}, anchored at {v}, sibling edge into {e},"
-              f" dead path {path_between(base.tree, v, x)}")
-    ordering = find_valid_ordering(base.tree, injective_coloring(base.tree),
-                                   anchored, lambda x: base.deadline(x))
-    print("insertion order by deadline:", [x for x, _, _ in ordering])
-else:
-    print("\nthe teams can save everything here")
+# the solver's own account of the optimal budget
+instance = Instance(base.tree, base.taxa, base.teams, oracle.value)
+out = solve_time_pd_by_loss(instance, delta=1e-3, seed=4)
+print(f"\nloss budget {best_loss}: success at trial {out.trials} of"
+      f" {out.diagnostics['planned_trials']} planned, each filling"
+      f" {out.diagnostics['table_entries']} table entries")
+print(f"sacrificed {sorted(set(base.tree.taxa) - set(out.saved))}, losing"
+      f" {idx.pd_total - out.value} of {idx.pd_total} diversity")

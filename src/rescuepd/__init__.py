@@ -8,14 +8,10 @@ produce a verified schedule when it can.  Teams may share work on a taxon
 runs (strict mode).
 """
 
-from .brute import (brute_force, brute_force_s_time_pd, brute_force_time_pd,
-                    exhaustive_schedule_search)
+from .brute import brute_force, brute_force_s_time_pd, brute_force_time_pd
 from .budget_dp import (solve_s_time_pd_team_subsets,
                         solve_time_pd_hour_vectors, solve_time_pd_team_vectors)
-from .color_loss import (LossColoring, anchored_set_for_sacrifice,
-                         check_color_respectful, find_valid_ordering,
-                         injective_coloring, is_good, is_q_grounding,
-                         loss_dp_solve, loss_table_entry_count,
+from .color_loss import (LossColoring, loss_dp_solve, loss_table_entry_count,
                          make_loss_coloring, solve_time_pd_by_loss)
 from .color_target import (TargetColoring, color_edges_from_hash,
                            solve_colored_s_time_pd, solve_colored_time_pd,
@@ -24,13 +20,12 @@ from .color_target import (TargetColoring, color_edges_from_hash,
 from .cover import boolean_cover_combine
 from .feasibility import (Schedule, VerificationReport,
                           build_collaborative_schedule, collaborative_feasible,
-                          schedule_team_parts, single_team_feasible,
-                          strict_feasible, strict_feasible_given_ordering,
-                          verify_schedule)
+                          schedule_team_parts, strict_feasible,
+                          strict_feasible_given_ordering, verify_schedule)
 from .generators import gen_random_instance, reduce_subset_sum
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
-                    TaxonInfo, TeamWindow, TrivialCheck, build_derived_index,
-                    canon, classify_trivial, pd_of_subset, savable_alone)
+                    TaxonInfo, TeamWindow, build_derived_index, canon,
+                    pd_of_subset, savable_alone)
 from .newick import parse_newick, to_newick
 from .outcome import SolveOutcome
 from .structured import solve_star, solve_time_pd_xp

@@ -71,16 +71,7 @@ def cover_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.logical_or.reduceat(both, starts, axis=1)
 
 
-def _one_row(product, f, g) -> list[int]:
-    row = product(np.asarray(f, dtype=bool)[None, :], np.asarray(g, dtype=bool)[None, :])
-    return row[0].astype(int).tolist()
-
-
-def cover_product_ranked(f, g) -> list[int]:
-    """Ranked subset convolution of two 0/1 sequences of length 2^w."""
-    return _one_row(_ranked_rows, f, g)
-
-
 def boolean_cover_combine(f, g) -> list[int]:
     """The cover product of two 0/1 sequences of length 2^w."""
-    return _one_row(cover_rows, f, g)
+    row = cover_rows(np.asarray(f, dtype=bool)[None, :], np.asarray(g, dtype=bool)[None, :])
+    return row[0].astype(int).tolist()

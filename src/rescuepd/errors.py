@@ -29,10 +29,6 @@ class InstanceTooLarge(RescuePDError):
     """Subset enumeration guard exceeded."""
 
 
-class SearchSpaceTooLarge(RescuePDError):
-    """Raw schedule enumeration guard exceeded."""
-
-
 class TargetTooLarge(RescuePDError):
     """Color-mask width guard exceeded for the target-diversity solver."""
 

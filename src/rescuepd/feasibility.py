@@ -19,8 +19,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, InfeasibleSet, SetTooLarge
-from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, TeamWindow,
-                    canon)
+from .model import COLLABORATIVE, STRICT, DerivedIndex, Instance, canon
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class Schedule:
     mode: str
     assignment: dict  # (team, slot) -> label
     saved: tuple = ()
-
-    def hours_of(self, x: str) -> int:
-        return sum(1 for t in self.assignment.values() if t == x)
 
 
 @dataclass
@@ -86,15 +82,20 @@ def build_collaborative_schedule(idx: DerivedIndex, taxa_set) -> Schedule:
     return Schedule(COLLABORATIVE, assignment, members)
 
 
-def single_team_feasible(team: TeamWindow, taxa_info: dict, taxa_set) -> bool:
-    """One-team specialization of the prefix condition."""
-    members = sorted(taxa_set, key=lambda x: taxa_info[x].extinction_time)
-    running = 0
-    for x in members:
-        running += taxa_info[x].rescue_length
-        if running > team.hours_until(taxa_info[x].extinction_time):
-            return False
-    return True
+def _pack(instance: Instance, i: int, taxa, assignment: dict) -> int:
+    """Place the longest prefix of taxa on team i, back-to-back from the
+    window start, each run ending by its taxon's deadline and the window
+    end; returns how many taxa it placed."""
+    team = instance.teams[i]
+    cursor = team.start
+    for placed, x in enumerate(taxa):
+        end = cursor + instance.length(x)
+        if end > min(team.end, instance.deadline(x)):
+            return placed
+        for j in range(cursor + 1, end + 1):
+            assignment[(i, j)] = x
+        cursor = end
+    return len(taxa)
 
 
 def strict_feasible_given_ordering(instance: Instance, ordering):
@@ -108,17 +109,8 @@ def strict_feasible_given_ordering(instance: Instance, ordering):
     ordering = list(ordering)
     assignment = {}
     pos = 0
-    for i, team in enumerate(instance.teams):
-        cursor = team.start
-        while pos < len(ordering):
-            x = ordering[pos]
-            end = cursor + instance.length(x)
-            if end > min(team.end, instance.deadline(x)):
-                break
-            for j in range(cursor + 1, end + 1):
-                assignment[(i, j)] = x
-            cursor = end
-            pos += 1
+    for i in range(len(instance.teams)):
+        pos += _pack(instance, i, ordering[pos:], assignment)
     if pos < len(ordering):
         return None
     return Schedule(STRICT, assignment, canon(ordering))
@@ -151,16 +143,11 @@ def schedule_team_parts(instance: Instance, parts) -> Schedule:
     assignment = {}
     saved = []
     for i, part in enumerate(parts):
-        team = instance.teams[i]
-        cursor = team.start
-        for x in sorted(part, key=lambda x: (instance.deadline(x), x)):
-            end = cursor + instance.length(x)
-            if end > min(team.end, instance.deadline(x)):
-                raise InfeasibleSet(f"team {i} cannot fit {x!r} by its deadline")
-            for j in range(cursor + 1, end + 1):
-                assignment[(i, j)] = x
-            cursor = end
-            saved.append(x)
+        taxa = sorted(part, key=lambda x: (instance.deadline(x), x))
+        placed = _pack(instance, i, taxa, assignment)
+        if placed < len(taxa):
+            raise InfeasibleSet(f"team {i} cannot fit {taxa[placed]!r} by its deadline")
+        saved.extend(taxa)
     return Schedule(STRICT, assignment, canon(saved))
 
 

@@ -146,17 +146,6 @@ class PhyloTree:
             v = self.parent[v]
         return tuple(reversed(path))
 
-    def offspring(self, v: str) -> tuple[str, ...]:
-        """Leaf labels below v (v itself when it is a leaf)."""
-        stack, out = [v], []
-        while stack:
-            u = stack.pop()
-            cs = self.children.get(u, ())
-            if not cs:
-                out.append(u)
-            stack.extend(reversed(cs))
-        return tuple(out)
-
     def is_binary(self) -> bool:
         return all(len(cs) == 2 for cs in self.children.values() if cs)
 
@@ -210,14 +199,10 @@ class Instance:
     def deadline(self, x: str) -> int:
         return self.taxa[x].extinction_time
 
-    def availability(self) -> tuple[tuple[int, int], ...]:
-        """All (team index, timeslot) pairs where some team can work."""
-        return tuple((i, j) for i, t in enumerate(self.teams)
-                     for j in range(t.start + 1, t.end + 1))
-
     def pairs_by_slot(self):
-        """The same pairs in (slot, team) order, generated lazily by merging
-        the teams' windows, so a consumer pays only for the pairs it takes."""
+        """All (team index, timeslot) pairs where some team can work, in
+        (slot, team) order, generated lazily by merging the teams' windows,
+        so a consumer pays only for the pairs it takes."""
         runs = (zip(range(t.start + 1, t.end + 1), itertools.repeat(i))
                 for i, t in enumerate(self.teams))
         return ((i, j) for j, i in heapq.merge(*runs))
@@ -256,10 +241,6 @@ class DerivedIndex:
     @property
     def n_classes(self) -> int:
         return len(self.ex_values)
-
-    def prefix(self, k: int) -> tuple[str, ...]:
-        """Taxa whose deadline is at most the k-th distinct extinction time."""
-        return self.order[: self.class_end[k]]
 
 
 def build_derived_index(instance: Instance) -> DerivedIndex:
@@ -341,20 +322,6 @@ def pd_of_subset(tree: PhyloTree, taxa_set) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TrivialCheck:
-    """Outcome of the pre-solver screen.
-
-    kind is "yes" (empty set already meets the target), "no" (target exceeds
-    the whole tree's diversity), or "nontrivial".  ``unsavable`` lists taxa
-    that no schedule can save on their own in the instance's mode.
-    """
-
-    kind: str
-    witness: tuple = ()
-    unsavable: tuple = ()
-
-
 def savable_alone(instance: Instance, idx: DerivedIndex, x: str) -> bool:
     """Can {x} be saved by itself (mode-aware)?"""
     info = instance.taxa[x]
@@ -362,16 +329,6 @@ def savable_alone(instance: Instance, idx: DerivedIndex, x: str) -> bool:
         return any(t.hours_until(info.extinction_time) >= info.rescue_length
                    for t in instance.teams)
     return info.rescue_length <= idx.hours[idx.class_of[x]]
-
-
-def classify_trivial(instance: Instance, idx: DerivedIndex) -> TrivialCheck:
-    """Screen for trivial instances and list unsavable taxa."""
-    unsavable = tuple(x for x in idx.order if not savable_alone(instance, idx, x))
-    if instance.target > idx.pd_total:
-        return TrivialCheck("no", unsavable=unsavable)
-    if instance.target == 0:
-        return TrivialCheck("yes", witness=(), unsavable=unsavable)
-    return TrivialCheck("nontrivial", unsavable=unsavable)
 
 
 def canon(taxa_set) -> tuple[str, ...]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .feasibility import Schedule
-from .model import classify_trivial
 
 
 @dataclass
@@ -34,11 +33,11 @@ def trivial_outcome(idx, algorithm: str, **fields):
     A target above the whole tree's diversity is a no; a zero target is a yes
     with the empty set.  ``fields`` fill the solver's other outcome fields.
     """
-    kind = classify_trivial(idx.instance, idx).kind
-    if kind == "no":
+    target = idx.instance.target
+    if target > idx.pd_total:
         return SolveOutcome(False, algorithm, value=idx.pd_total, **fields,
                             diagnostics={"trivial": "target exceeds total diversity"})
-    if kind == "yes":
+    if target == 0:
         return SolveOutcome(True, algorithm, saved=(),
                             schedule=Schedule(idx.instance.mode, {}, ()), value=0,
                             **fields, diagnostics={"trivial": "target is zero"})

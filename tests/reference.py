@@ -15,10 +15,15 @@ oracle of the library's dense tables: ``memo_team_vectors``,
 ``memo_hour_vectors``, ``memo_team_subsets`` and ``memo_xp`` must return
 the library solvers' decision, value, saved set and schedule.
 ``strict_feasible_by_partition`` is a second strict-feasibility oracle that
-splits a set over the teams directly.
+splits a set over the teams directly, each part checked by
+``single_team_feasible``.  ``exhaustive_schedule_search`` decides a set by
+raw search over schedules, with no prefix condition, the independent oracle
+of the feasibility tests.  ``offspring``, ``availability`` and ``prefix``
+list a vertex's leaves, every (team, slot) pair and a deadline prefix.
 
 ``cover_product_direct`` is the 3^w submask sweep, the oracle of the
-library's cover product.  ``printed_rule_decision`` is the strict colored
+library's cover product; ``cover_product_ranked`` runs one row through the
+ranked subset convolution the library uses above 256 masks.  ``printed_rule_decision`` is the strict colored
 decision under the capacity rule as the paper prints it, kept for the
 erratum tests.  ``knapsack_kernel`` is the star solver's first knapsack,
 in three indexings (by capacity, by profit, by tolerated profit loss) that
@@ -28,6 +33,8 @@ must induce the same profiles.
 import bisect
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
                                 team_vectors)
@@ -39,13 +46,14 @@ from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    color_edges_from_hash,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
+from rescuepd.cover import _ranked_rows
 from rescuepd.errors import (BoundTooLarge, LossTooLarge, NonBinaryTree,
                              RescuePDError, StateSpaceTooLarge, TargetTooLarge)
 from rescuepd.feasibility import (Schedule, build_collaborative_schedule,
-                                  collaborative_feasible, single_team_feasible,
-                                  verify_schedule)
-from rescuepd.model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
-                            canon, pd_of_subset)
+                                  collaborative_feasible, verify_schedule)
+from rescuepd.model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
+                            PhyloTree, TeamWindow, build_derived_index, canon,
+                            pd_of_subset)
 from rescuepd.outcome import SolveOutcome, trivial_outcome
 from rescuepd.structured import BOUND_GUARD, NEG, count_matrices
 
@@ -84,7 +92,7 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0, mask_limit=LOSS_L
     """fpt-dbar with one ``_trial_rng`` generator per trial, drawn and
     decided in trial order, as solve_time_pd_by_loss decides its blocks."""
     idx = build_derived_index(instance)
-    out = trivial_outcome(idx, "fpt-dbar", trials=0)
+    out = trivial_outcome(idx, "fpt-dbar", trials=0, seed=seed)
     if out is not None:
         return out
     if not instance.tree.is_binary():
@@ -134,11 +142,34 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0, mask_limit=LOSS_L
                                      "table_entries": entries})
 
 
+def offspring(tree: PhyloTree, v: str) -> tuple[str, ...]:
+    """Leaf labels below v (v itself when it is a leaf)."""
+    stack, out = [v], []
+    while stack:
+        u = stack.pop()
+        cs = tree.children.get(u, ())
+        if not cs:
+            out.append(u)
+        stack.extend(reversed(cs))
+    return tuple(out)
+
+
+def availability(instance: Instance) -> tuple[tuple[int, int], ...]:
+    """All (team index, timeslot) pairs where some team can work."""
+    return tuple((i, j) for i, t in enumerate(instance.teams)
+                 for j in range(t.start + 1, t.end + 1))
+
+
+def prefix(idx: DerivedIndex, k: int) -> tuple[str, ...]:
+    """Taxa whose deadline is at most the k-th distinct extinction time."""
+    return idx.order[: idx.class_end[k]]
+
+
 def collaborative_schedule_from_pairs(idx, taxa_set):
     """The greedy collaborative schedule over the listed (team, slot) pairs,
     sorted by (slot, team); taxa in (class, label) order."""
     inst = idx.instance
-    pairs = sorted(inst.availability(), key=lambda ij: (ij[1], ij[0]))
+    pairs = sorted(availability(inst), key=lambda ij: (ij[1], ij[0]))
     queue = sorted(taxa_set, key=lambda x: (idx.class_of[x], x))
     assignment, cursor = {}, 0
     for x in queue:
@@ -146,6 +177,17 @@ def collaborative_schedule_from_pairs(idx, taxa_set):
             assignment[pairs[cursor]] = x
             cursor += 1
     return Schedule(COLLABORATIVE, assignment, canon(taxa_set))
+
+
+def single_team_feasible(team: TeamWindow, taxa_info: dict, taxa_set) -> bool:
+    """One-team specialization of the prefix condition."""
+    members = sorted(taxa_set, key=lambda x: taxa_info[x].extinction_time)
+    running = 0
+    for x in members:
+        running += taxa_info[x].rescue_length
+        if running > team.hours_until(taxa_info[x].extinction_time):
+            return False
+    return True
 
 
 def strict_feasible_by_partition(instance: Instance, taxa_set):
@@ -169,6 +211,83 @@ def strict_feasible_by_partition(instance: Instance, taxa_set):
     return False
 
 
+class SearchSpaceTooLarge(RescuePDError):
+    """Raw schedule enumeration guard exceeded."""
+
+
+def exhaustive_schedule_search(instance: Instance, taxa_set,
+                               guard: int = 10_000_000) -> bool:
+    """Does some raw assignment of (team, slot) pairs save the set?
+
+    Collaborative mode explores assignments slot by slot (memoized on the
+    remaining-hours vector, which is equivalent to full enumeration);
+    strict mode enumerates a (team, run start) per taxon.  No prefix-sum
+    insight is used anywhere, so this is an independent oracle.
+    """
+    members = canon(taxa_set)
+    if instance.mode == STRICT:
+        run_options = []
+        for x in members:
+            opts = []
+            for i, t in enumerate(instance.teams):
+                last = min(t.end, instance.deadline(x))
+                for start in range(t.start, last - instance.length(x) + 1):
+                    opts.append((i, start))
+            run_options.append(opts)
+        space = 1
+        for opts in run_options:
+            space *= max(1, len(opts))
+            if space > guard:
+                raise SearchSpaceTooLarge(f"strict run space exceeds {guard}")
+        used = [set() for _ in instance.teams]
+
+        def place(k):
+            if k == len(members):
+                return True
+            x = members[k]
+            for i, start in run_options[k]:
+                span = range(start + 1, start + instance.length(x) + 1)
+                if any(j in used[i] for j in span):
+                    continue
+                used[i].update(span)
+                if place(k + 1):
+                    return True
+                used[i].difference_update(span)
+            return False
+
+        return place(0)
+
+    n_pairs = instance.pair_count()
+    if (len(members) + 1) ** n_pairs > guard:
+        raise SearchSpaceTooLarge(
+            f"({len(members)}+1)^{n_pairs} assignments exceed {guard}")
+    pairs = list(instance.pairs_by_slot())
+    need0 = tuple(instance.length(x) for x in members)
+    seen = {}
+
+    def search(pos, need):
+        if not any(need):
+            return True
+        if pos == len(pairs):
+            return False
+        key = (pos, need)
+        if key in seen:
+            return seen[key]
+        _, slot = pairs[pos]
+        ok = search(pos + 1, need)
+        if not ok:
+            for k, x in enumerate(members):
+                if need[k] and slot <= instance.deadline(x):
+                    nxt = need[:k] + (need[k] - 1,) + need[k + 1:]
+                    if search(pos + 1, nxt):
+                        ok = True
+                        break
+        seen[key] = ok
+        return ok
+
+    return search(0, need0)
+
+
 def cover_product_direct(f, g) -> list[int]:
     """3^w submask iteration; f and g are 0/1 sequences of length 2^w."""
     size = len(f)
@@ -184,6 +303,12 @@ def cover_product_direct(f, g) -> list[int]:
                 break
             sub = (sub - 1) & mask
     return h
+
+
+def cover_product_ranked(f, g) -> list[int]:
+    """Ranked subset convolution of two 0/1 sequences of length 2^w."""
+    row = _ranked_rows(np.asarray(f, dtype=bool)[None, :], np.asarray(g, dtype=bool)[None, :])
+    return row[0].astype(int).tolist()
 
 
 def printed_rule_decision(idx, coloring) -> bool:

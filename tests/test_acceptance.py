@@ -26,17 +26,18 @@ import time
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_time_pd, build_derived_index,
                       collaborative_feasible, color_edges_from_hash,
-                      exhaustive_schedule_search, find_valid_ordering,
-                      injective_coloring, is_q_grounding, loss_dp_solve,
-                      loss_table_entry_count, make_loss_coloring,
-                      pd_of_subset, solve_colored_time_pd,
-                      solve_time_pd_by_loss, trial_count, verify_schedule,
-                      anchored_set_for_sacrifice, check_color_respectful)
-from rescuepd.color_loss import path_between
+                      loss_dp_solve, loss_table_entry_count,
+                      make_loss_coloring, pd_of_subset, solve_colored_time_pd,
+                      solve_time_pd_by_loss, trial_count, verify_schedule)
 from rescuepd.driver import applicable_algorithms, run_bench
 from rescuepd.generators import gen_random_instance
 
 from conftest import color_mask
+from lemmas import (anchored_set_for_sacrifice, check_color_respectful,
+                    find_valid_ordering, injective_coloring, is_q_grounding,
+                    path_between)
+from reference import (availability, exhaustive_schedule_search, offspring,
+                       prefix)
 
 DELTA = 1e-3
 
@@ -187,7 +188,7 @@ def test_criterion_3_prefix_condition_equivalence():
                                    max_len=4, max_weight=3, seed=9000 + seed)
         seed += 1
         budget = 10 if n == 4 else 8
-        if len(inst.availability()) > budget:
+        if len(availability(inst)) > budget:
             continue
         collected += 1
         idx = build_derived_index(inst)
@@ -207,7 +208,7 @@ def test_criterion_4_fixture_checks(fig1_instance, fig3_instance, fig2,
     idx1 = build_derived_index(fig1_instance)
     assert idx1.hours[:2] == (19, 39)
     assert collaborative_feasible(idx1, fig1_instance.tree.taxa)
-    prefixes = [sum(fig1_instance.length(x) for x in idx1.prefix(k))
+    prefixes = [sum(fig1_instance.length(x) for x in prefix(idx1, k))
                 for k in range(3)]
     assert prefixes == [19, 34, 52] and idx1.hours == (19, 39, 54)
 
@@ -346,7 +347,7 @@ def test_criterion_7_witness_construction_exhaustive():
                     plus |= p
                     paths.append(p)
                 dead = {e for e in tree.edge_order
-                        if set(tree.offspring(e)) <= sacrificed}
+                        if set(offspring(tree, e)) <= sacrificed}
                 assert plus == dead
                 assert pd_of_subset(tree, saved) == \
                     idx.pd_total - sum(tree.weight[e] for e in dead)

@@ -1,14 +1,17 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute_force,
                       brute_force_s_time_pd, brute_force_time_pd,
                       build_derived_index, collaborative_feasible,
-                      exhaustive_schedule_search, strict_feasible,
-                      verify_schedule)
-from rescuepd.errors import InstanceTooLarge, SearchSpaceTooLarge
+                      strict_feasible, verify_schedule)
+from rescuepd.errors import InstanceTooLarge
 from rescuepd.generators import gen_random_instance
+from rescuepd.model import MAX_HOURS
+
+from reference import SearchSpaceTooLarge, exhaustive_schedule_search
 
 
 def test_star_example():
@@ -109,13 +112,56 @@ def test_guards():
         exhaustive_schedule_search(big, big.tree.taxa, guard=10)
 
 
+def assert_witness(inst, out):
+    """A yes ships a verified schedule; a no ships none, and its best set is
+    still feasible."""
+    if out.decision:
+        assert verify_schedule(inst, out.schedule).ok
+    elif inst.mode == "strict":
+        assert out.schedule is None
+        assert strict_feasible(inst, out.saved) is not None
+    else:
+        assert out.schedule is None
+        assert collaborative_feasible(build_derived_index(inst), out.saved)
+
+
 def test_witnesses_verify():
     for seed in range(10):
         inst = gen_random_instance(n=5, n_teams=2, max_ex=5, max_len=4,
                                    max_weight=3, seed=seed)
-        out = brute_force(inst)
-        assert verify_schedule(inst, out.schedule).ok
+        assert_witness(inst, brute_force(inst))
         strict_inst = Instance(inst.tree, inst.taxa, inst.teams,
                                inst.target, "strict")
-        out = brute_force(strict_inst)
-        assert verify_schedule(strict_inst, out.schedule).ok
+        assert_witness(strict_inst, brute_force(strict_inst))
+
+
+@pytest.mark.parametrize("mode", ["collaborative", "strict"])
+def test_no_answer_builds_no_schedule(mode):
+    # 3 hours save a (diversity 2) but not b as well; target 3 is a no
+    tree = PhyloTree.from_edges([("r", "a", 2), ("r", "b", 1)])
+    inst = Instance(tree, {"a": TaxonInfo(3, 3), "b": TaxonInfo(1, 3)},
+                    (TeamWindow(0, 3),), target=3, mode=mode)
+    out = brute_force(inst)
+    assert not out.decision and out.value == 2 and out.saved == ("a",)
+    assert out.schedule is None
+    assert_witness(inst, out)
+
+
+def test_no_answer_near_the_hours_bound_stays_small():
+    """The best set {b, d} needs 2^62 + 2 hours; a no must not list them."""
+    star = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 2), ("r", "c", 2),
+                                 ("r", "d", 2)])
+    early = 3 * 2**61
+    taxa = {"a": TaxonInfo(MAX_HOURS, MAX_HOURS),
+            "b": TaxonInfo(2**62 + 1, MAX_HOURS),
+            "c": TaxonInfo(early, early), "d": TaxonInfo(1, early)}
+    inst = Instance(star, taxa, (TeamWindow(0, MAX_HOURS),), target=6)
+    tracemalloc.start()
+    try:
+        out = brute_force(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.decision and out.value == 4 and out.saved == ("b", "d")
+    assert out.schedule is None
+    assert peak < 2**20

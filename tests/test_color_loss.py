@@ -3,14 +3,12 @@ import itertools
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
-                      anchored_set_for_sacrifice, brute_force_time_pd,
-                      build_derived_index, check_color_respectful,
-                      collaborative_feasible, find_valid_ordering,
-                      injective_coloring, is_good, is_q_grounding,
-                      loss_dp_solve, loss_table_entry_count,
-                      make_loss_coloring, pd_of_subset, solve_time_pd_by_loss,
-                      trial_count, verify_schedule)
-from rescuepd.color_loss import candidate_tuples, path_between
+                      brute_force_time_pd, build_derived_index,
+                      collaborative_feasible, loss_dp_solve,
+                      loss_table_entry_count, make_loss_coloring,
+                      pd_of_subset, solve_time_pd_by_loss,
+                      solve_time_pd_by_target, trial_count, verify_schedule)
+from rescuepd.color_loss import candidate_tuples
 from rescuepd.driver import solve_auto
 from rescuepd.errors import LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
@@ -18,7 +16,10 @@ from rescuepd.model import MAX_HOURS
 from rescuepd.newick import parse_newick
 
 from conftest import color_mask
-from reference import solve_by_loss_trial_by_trial
+from lemmas import (anchored_set_for_sacrifice, check_color_respectful,
+                    find_valid_ordering, injective_coloring, is_good,
+                    is_q_grounding, path_between)
+from reference import offspring, prefix, solve_by_loss_trial_by_trial
 
 
 def deadline_of(instance):
@@ -84,7 +85,7 @@ def test_fig2_deficit_thresholds(fig2):
     assert idx.deficits == (10, 22, 35)
     sacrifice = [x for x, _, _ in fig2.anchored]
     per_class = [sum(fig2.instance.length(x) for x in sacrifice
-                     if x in idx.prefix(k)) for k in range(3)]
+                     if x in prefix(idx, k)) for k in range(3)]
     assert per_class == [10, 22, 35]
     # the sacrifice meets every deficit, so the rest can be saved in time
     saved = set(fig2.tree.taxa) - set(sacrifice)
@@ -159,6 +160,17 @@ def test_block_draws_match_the_trial_by_trial_loop():
         assert not out.decision and out.trials == trial_count(2 * loss, 1e-3)
         assert outcome_fields(out) == outcome_fields(
             solve_by_loss_trial_by_trial(inst, 1e-3, seed))
+
+
+@pytest.mark.parametrize("target", [0, 4])
+def test_trivial_outcome_carries_the_seed(target):
+    # target 0 is a trivial yes, 4 exceeds the tree's diversity 3
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 2)])
+    inst = Instance(tree, {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)},
+                    (TeamWindow(0, 2),), target=target)
+    by_loss = solve_time_pd_by_loss(inst, 1e-3, 7)
+    assert by_loss.diagnostics["trivial"]
+    assert by_loss.seed == solve_time_pd_by_target(inst, 1e-3, 7).seed == 7
 
 
 def test_loss_requires_binary_tree():
@@ -256,7 +268,7 @@ def test_witness_construction_properties():
                     plus |= p
                     paths.append(p)
                 dead = {e for e in tree.edge_order
-                        if set(tree.offspring(e)) <= sacrificed}
+                        if set(offspring(tree, e)) <= sacrificed}
                 assert plus == dead            # paths account for dead edges
                 assert pd_of_subset(tree, saved) == \
                     idx.pd_total - sum(tree.weight[e] for e in dead)

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescuepd.cover import boolean_cover_combine, cover_product_ranked, cover_rows
+from rescuepd.cover import boolean_cover_combine, cover_rows
 
-from reference import cover_product_direct
+from reference import cover_product_direct, cover_product_ranked
 
 
 def test_indicator_of_empty_is_identity():

@@ -1,10 +1,13 @@
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
-                      build_derived_index, classify_trivial, pd_of_subset)
+                      build_derived_index, pd_of_subset, savable_alone)
 from rescuepd.errors import InvalidInstance, UnknownTaxon
 from rescuepd.files import instance_from_dict, instance_to_dict
 from rescuepd.generators import gen_random_instance
+from rescuepd.outcome import trivial_outcome
+
+from reference import prefix
 
 import random
 
@@ -31,13 +34,13 @@ def test_single_team_two_deadlines():
     idx = build_derived_index(inst)
     assert idx.ex_values == (2, 4)
     assert idx.hours == (2, 4)
-    assert set(idx.prefix(0)) < set(idx.prefix(1))
+    assert set(prefix(idx, 0)) < set(prefix(idx, 1))
 
 
 def test_index_identities(fig1_instance):
     idx = build_derived_index(fig1_instance)
     for k in range(idx.n_classes):
-        need = sum(fig1_instance.length(x) for x in idx.prefix(k))
+        need = sum(fig1_instance.length(x) for x in prefix(idx, k))
         assert idx.deficits[k] == need - idx.hours[k]
         assert sum(t[k] for t in idx.team_hours) == idx.hours[k]
         if k:
@@ -79,9 +82,12 @@ def test_classify_trivial(fig1_instance):
                    fig1_instance.teams, 0)
     no = Instance(fig1_instance.tree, fig1_instance.taxa,
                   fig1_instance.teams, total + 1)
-    assert classify_trivial(yes, build_derived_index(yes)).kind == "yes"
-    assert classify_trivial(no, build_derived_index(no)).kind == "no"
-    assert classify_trivial(fig1_instance, idx).kind == "nontrivial"
+    out = trivial_outcome(build_derived_index(yes), "brute")
+    assert out.decision and out.diagnostics["trivial"] == "target is zero"
+    out = trivial_outcome(build_derived_index(no), "brute")
+    assert not out.decision
+    assert out.diagnostics["trivial"] == "target exceeds total diversity"
+    assert trivial_outcome(idx, "brute") is None
 
 
 @pytest.mark.parametrize("mode", ["collaborative", "strict"])
@@ -89,8 +95,9 @@ def test_unsavable_taxon_listed(mode):
     tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
     inst = Instance(tree, {"a": TaxonInfo(10, 3), "b": TaxonInfo(1, 5)},
                     (TeamWindow(0, 20),), target=1, mode=mode)
-    check = classify_trivial(inst, build_derived_index(inst))
-    assert check.unsavable == ("a",)
+    idx = build_derived_index(inst)
+    assert not savable_alone(inst, idx, "a")
+    assert savable_alone(inst, idx, "b")
 
 
 def test_tree_validation_errors():
