@@ -36,10 +36,10 @@ import functools
 import numpy as np
 
 from .errors import RescuePDError, StateSpaceTooLarge
-from .feasibility import Schedule, build_collaborative_schedule, verify_schedule
-from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
-                    capped_product, pd_of_subset)
-from .outcome import SolveOutcome, trivial_outcome
+from .feasibility import Schedule, build_collaborative_schedule
+from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
+                    build_derived_index, canon, capped_product)
+from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 STATE_GUARD = 10_000_000
 
@@ -124,12 +124,14 @@ class _Grid:
 
 
 class _BudgetDP:
-    """The engine; subclasses set the root budget, the per-vertex caps
-    (``self.caps``) and the leaf rule."""
+    """The engine; subclasses set their mode, the root budget, the
+    per-vertex caps (``self.caps``) and the leaf rule."""
 
     algorithm = "budget"
+    mode = COLLABORATIVE
 
     def __init__(self, instance: Instance):
+        check_mode(instance, self.mode, self.algorithm)
         self.instance = instance
         self.idx = build_derived_index(instance)
         self.tree = instance.tree
@@ -304,13 +306,9 @@ class _BudgetDP:
                                 diagnostics={"states": states})
         saved, details = self.collect(self.tree.root, b)
         saved = canon(saved)
-        sched = self.witness_schedule(saved, details)
-        report = verify_schedule(instance, sched)
-        if not report.ok or pd_of_subset(self.tree, saved) < instance.target:
-            raise RescuePDError("budget DP witness failed verification")
-        return SolveOutcome(True, self.algorithm, saved=saved, schedule=sched,
-                            value=pd_of_subset(self.tree, saved),
-                            diagnostics={"states": states})
+        return checked_yes(idx, self.algorithm, saved,
+                           self.witness_schedule(saved, details),
+                           diagnostics={"states": states})
 
     def best_root(self):
         """(value, budget index) of the root entry that answers: the whole
@@ -393,6 +391,7 @@ class _TeamSubsetDP(_BudgetDP):
     (slot, team) pair where the team works, slots first."""
 
     algorithm = "hours-subsets"
+    mode = STRICT
 
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance)

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import files
-from .driver import (disagreement_report, run_algorithm, run_bench,
+from .driver import (ADMISSION, disagreement_report, run_algorithm, run_bench,
                      smallest_disagreement, solve_auto, write_bench_csv)
 from .errors import RescuePDError
 from .feasibility import verify_schedule
@@ -27,8 +27,8 @@ EXIT_ERROR = 1
 EXIT_ALL_GUARDED = 2
 EXIT_NO = 3
 
-ALGORITHMS = ("auto", "brute", "fpt-d", "fpt-dbar", "hours-teams",
-              "hours-budget", "hours-subsets", "xp-counts", "star")
+ALGORITHMS = tuple(dict.fromkeys(
+    ["auto"] + [row[0] for rows in ADMISSION.values() for row in rows]))
 
 
 def _seed(text: str) -> int:
@@ -81,6 +81,8 @@ def cmd_verify(args) -> int:
     actual = pd_of_subset(instance.tree, schedule.saved)
     print(f"valid+saving: {report.ok}")
     print(f"pd claimed: {pd_claimed}  pd recomputed: {actual}")
+    if schedule.mode != instance.mode:
+        print(f"  mode mismatch: a {schedule.mode} schedule for a {instance.mode} instance")
     for x, i, j in report.post_deadline:
         print(f"  post-deadline: {x} by team {i} at slot {j}")
     for x in report.strictness:

@@ -30,13 +30,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .color_target import (INF, _collaborative_witness, checked_seed,
-                           trial_count, trial_draws)
+from .color_target import (INF, checked_seed, trial_blocks, trial_count,
+                           trial_draws)
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
-from .model import (DerivedIndex, Instance, PhyloTree, build_derived_index,
-                    canon, pd_of_subset)
-from .outcome import SolveOutcome, trivial_outcome
+from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
+                    build_derived_index, canon)
+from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 MINF = -INF
 LOSS_LIMIT = 14  # 2 * loss color bits
@@ -341,6 +341,7 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     are drawn for blocks of 1, 4, 16, ... trials and decided in trial order.
     """
     seed = checked_seed(seed, delta)
+    check_mode(instance, COLLABORATIVE, "fpt-dbar")
     idx = build_derived_index(instance)
     out = trivial_outcome(idx, "fpt-dbar", trials=0, seed=seed)
     if out is not None:
@@ -352,9 +353,9 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     if loss == 0:
         if collaborative_feasible(idx, instance.tree.taxa):
             saved = instance.tree.taxa
-            sched = build_collaborative_schedule(idx, saved)
-            return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
-                                value=idx.pd_total, trials=0, seed=seed)
+            return checked_yes(idx, "fpt-dbar", saved,
+                               build_collaborative_schedule(idx, saved),
+                               trials=0, seed=seed)
         return SolveOutcome(False, "fpt-dbar", trials=0, seed=seed,
                             diagnostics={"deterministic": "zero loss budget"})
     if loss > mask_limit:
@@ -368,9 +369,7 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
     n_trials = trial_count(2 * loss, delta)
     plan = loss_plan(tree, loss)
     entries = None
-    first, count = 1, 1
-    while first <= n_trials:
-        count = min(count, DRAW_ROWS, n_trials - first + 1)
+    for first, count in trial_blocks(n_trials, DRAW_ROWS):
         block = trial_draws(seed, first, count, 2 * loss, width).tolist()
         for trial, f in enumerate(block, first):
             key = {e: f[j + 1] for j, e in enumerate(ordered)}
@@ -386,15 +385,12 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
             found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
             if found:
                 sacrificed = {x for x, _, _ in anchored}
-                saved, sched = _collaborative_witness(
-                    instance, idx, canon(set(tree.taxa) - sacrificed))
-                return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
-                                    value=pd_of_subset(tree, saved), trials=trial,
-                                    seed=seed,
-                                    diagnostics={"planned_trials": n_trials,
-                                                 "table_entries": entries})
-        first += count
-        count *= 4
+                saved = canon(set(tree.taxa) - sacrificed)
+                return checked_yes(idx, "fpt-dbar", saved,
+                                   build_collaborative_schedule(idx, saved),
+                                   trials=trial, seed=seed,
+                                   diagnostics={"planned_trials": n_trials,
+                                                "table_entries": entries})
     return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta,
                                      "table_entries": entries})

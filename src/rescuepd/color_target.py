@@ -46,11 +46,11 @@ import numpy as np
 
 from .cover import boolean_cover_combine, cover_rows
 from .errors import BadParams, RescuePDError, TargetTooLarge
-from .feasibility import (build_collaborative_schedule, collaborative_feasible,
-                          schedule_team_parts, verify_schedule)
-from .model import (STRICT, DerivedIndex, Instance, PhyloTree,
+from .feasibility import (build_collaborative_schedule, schedule_team_parts,
+                          strict_feasible)
+from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
                     build_derived_index, canon, pd_of_subset, savable_alone)
-from .outcome import SolveOutcome, trivial_outcome
+from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 INF = 2**63  # above every capacity (MAX_HOURS = 2^63 - 1); -INF is below every deficit
 
@@ -287,6 +287,17 @@ def trial_count(n_colors: int, delta: float) -> int:
     return math.ceil(math.exp(n_colors) * math.log(1 / delta))
 
 
+def trial_blocks(n_trials: int, most: int):
+    """(first, count) of the trial blocks 1, 4, 16, ... trials long, each at
+    most ``most``, that cover trials 1 to n_trials in order."""
+    first, count = 1, 1
+    while first <= n_trials:
+        count = min(count, most, n_trials - first + 1)
+        yield first, count
+        first += count
+        count *= 4
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
@@ -464,34 +475,24 @@ def _singleton_shortcut(instance, idx, algorithm):
     This also covers the heavy-edge shortcut: an edge at least as heavy as
     the target with a savable offspring yields such a taxon.
     """
-    best = None
-    for x in instance.tree.taxa:
-        if not savable_alone(instance, idx, x):
-            continue
-        value = pd_of_subset(instance.tree, [x])
-        if value >= instance.target and (best is None or value > best[0]):
-            best = (value, x)
-    if best is None:
+    values = {x: pd_of_subset(instance.tree, [x]) for x in instance.tree.taxa
+              if savable_alone(instance, idx, x)}
+    x = max(values, key=values.get, default=None)  # the first of the best
+    if x is None or values[x] < instance.target:
         return None
-    value, x = best
-    if instance.mode == STRICT:
-        for i, t in enumerate(instance.teams):
-            if t.hours_until(instance.deadline(x)) >= instance.length(x):
-                sched = schedule_team_parts(
-                    instance, [[x] if j == i else [] for j in range(len(instance.teams))])
-                break
-    else:
-        sched = build_collaborative_schedule(idx, [x])
-    return SolveOutcome(True, algorithm, saved=(x,), schedule=sched, value=value,
-                        trials=0, diagnostics={"shortcut": "single taxon"})
+    sched = (strict_feasible(instance, [x]) if instance.mode == STRICT
+             else build_collaborative_schedule(idx, [x]))
+    return checked_yes(idx, algorithm, (x,), sched, trials=0,
+                       diagnostics={"shortcut": "single taxon"})
 
 
-def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, per_team):
+def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, mode):
     """The trial loop of both modes: ``kernel`` decides one coloring, and
-    ``witness`` turns its finding into a re-checked (saved set, schedule).
-    The batched trials check each team's hours when ``per_team``, else the
-    prefix hours of all teams, as the kernel does."""
+    ``witness`` turns its finding into a (saved set, schedule).  The batched
+    trials check each team's hours in strict mode, else the prefix hours of
+    all teams, as the kernel does."""
     seed = checked_seed(seed, delta)
+    check_mode(instance, mode, "fpt-d")
     idx = build_derived_index(instance)
     out = (trivial_outcome(idx, "fpt-d", trials=0)
            or _singleton_shortcut(instance, idx, "fpt-d"))
@@ -504,48 +505,32 @@ def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, per_tea
     tree = instance.tree
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
-    most = max(1, BATCH_CELLS >> k)
     plan = None
-    first, count = 1, 1
-    while first <= n_trials:
-        count = min(count, most, n_trials - first + 1)
+    for first, count in trial_blocks(n_trials, max(1, BATCH_CELLS >> k)):
         draws = trial_draws(seed, first, count, k, width)
         if first == 1:
             hits = [0]
         else:
-            plan = plan or _TrialPlan(idx, k, idx.team_hours if per_team else (idx.hours,))
+            plan = plan or _TrialPlan(
+                idx, k, idx.team_hours if mode == STRICT else (idx.hours,))
             hits = np.flatnonzero(plan.decide(draws)).tolist()
         for h in hits:
             # the kernel confirms each hit and extracts its witness
             ok, found = kernel(idx, color_edges_from_hash(tree, k, draws[h]))
             if ok:
                 saved, sched = witness(instance, idx, found)
-                return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
-                                    value=pd_of_subset(tree, saved),
-                                    trials=first + h, seed=seed,
-                                    diagnostics={"planned_trials": n_trials})
-        first += count
-        count *= 4
+                return checked_yes(idx, "fpt-d", saved, sched, trials=first + h,
+                                   seed=seed, diagnostics={"planned_trials": n_trials})
     return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
 
 
 def _collaborative_witness(instance, idx, saved):
-    if pd_of_subset(instance.tree, saved) < instance.target:
-        raise RescuePDError("witness failed the diversity re-check")
-    if not collaborative_feasible(idx, saved):
-        raise RescuePDError("witness failed the feasibility re-check")
     return saved, build_collaborative_schedule(idx, saved)
 
 
 def _strict_witness(instance, idx, parts):
-    saved = canon(x for part in parts for x in part)
-    sched = schedule_team_parts(instance, parts)
-    if not verify_schedule(instance, sched).ok:  # pragma: no cover
-        raise RescuePDError("strict witness failed verification")
-    if pd_of_subset(instance.tree, saved) < instance.target:  # pragma: no cover
-        raise RescuePDError("witness failed the diversity re-check")
-    return saved, sched
+    return canon(x for part in parts for x in part), schedule_team_parts(instance, parts)
 
 
 def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
@@ -556,11 +541,11 @@ def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
     probability at most delta.
     """
     return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_time_pd, _collaborative_witness, False)
+                            solve_colored_time_pd, _collaborative_witness, COLLABORATIVE)
 
 
 def solve_s_time_pd_by_target(instance: Instance, delta: float = 1e-3,
                               seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
     """Randomized color-coding solver, strict mode (same contract)."""
     return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_s_time_pd, _strict_witness, True)
+                            solve_colored_s_time_pd, _strict_witness, STRICT)

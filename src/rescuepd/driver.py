@@ -56,24 +56,34 @@ def _taxa(idx, limit):
     return len(idx.order)
 
 
-# (algorithm, cost, cap) per mode, in preference order.  cost(idx, limit) is
-# exact whenever it is at most limit, and exceeds limit where the solver does
-# not apply.  Each solver checks the same cost against its own guard, and each
-# cap is at most that guard.
+# (algorithm, cost, cap, solve) per mode, in preference order; a mode's
+# algorithms are exactly its rows.  cost(idx, limit) is exact whenever it is
+# at most limit, and exceeds limit where the solver does not apply.  Each
+# solver checks the same cost against its own guard, and each cap is at most
+# that guard.  solve(instance, delta, seed) looks its solver up when called,
+# so a module attribute rebound after import is the one that runs.
 ADMISSION = {
     COLLABORATIVE: (
-        ("star", _star, structured.BOUND_GUARD),
-        ("fpt-dbar", _loss, 6),
-        ("fpt-d", _target, 7),  # color-coding trials grow like e^target
-        ("hours-teams", budget_dp.team_vectors, 5000),
-        ("hours-budget", budget_dp.hour_vectors, 5000),
-        ("xp-counts", structured.count_matrices, 5000),
-        ("brute", _taxa, 20),
+        ("star", _star, structured.BOUND_GUARD,
+         lambda inst, delta, seed: structured.solve_star(inst)),
+        ("fpt-dbar", _loss, 6,
+         lambda inst, delta, seed: solve_time_pd_by_loss(inst, delta, seed)),
+        ("fpt-d", _target, 7,  # color-coding trials grow like e^target
+         lambda inst, delta, seed: solve_time_pd_by_target(inst, delta, seed)),
+        ("hours-teams", budget_dp.team_vectors, 5000,
+         lambda inst, delta, seed: budget_dp.solve_time_pd_team_vectors(inst)),
+        ("hours-budget", budget_dp.hour_vectors, 5000,
+         lambda inst, delta, seed: budget_dp.solve_time_pd_hour_vectors(inst)),
+        ("xp-counts", structured.count_matrices, 5000,
+         lambda inst, delta, seed: structured.solve_time_pd_xp(inst)),
+        ("brute", _taxa, 20, lambda inst, delta, seed: brute_force(inst)),
     ),
     STRICT: (
-        ("fpt-d", _target, 5),
-        ("hours-subsets", budget_dp.subset_vectors, 4096),
-        ("brute", _taxa, 8),
+        ("fpt-d", _target, 5,
+         lambda inst, delta, seed: solve_s_time_pd_by_target(inst, delta, seed)),
+        ("hours-subsets", budget_dp.subset_vectors, 4096,
+         lambda inst, delta, seed: budget_dp.solve_s_time_pd_team_subsets(inst)),
+        ("brute", _taxa, 8, lambda inst, delta, seed: brute_force(inst)),
     ),
 }
 
@@ -82,36 +92,19 @@ def applicable_algorithms(instance: Instance, delta: float = 1e-3) -> list[str]:
     """Algorithms the admission table admits, in auto preference order;
     fpt-dbar must also keep its planned work at delta within LOSS_WORK_CAP."""
     idx = build_derived_index(instance)
-    return [algorithm for algorithm, cost, cap in ADMISSION[instance.mode]
+    return [algorithm for algorithm, cost, cap, _ in ADMISSION[instance.mode]
             if cost(idx, cap) <= cap and (algorithm != "fpt-dbar" or
                                           planned_work(idx, delta) <= LOSS_WORK_CAP)]
 
 
 def run_algorithm(instance: Instance, algorithm: str, delta: float = 1e-3,
                   seed: int = 0) -> SolveOutcome:
-    """Dispatch one named algorithm."""
-    strict = instance.mode == STRICT
-    if algorithm == "brute":
-        return brute_force(instance)
-    if algorithm == "fpt-d":
-        if strict:
-            return solve_s_time_pd_by_target(instance, delta, seed)
-        return solve_time_pd_by_target(instance, delta, seed)
-    if algorithm == "fpt-dbar":
-        if strict:
-            raise RescuePDError("the loss-parameterized solver is collaborative only")
-        return solve_time_pd_by_loss(instance, delta, seed)
-    if algorithm == "hours-teams":
-        return budget_dp.solve_time_pd_team_vectors(instance)
-    if algorithm == "hours-budget":
-        return budget_dp.solve_time_pd_hour_vectors(instance)
-    if algorithm == "hours-subsets":
-        return budget_dp.solve_s_time_pd_team_subsets(instance)
-    if algorithm == "xp-counts":
-        return structured.solve_time_pd_xp(instance)
-    if algorithm == "star":
-        return structured.solve_star(instance)
-    raise RescuePDError(f"unknown algorithm {algorithm!r}")
+    """Dispatch one named algorithm of the instance's mode's admission rows;
+    any other name raises RescuePDError."""
+    for name, _, _, solve in ADMISSION[instance.mode]:
+        if name == algorithm:
+            return solve(instance, delta, seed)
+    raise RescuePDError(f"no algorithm {algorithm!r} for {instance.mode} instances")
 
 
 def solve_auto(instance: Instance, delta: float = 1e-3, seed: int = 0):

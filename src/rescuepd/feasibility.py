@@ -18,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatch, InfeasibleSet, SetTooLarge
+from .errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
 from .model import COLLABORATIVE, STRICT, DerivedIndex, Instance, canon
 
 
@@ -164,13 +164,17 @@ def _available(instance: Instance, key) -> bool:
 
 
 def verify_schedule(instance: Instance, schedule: Schedule) -> VerificationReport:
-    """Check validity, saving, and (strict mode) one-team consecutive runs."""
+    """Check validity, saving, and (strict mode) one-team consecutive runs,
+    all in the instance's mode; a schedule of the other mode is not ok."""
     for key in schedule.assignment:
         if not _available(instance, key):
             raise DomainMismatch(f"pair {key} is outside the availability set")
+    for x in (*schedule.assignment.values(), *schedule.saved):
+        if x not in instance.taxa:
+            raise UnknownTaxon(f"unknown taxon {x!r}")
     hours: dict[str, int] = {}
     slots: dict[str, list] = {}
-    report = VerificationReport(ok=True, mode=schedule.mode)
+    report = VerificationReport(ok=True, mode=instance.mode)
     for (i, j), x in sorted(schedule.assignment.items()):
         hours[x] = hours.get(x, 0) + 1
         slots.setdefault(x, []).append((i, j))
@@ -182,12 +186,13 @@ def verify_schedule(instance: Instance, schedule: Schedule) -> VerificationRepor
         report.required[x] = instance.length(x)
         if report.hours[x] < report.required[x]:
             report.underfilled.append(x)
-    if schedule.mode == STRICT:
+    if instance.mode == STRICT:
         for x, used in sorted(slots.items()):
             teams = {i for i, _ in used}
             times = sorted(j for _, j in used)
             consecutive = all(b == a + 1 for a, b in zip(times, times[1:]))
             if len(teams) > 1 or not consecutive:
                 report.strictness.append(x)
-    report.ok = not (report.post_deadline or report.strictness or report.underfilled)
+    report.ok = schedule.mode == instance.mode and not (
+        report.post_deadline or report.strictness or report.underfilled)
     return report

@@ -11,7 +11,7 @@ import json
 
 from .errors import ParseError
 from .feasibility import Schedule
-from .model import Instance, TaxonInfo, TeamWindow
+from .model import MODES, Instance, TaxonInfo, TeamWindow
 from .newick import parse_newick, to_newick
 
 SCHEMA_VERSION = 1
@@ -29,11 +29,16 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _integer(entry, key: str, where: str) -> int:
-    value = entry.get(key) if isinstance(entry, dict) else None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{where} needs an integer {key!r}, got {value!r}")
-    return value
+def _fields(data, what: str, kinds) -> tuple:
+    """The values of the JSON object data at each (field, type) of kinds."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for field, kind in kinds:
+        value = data.get(field)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"{what} needs a JSON {kind.__name__} {field!r}, "
+                             f"got {value!r}")
+    return tuple(data[field] for field, _ in kinds)
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -42,24 +47,18 @@ def instance_from_dict(data: dict) -> Instance:
         raise ParseError("an instance file must hold a JSON object")
     if data.get("v") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {data.get('v')!r}")
-    for field, kind in (("tree", str), ("taxa", dict), ("teams", list),
-                        ("D", int), ("mode", str)):
-        if field not in data:
-            raise ParseError(f"instance file is missing {field!r}")
-        if not isinstance(data[field], kind) or isinstance(data[field], bool):
-            raise ParseError(f"{field!r} must be a JSON {kind.__name__}, "
-                             f"got {data[field]!r}")
-    tree = parse_newick(data["tree"])
-    taxa = {x: TaxonInfo(_integer(entry, "ell", f"taxon {x!r}"),
-                         _integer(entry, "ex", f"taxon {x!r}"))
-            for x, entry in data["taxa"].items()}
+    text, entries, windows, target, mode = _fields(
+        data, "an instance file", (("tree", str), ("taxa", dict), ("teams", list),
+                                   ("D", int), ("mode", str)))
+    tree = parse_newick(text)
+    taxa = {x: TaxonInfo(*_fields(entry, f"taxon {x!r}", (("ell", int), ("ex", int))))
+            for x, entry in entries.items()}
     if set(taxa) != set(tree.taxa):
         diff = sorted(set(taxa) ^ set(tree.taxa), key=str)
         raise ParseError(f"taxa keys and Newick leaves differ on {diff}")
-    teams = tuple(TeamWindow(_integer(t, "start", f"team {i}"),
-                             _integer(t, "end", f"team {i}"))
-                  for i, t in enumerate(data["teams"]))
-    return Instance(tree, taxa, teams, data["D"], data["mode"])
+    teams = tuple(TeamWindow(*_fields(t, f"team {i}", (("start", int), ("end", int))))
+                  for i, t in enumerate(windows))
+    return Instance(tree, taxa, teams, target, mode)
 
 
 def schedule_to_dict(schedule: Schedule, pd_value: int) -> dict:
@@ -73,10 +72,20 @@ def schedule_to_dict(schedule: Schedule, pd_value: int) -> dict:
 
 
 def schedule_from_dict(data: dict) -> tuple[Schedule, int]:
-    assignment = {(entry["team"], entry["slot"]): entry["taxon"]
-                  for entry in data["assignments"]}
-    return (Schedule(data["mode"], assignment, tuple(data["saved"])),
-            int(data["pd"]))
+    """Inverse of schedule_to_dict; malformed input raises ParseError."""
+    mode, entries, saved, pd_value = _fields(
+        data, "a schedule file", (("mode", str), ("assignments", list),
+                                  ("saved", list), ("pd", int)))
+    if mode not in MODES:
+        raise ParseError(f"mode must be one of {MODES}, got {mode!r}")
+    assignment = {}
+    for n, entry in enumerate(entries):
+        i, j, x = _fields(entry, f"assignment {n}",
+                          (("team", int), ("slot", int), ("taxon", str)))
+        assignment[i, j] = x
+    if not all(isinstance(x, str) for x in saved):
+        raise ParseError(f"'saved' must list taxon labels, got {saved!r}")
+    return Schedule(mode, assignment, tuple(saved)), pd_value
 
 
 def dumps(data: dict) -> str:

@@ -226,17 +226,13 @@ class DerivedIndex:
     ex_values: tuple[int, ...]
     classes: tuple[tuple[str, ...], ...]
     order: tuple[str, ...]          # taxa sorted by (deadline, label)
-    class_end: tuple[int, ...]      # prefix boundary into `order` per class
     class_of: dict                  # label -> class index (0-based)
     hours: tuple[int, ...]
     team_hours: tuple[tuple[int, ...], ...]
     deficits: tuple[int, ...]
     pd_total: int
     loss_budget: int                # pd_total - target; negative => trivial no
-    lengths: tuple[int, ...]
     max_ex: int
-    max_len: int
-    max_weight: int
 
     @property
     def n_classes(self) -> int:
@@ -248,15 +244,9 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
     tree, taxa = instance.tree, instance.taxa
     ex_values = tuple(sorted({info.extinction_time for info in taxa.values()}))
     order = tuple(sorted(taxa, key=lambda x: (taxa[x].extinction_time, x)))
-    classes, class_end, class_of = [], [], {}
-    pos = 0
-    for k, ex in enumerate(ex_values):
-        members = tuple(x for x in order[pos:] if taxa[x].extinction_time == ex)
-        classes.append(members)
-        pos += len(members)
-        class_end.append(pos)
-        for x in members:
-            class_of[x] = k
+    classes = tuple(tuple(members) for _, members in itertools.groupby(
+        order, key=lambda x: taxa[x].extinction_time))
+    class_of = {x: k for k, members in enumerate(classes) for x in members}
     team_hours = tuple(tuple(t.hours_until(ex) for ex in ex_values)
                        for t in instance.teams)
     hours = tuple(sum(col) for col in zip(*team_hours))
@@ -271,19 +261,15 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
     return DerivedIndex(
         instance=instance,
         ex_values=ex_values,
-        classes=tuple(classes),
+        classes=classes,
         order=order,
-        class_end=tuple(class_end),
         class_of=class_of,
         hours=hours,
         team_hours=team_hours,
         deficits=tuple(deficits),
         pd_total=pd_total,
         loss_budget=pd_total - instance.target,
-        lengths=tuple(sorted({info.rescue_length for info in taxa.values()})),
         max_ex=ex_values[-1],
-        max_len=max(info.rescue_length for info in taxa.values()),
-        max_weight=max(tree.weight.values()),
     )
 
 

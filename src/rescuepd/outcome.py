@@ -1,10 +1,14 @@
-"""Uniform result type returned by every solver, and the trivial screen."""
+"""Uniform result type returned by every solver, and the per-request
+contract every solver shares: its mode, the trivial screen, and the re-check
+of a yes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .feasibility import Schedule
+from .errors import RescuePDError
+from .feasibility import Schedule, verify_schedule
+from .model import canon, pd_of_subset
 
 
 @dataclass
@@ -12,9 +16,9 @@ class SolveOutcome:
     """Decision plus witness and diagnostics.
 
     A "yes" always carries a saved set whose diversity meets the target and
-    a schedule that passes verification; solvers assert this before
-    returning.  ``value`` is the diversity of the witness (or the best value
-    found, for exhaustive solvers).
+    a schedule that passes verification; every solver but brute force
+    returns its yes through ``checked_yes``.  ``value`` is the diversity of
+    the witness (or the best value found, for exhaustive solvers).
     """
 
     decision: bool
@@ -42,3 +46,26 @@ def trivial_outcome(idx, algorithm: str, **fields):
                             schedule=Schedule(idx.instance.mode, {}, ()), value=0,
                             **fields, diagnostics={"trivial": "target is zero"})
     return None
+
+
+def check_mode(instance, mode: str, algorithm: str) -> None:
+    """A solver answers the problem of one mode and refuses the other."""
+    if instance.mode != mode:
+        raise RescuePDError(f"{algorithm} solves {mode} instances, "
+                            f"not {instance.mode} ones")
+
+
+def checked_yes(idx, algorithm: str, saved, schedule, **fields) -> SolveOutcome:
+    """A solver's yes, re-checked: the schedule saves exactly the saved set,
+    it verifies in the instance's mode, and the set's diversity, which
+    becomes ``value``, meets the target.  ``fields`` fill the solver's other
+    outcome fields."""
+    instance = idx.instance
+    value = pd_of_subset(instance.tree, saved)
+    if value < instance.target:
+        raise RescuePDError(f"{algorithm} witness failed the diversity re-check")
+    if canon(schedule.saved) != canon(saved) or \
+            not verify_schedule(instance, schedule).ok:
+        raise RescuePDError(f"{algorithm} witness failed verification")
+    return SolveOutcome(True, algorithm, saved=saved, schedule=schedule,
+                        value=value, **fields)

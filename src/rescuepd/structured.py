@@ -19,10 +19,10 @@ import numpy as np
 
 from .budget_dp import STATE_GUARD, _BudgetDP
 from .errors import BoundTooLarge, NotAStar, RescuePDError, StateSpaceTooLarge
-from .feasibility import build_collaborative_schedule, verify_schedule
-from .model import (STRICT, DerivedIndex, Instance, build_derived_index, canon,
-                    capped_product, pd_of_subset)
-from .outcome import SolveOutcome, trivial_outcome
+from .feasibility import build_collaborative_schedule
+from .model import (COLLABORATIVE, DerivedIndex, Instance, build_derived_index,
+                    canon, capped_product)
+from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 NEG = -(2**62)
 
@@ -143,8 +143,7 @@ def solve_star(instance: Instance) -> SolveOutcome:
     tree = instance.tree
     if not tree.is_star():
         raise NotAStar("the star solver needs all leaves directly under the root")
-    if instance.mode == STRICT:
-        raise RescuePDError("the star solver handles collaborative mode only")
+    check_mode(instance, COLLABORATIVE, "star")
     idx = build_derived_index(instance)
     out = trivial_outcome(idx, "star")
     if out is not None:
@@ -172,12 +171,7 @@ def solve_star(instance: Instance) -> SolveOutcome:
     if value < instance.target:
         return SolveOutcome(False, "star", value=max(0, value))
     saved = _star_witness(instance, idx, class_items, profiles, tables)
-    sched = build_collaborative_schedule(idx, saved)
-    report = verify_schedule(instance, sched)
-    if not report.ok or pd_of_subset(tree, saved) < instance.target:  # pragma: no cover
-        raise RescuePDError("star witness failed verification")
-    return SolveOutcome(True, "star", saved=saved, schedule=sched,
-                        value=pd_of_subset(tree, saved))
+    return checked_yes(idx, "star", saved, build_collaborative_schedule(idx, saved))
 
 
 def _star_witness(instance, idx, class_items, profiles, tables):

@@ -90,3 +90,13 @@ def fig2():
 def prop5_instance():
     """Subset-sum star: values {1,2,3}, pick 2 summing to 5, pad 7."""
     return reduce_subset_sum([1, 2, 3], 2, 5, 7)
+
+
+def split_rescue(mode, b_deadline=9):
+    """(a:3,b:1); with a = (2, 1) and b = (5, 9) under teams (0, 1) and
+    (0, 1), target 3: both teams must share slot 1 on a, so the answer is
+    yes in collaborative mode and no in strict mode.  b cannot be saved by
+    any deadline; an earlier one keeps the strict team-subset DP small."""
+    tree = PhyloTree.from_edges([("r", "a", 3), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(2, 1), "b": TaxonInfo(5, b_deadline)}
+    return Instance(tree, taxa, (TeamWindow(0, 1), TeamWindow(0, 1)), 3, mode)

@@ -162,7 +162,7 @@ def availability(instance: Instance) -> tuple[tuple[int, int], ...]:
 
 def prefix(idx: DerivedIndex, k: int) -> tuple[str, ...]:
     """Taxa whose deadline is at most the k-th distinct extinction time."""
-    return idx.order[: idx.class_end[k]]
+    return idx.order[: sum(len(members) for members in idx.classes[: k + 1])]
 
 
 def collaborative_schedule_from_pairs(idx, taxa_set):

@@ -156,7 +156,7 @@ def test_memory_stays_bounded_near_the_router_caps():
     """A merge of two grids near the cap has about 2^24 (budget, share)
     pairs; taken in bounded passes, the solve stays under 64 MB."""
     for algorithm, inst, solve, memo in near_cap_instances():
-        _, cost, cap = next(row for row in ADMISSION[inst.mode] if row[0] == algorithm)
+        _, cost, cap, _ = next(row for row in ADMISSION[inst.mode] if row[0] == algorithm)
         assert 0.8 * cap <= cost(build_derived_index(inst), cap) <= cap
         tracemalloc.start()
         try:

@@ -8,6 +8,8 @@ from rescuepd.driver import applicable_algorithms
 from rescuepd.files import instance_to_dict, load_instance, save_instance
 from rescuepd.generators import gen_random_instance, reduce_subset_sum
 
+from conftest import split_rescue
+
 
 @pytest.fixture
 def prop5_file(tmp_path, prop5_instance):
@@ -191,3 +193,49 @@ def test_disagreement_triage_helpers():
     assert report["algorithm"] == "star"
     assert report["oracle_decision"] is False
     assert report["instance"]["taxa"]
+
+
+def shared_slot_schedule(**changes):
+    """The yes schedule of split_rescue("collaborative"), as a file dict."""
+    data = {"mode": "collaborative",
+            "assignments": [{"team": 0, "slot": 1, "taxon": "a"},
+                            {"team": 1, "slot": 1, "taxon": "a"}],
+            "saved": ["a"], "pd": 3}
+    data.update(changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize("schedule", [
+    shared_slot_schedule(assignments=None),
+    shared_slot_schedule(assignments=[{"team": 0, "taxon": "a"}]),
+    shared_slot_schedule(pd="x"),
+    [shared_slot_schedule()],
+    shared_slot_schedule(mode="weird"),
+    shared_slot_schedule(assignments=[{"team": 0, "slot": 1, "taxon": "z"}]),
+    shared_slot_schedule(saved=["a", "z"]),
+], ids=["no-assignments", "no-slot", "pd-not-integer", "top-level-list",
+        "unknown-mode", "unknown-taxon-assigned", "unknown-taxon-saved"])
+def test_malformed_schedule_is_a_clean_error(tmp_path, capsys, schedule):
+    instance = tmp_path / "inst.json"
+    save_instance(split_rescue("collaborative"), instance)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(shared_slot_schedule()))
+    verify = ["verify", "--instance", str(instance), "--schedule", str(path)]
+    assert main(verify) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(schedule))
+    assert main(verify) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_and_solve_follow_the_instances_mode(tmp_path, capsys):
+    instance = tmp_path / "strict.json"
+    save_instance(split_rescue("strict"), instance)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(shared_slot_schedule()))
+    assert main(["verify", "--instance", str(instance), "--schedule", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "valid+saving: False" in out and "mode mismatch" in out
+    assert main(["solve", "--instance", str(instance), "--algorithm", "hours-teams"]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert main(["solve", "--instance", str(instance), "--algorithm", "brute"]) == 3

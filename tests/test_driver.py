@@ -9,10 +9,12 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute,
                       build_derived_index, gen_random_instance, pd_of_subset,
                       verify_schedule)
 from rescuepd import budget_dp, color_loss, color_target, structured
-from rescuepd.driver import (ADMISSION, applicable_algorithms, run_bench_instance,
-                             solve_auto)
-from rescuepd.errors import BoundTooLarge
+from rescuepd.driver import (ADMISSION, applicable_algorithms, run_algorithm,
+                             run_bench_instance, solve_auto)
+from rescuepd.errors import BoundTooLarge, RescuePDError
 from rescuepd.model import COLLABORATIVE, STRICT
+
+from conftest import split_rescue
 
 GUARDS = {
     "star": structured.BOUND_GUARD,
@@ -50,7 +52,7 @@ def two_leaf_star(slots):
 
 def test_every_cap_within_its_solver_guard():
     for mode, rows in ADMISSION.items():
-        for algorithm, _, cap in rows:
+        for algorithm, _, cap, _ in rows:
             guard = BRUTE_GUARDS[mode] if algorithm == "brute" else GUARDS[algorithm]
             assert cap <= guard, (mode, algorithm)
 
@@ -163,3 +165,33 @@ def test_long_windows_are_never_listed(monkeypatch):
     for instance in (one_team_tree(10, 10**6), two_leaf_star(1_100_000)):
         out = solve_auto(instance)
         assert out.decision and verify_schedule(instance, out.schedule).ok
+
+
+def test_run_algorithm_dispatches_only_the_modes_rows():
+    names = {row[0] for rows in ADMISSION.values() for row in rows} | {"auto", "nope"}
+    for mode, rows in ADMISSION.items():
+        instance = split_rescue(mode)
+        oracle = brute.brute_force(instance).decision
+        for algorithm in names:
+            if algorithm in {row[0] for row in rows}:
+                assert run_algorithm(instance, algorithm).decision == oracle
+            else:
+                with pytest.raises(RescuePDError):
+                    run_algorithm(instance, algorithm)
+
+
+@pytest.mark.parametrize("mode, solve", [
+    (STRICT, structured.solve_star),
+    (STRICT, color_loss.solve_time_pd_by_loss),
+    (STRICT, color_target.solve_time_pd_by_target),
+    (STRICT, budget_dp.solve_time_pd_team_vectors),
+    (STRICT, budget_dp.solve_time_pd_hour_vectors),
+    (STRICT, structured.solve_time_pd_xp),
+    (COLLABORATIVE, color_target.solve_s_time_pd_by_target),
+    (COLLABORATIVE, budget_dp.solve_s_time_pd_team_subsets),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_solvers_refuse_the_other_mode(mode, solve):
+    # the strict instance is a no that every collaborative solver would
+    # answer yes, and the reverse for the strict solvers
+    with pytest.raises(RescuePDError):
+        solve(split_rescue(mode))

@@ -7,8 +7,10 @@ from rescuepd import (Instance, PhyloTree, Schedule, TaxonInfo, TeamWindow,
                       collaborative_feasible, schedule_team_parts,
                       strict_feasible, strict_feasible_given_ordering,
                       verify_schedule)
-from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge
+from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
 from rescuepd.generators import gen_random_instance
+
+from conftest import split_rescue
 
 from reference import (availability, exhaustive_schedule_search,
                        single_team_feasible, strict_feasible_by_partition)
@@ -164,6 +166,30 @@ def test_verify_schedule_failures():
 
     with pytest.raises(DomainMismatch):
         verify_schedule(inst, Schedule("collaborative", {(0, 9): "a"}, ()))
+
+
+def test_verify_schedule_judges_in_the_instances_mode():
+    strict_inst = split_rescue("strict")
+    shared = Schedule("collaborative", {(0, 1): "a", (1, 1): "a"}, ("a",))
+    report = verify_schedule(strict_inst, shared)
+    assert not report.ok and report.mode == "strict"
+    assert report.strictness == ["a"]
+    collaborative_inst = split_rescue("collaborative")
+    assert verify_schedule(collaborative_inst, shared).ok
+    relabeled = Schedule("strict", shared.assignment, shared.saved)
+    report = verify_schedule(collaborative_inst, relabeled)
+    assert not report.ok and not report.strictness
+    for mode in ("collaborative", "strict", "weird"):
+        empty = Schedule(mode, {}, ())
+        assert verify_schedule(strict_inst, empty).ok == (mode == "strict")
+
+
+def test_verify_schedule_rejects_unknown_taxa():
+    inst = split_rescue("collaborative")
+    for sched in (Schedule("collaborative", {(0, 1): "z"}, ()),
+                  Schedule("collaborative", {}, ("z",))):
+        with pytest.raises(UnknownTaxon):
+            verify_schedule(inst, sched)
 
 
 def test_schedule_team_parts():

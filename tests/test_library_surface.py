@@ -2,8 +2,10 @@
 
 A public top-level function or class of ``src/rescuepd/*.py`` must appear as
 a name or attribute in some library module outside its own definition, and
-a public method must appear as an attribute there.  Test oracles and proof
-checkers live under ``tests/``; this keeps them from drifting back.
+a public method, or a public field of a ``@dataclass``, must appear as an
+attribute there.  Test oracles and proof checkers live under ``tests/``;
+this keeps them from drifting back, and keeps every request from paying for
+a field that no solver reads.
 """
 
 import ast
@@ -33,9 +35,19 @@ def _references(tree, skip):
     return names, attributes
 
 
+def _is_dataclass(node):
+    """Is the class decorated with @dataclass or @dataclass(...)?"""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def _definitions(modules):
     """(module, kind, qualified name, short name, node) of each public
-    top-level function or class and each public method."""
+    top-level function or class, each public method and each public field
+    of a dataclass."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for module, tree in modules.items():
         if module == "__init__.py":
@@ -45,11 +57,17 @@ def _definitions(modules):
                 continue
             yield module, "name", node.name, node.name, node
             if isinstance(node, ast.ClassDef):
+                fields = _is_dataclass(node)
                 for item in node.body:
                     if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not item.name.startswith("_")):
                         yield (module, "attribute", f"{node.name}.{item.name}",
                                item.name, item)
+                    elif (fields and isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)
+                          and not item.target.id.startswith("_")):
+                        yield (module, "attribute", f"{node.name}.{item.target.id}",
+                               item.target.id, item)
 
 
 def test_every_public_name_has_a_library_caller():

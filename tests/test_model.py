@@ -5,9 +5,12 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
 from rescuepd.errors import InvalidInstance, UnknownTaxon
 from rescuepd.files import instance_from_dict, instance_to_dict
 from rescuepd.generators import gen_random_instance
-from rescuepd.outcome import trivial_outcome
+from rescuepd.errors import RescuePDError
+from rescuepd.feasibility import Schedule
+from rescuepd.outcome import checked_yes, trivial_outcome
 
 from reference import prefix
+from conftest import split_rescue
 
 import random
 
@@ -146,4 +149,17 @@ def test_reserialized_instance_same_index():
         assert a.deficits == b.deficits
         assert a.order == b.order
         assert a.pd_total == b.pd_total
-        assert a.lengths == b.lengths
+
+
+def test_checked_yes_rejects_a_bad_witness():
+    idx = build_derived_index(split_rescue("collaborative"))
+    shared = {(0, 1): "a", (1, 1): "a"}
+    out = checked_yes(idx, "x", ("a",), Schedule("collaborative", shared, ("a",)), trials=2)
+    assert (out.decision, out.value, out.trials) == (True, 3, 2)
+    for saved, sched in [
+            (("b",), Schedule("collaborative", {}, ("b",))),              # diversity 1 < 3
+            (("a",), Schedule("collaborative", {(0, 1): "a"}, ("a",))),   # a underfilled
+            (("a",), Schedule("strict", shared, ("a",))),                 # other mode
+            (("a", "b"), Schedule("collaborative", shared, ("a",)))]:     # b not scheduled
+        with pytest.raises(RescuePDError):
+            checked_yes(idx, "x", saved, sched)
