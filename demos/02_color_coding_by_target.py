@@ -2,8 +2,9 @@
 
 Weight units along edges become colors; a taxa set covering the whole
 palette certifies diversity at least the palette size.  One colored round
-is an exact mask DP; the randomized wrapper repeats rounds until a witness
-appears or the planned trial budget is exhausted.
+is an exact dynamic program over color sets; the randomized wrapper
+repeats rounds until a witness appears or the planned trial budget is
+exhausted.
 """
 
 from rescuepd import (brute_force_time_pd, build_derived_index,

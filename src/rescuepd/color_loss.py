@@ -331,8 +331,8 @@ def loss_dp_solve(instance: Instance, coloring: LossColoring, loss: int,
     return True, dp.extract(*cell), dp.entries
 
 
-def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0,
-                          mask_limit: int = LOSS_LIMIT) -> SolveOutcome:
+def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
+                          seed: int = 0) -> SolveOutcome:
     """Randomized loss-parameterized solver, collaborative mode.
 
     One-sided like the target solver: yes answers ship verified witnesses,
@@ -358,8 +358,8 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3, seed: int = 0
                                trials=0, seed=seed)
         return SolveOutcome(False, "fpt-dbar", trials=0, seed=seed,
                             diagnostics={"deterministic": "zero loss budget"})
-    if loss > mask_limit:
-        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {mask_limit}")
+    if loss > LOSS_LIMIT:
+        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
     tree = instance.tree
     small = [e for e in tree.edge_order if tree.weight[e] <= loss]
     big = [e for e in tree.edge_order if tree.weight[e] > loss]

@@ -9,10 +9,15 @@ solution unlikely (a fixed witness is hit with probability >= e^-k per
 trial, hence ceil(e^k * ln(1/delta)) trials bound the false-no rate by
 delta).
 
-The colored decision itself is exact dynamic programming over color masks:
-taxa are added in deadline order and a capacity check against the prefix
-hours keeps every partial selection schedulable.  The strict variant runs
-the mask DP per team and merges teams with the boolean cover product.
+The colored decision is one recurrence over color sets.  Taxa are taken
+in deadline order, and entry g[C] is the least rescue length of a set that
+covers at least the colors C and fits a capacity row: a taxon with colors m
+and length ell sets g[C] = min(g[C], g[C & ~m] + ell) wherever that sum is
+within the row's hours at the taxon's deadline class.  Checking each
+taxon's class as it joins keeps every prefix of the set schedulable.  The
+collaborative row is the prefix hours of all teams; in strict mode the
+table runs once per team against that team's hours, and the boolean cover
+product merges the teams.
 
 Trial t colors the tree from its own seeded generator,
 ``Generator(PCG64(SeedSequence([seed, t])))``, so every trial is decided
@@ -24,15 +29,14 @@ bit-identical to the per-trial generator, which redraws the rare row that
 hits Lemire's rejection; ``tests/test_trial_draws.py`` pins this for the
 installed numpy.
 
-The solver decides trial 1 with the scalar kernel
+The solver decides trial 1 with the one-coloring kernel
 (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
 cheap yes-instances cheap, and the later trials in batches of 4, 16, 64,
-... colorings per numpy pass, up to 2^14 table cells.  A
-batch runs the same recurrence taxa-major over (trials x masks): entry
-g[C] is the least rescue length of a schedulable set covering at least the
-colors C.  The reported trial is the lowest successful index, and its
-witness comes from the scalar kernel re-run on that coloring, so the
-outcome is the one a trial-by-trial loop gives.
+... colorings per numpy pass, up to 2^14 table cells; a batch runs the
+same recurrence in numpy over (trials x color sets).  The reported trial
+is the lowest successful index.  The kernel re-runs that coloring and
+reads the witness back from the cells each taxon improved, so the outcome
+is the one a trial-by-trial loop gives.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import boolean_cover_combine, cover_rows
-from .errors import BadParams, RescuePDError, TargetTooLarge
+from .errors import BadParams, TargetTooLarge
 from .feasibility import (build_collaborative_schedule, schedule_team_parts,
                           strict_feasible)
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
@@ -100,167 +104,85 @@ def color_edges_from_hash(tree: PhyloTree, n_colors: int, f) -> TargetColoring:
     return TargetColoring(n_colors, edge_colors)
 
 
-def _taxa_arrays(idx: DerivedIndex, coloring: TargetColoring):
-    masks = coloring.taxon_masks(idx.instance.tree)
-    labels = list(idx.order)
-    return (labels,
-            [masks[x] for x in labels],
-            [idx.class_of[x] for x in labels],
-            [idx.instance.length(x) for x in labels])
+def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
+    """The recurrence on one coloring against one capacity row.
+
+    Returns g, where g[C] is the least rescue length of a set that covers
+    at least the colors C and fits the capacity row, and per taxon in
+    deadline order the cells it improved, from which a witness is read back.
+    """
+    g = [INF] * (full + 1)
+    g[0] = 0
+    improved = []
+    for x in idx.order:
+        m, ell = masks[x], idx.instance.length(x)
+        room = cap[idx.class_of[x]]
+        keep = ~m
+        cells = set()
+        if m and ell <= room:
+            for c in range(full, 0, -1):  # downwards: source c & ~m is not yet updated
+                cand = g[c & keep] + ell
+                if cand < g[c] and cand <= room:
+                    g[c] = cand
+                    cells.add(c)
+        improved.append(cells)
+    return g, improved
+
+
+def _read_back(idx: DerivedIndex, masks: dict, improved, cell: int) -> list:
+    """A set whose length is g[cell]: walking the taxa backwards, the last
+    taxon that improved the cell joins it, and the cell loses its colors."""
+    taxa = []
+    for x, cells in zip(reversed(idx.order), reversed(improved)):
+        if cell in cells:
+            taxa.append(x)
+            cell &= ~masks[x]
+    return taxa
 
 
 def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     """Exact decision for one coloring, collaborative mode.
 
     Returns (True, saved set) when some feasible set covers the palette,
-    else (False, None).  Table entry [C][p]: minimum total rescue length of
-    a set within the first p+1 classes covering C, kept schedulable by the
-    prefix-hours capacity check at every extension.
+    else (False, None).  The capacity row is the prefix hours of all teams.
     """
-    labels, masks, cls, ell = _taxa_arrays(idx, coloring)
-    nc = idx.n_classes
-    hours = idx.hours
-    k = coloring.n_colors
-    if k == 0:
-        return True, ()
-    full = (1 << k) - 1
-    dp = [None] * (full + 1)
-    dp[0] = [0] * nc
-    for mask in range(1, full + 1):
-        tmp = [INF] * nc
-        for t, m in enumerate(masks):
-            if m & mask == 0:
-                continue
-            q = cls[t]
-            prev = dp[mask & ~m][q]
-            if prev >= INF:
-                continue
-            cand = prev + ell[t]
-            if cand <= hours[q] and cand < tmp[q]:
-                tmp[q] = cand
-        run = INF
-        row = []
-        for q in range(nc):
-            if tmp[q] < run:
-                run = tmp[q]
-            row.append(run)
-        dp[mask] = row
-    if dp[full][nc - 1] >= INF:
+    full = (1 << coloring.n_colors) - 1
+    masks = coloring.taxon_masks(idx.instance.tree)
+    g, improved = _colored_table(idx, masks, idx.hours, full)
+    if g[full] >= INF:
         return False, None
-    saved = []
-    mask, p = full, nc - 1
-    while mask:
-        goal = dp[mask][p]
-        for t, m in enumerate(masks):
-            if m & mask == 0 or cls[t] > p:
-                continue
-            q = cls[t]
-            prev = dp[mask & ~m][q]
-            if prev < INF and prev + ell[t] == goal and goal <= hours[q]:
-                saved.append(labels[t])
-                mask, p = mask & ~m, q
-                break
-        else:  # pragma: no cover - the table always backtracks
-            raise RescuePDError("witness backtrack failed")
-    return True, canon(saved)
+    return True, canon(_read_back(idx, masks, improved, full))
 
 
 def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     """Exact decision for one coloring, strict mode.
 
-    Per-team mask tables as in the collaborative DP but against the team's
-    own prefix hours; teams are combined by the boolean cover product.
-    Returns (True, per-team parts) or (False, None).  When taxon x of class
-    p extends a partial set of top class q <= p, the bound checked is the
-    team's hours up to class p, the class added.
+    The recurrence runs once per team against the team's own prefix hours,
+    and the teams are merged by the boolean cover product.  Returns (True,
+    per-team parts), which are disjoint, or (False, None).
     """
-    labels, masks, cls, ell = _taxa_arrays(idx, coloring)
-    nc = idx.n_classes
-    k = coloring.n_colors
-    n_teams = len(idx.instance.teams)
-    if k == 0:
-        return True, tuple(() for _ in range(n_teams))
-    full = (1 << k) - 1
-    team_dp = []   # per team: dp0[mask] = row over classes (no prefix min)
-    team_pm = []   # per team: prefix-min over classes
-    team_bits = []
-    for i in range(n_teams):
-        th = idx.team_hours[i]
-        dp0 = [None] * (full + 1)
-        pm = [None] * (full + 1)
-        dp0[0] = [0] * nc
-        pm[0] = [0] * nc
-        for mask in range(1, full + 1):
-            tmp = [INF] * nc
-            for t, m in enumerate(masks):
-                if m & mask == 0:
-                    continue
-                p = cls[t]
-                prev = pm[mask & ~m][p]
-                if prev >= INF:
-                    continue
-                cand = prev + ell[t]
-                if cand <= th[p] and cand < tmp[p]:
-                    tmp[p] = cand
-            dp0[mask] = tmp
-            run = INF
-            pm[mask] = [run := min(run, v) for v in tmp]
-        team_dp.append(dp0)
-        team_pm.append(pm)
-        team_bits.append([1 if pm[mask][nc - 1] < INF else 0
-                          for mask in range(full + 1)])
-    stages = [team_bits[0]]
-    for i in range(1, n_teams):
-        stages.append(boolean_cover_combine(stages[-1], team_bits[i]))
+    full = (1 << coloring.n_colors) - 1
+    masks = coloring.taxon_masks(idx.instance.tree)
+    tables = [_colored_table(idx, masks, cap, full) for cap in idx.team_hours]
+    bits = [[v < INF for v in g] for g, _ in tables]
+    stages = [bits[0]]
+    for team in bits[1:]:
+        stages.append(boolean_cover_combine(stages[-1], team))
     if not stages[-1][full]:
         return False, None
-
-    def extract(i, mask):
-        part = []
-        if mask == 0:
-            return part
-        pm, dp0, th = team_pm[i], team_dp[i], idx.team_hours[i]
-        p = min(q for q in range(nc) if dp0[mask][q] < INF)
-        while mask:
-            goal = dp0[mask][p]
-            for t, m in enumerate(masks):
-                if m & mask == 0 or cls[t] != p:
-                    continue
-                sub = mask & ~m
-                prev = pm[sub][p]
-                if prev >= INF or prev + ell[t] != goal or goal > th[p]:
-                    continue
-                part.append(labels[t])
-                mask, p = sub, min(q for q in range(p + 1) if dp0[sub][q] == prev)
-                break
-            else:  # pragma: no cover
-                raise RescuePDError("strict witness backtrack failed")
-        return part
-
-    parts = [None] * n_teams
-    mask = full
-    for i in range(n_teams - 1, 0, -1):
-        sub = mask
-        choice = None
-        while True:
-            if stages[i - 1][sub] and team_bits[i][mask ^ sub]:
-                choice = sub
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if choice is None:  # pragma: no cover
-            raise RescuePDError("cover backtrack failed")
-        parts[i] = extract(i, mask ^ choice)
-        mask = choice
-    parts[0] = extract(0, mask)
-    used = set()
-    clean = []
-    for part in parts:
-        keep = [x for x in part if x not in used]
-        used.update(keep)
-        clean.append(tuple(keep))
-    return True, tuple(clean)
+    # split the palette: team i covers cell ^ sub, and teams 0 .. i - 1 sub
+    shares = [full] * len(tables)
+    for i in range(len(tables) - 1, 0, -1):
+        cell = shares[i]
+        sub = next(s for s in range(cell, -1, -1)
+                   if s | cell == cell and stages[i - 1][s] and bits[i][cell ^ s])
+        shares[i], shares[i - 1] = cell ^ sub, sub
+    parts, used = [], set()
+    for share, (_, improved) in zip(shares, tables):
+        part = [x for x in _read_back(idx, masks, improved, share) if x not in used]
+        used.update(part)
+        parts.append(tuple(part))
+    return True, tuple(parts)
 
 
 def _check_delta(delta) -> None:
@@ -486,7 +408,7 @@ def _singleton_shortcut(instance, idx, algorithm):
                        diagnostics={"shortcut": "single taxon"})
 
 
-def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, mode):
+def _solve_by_target(instance, delta, seed, kernel, witness, mode):
     """The trial loop of both modes: ``kernel`` decides one coloring, and
     ``witness`` turns its finding into a (saved set, schedule).  The batched
     trials check each team's hours in strict mode, else the prefix hours of
@@ -500,8 +422,8 @@ def _solve_by_target(instance, delta, seed, mask_limit, kernel, witness, mode):
         out.seed = seed
         return out
     k = instance.target
-    if k > mask_limit:
-        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {mask_limit}")
+    if k > MASK_LIMIT:
+        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {MASK_LIMIT}")
     tree = instance.tree
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
@@ -534,18 +456,18 @@ def _strict_witness(instance, idx, parts):
 
 
 def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
-                            seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
+                            seed: int = 0) -> SolveOutcome:
     """Randomized color-coding solver, collaborative mode.
 
     One-sided: every yes ships a re-verified witness; a no is wrong with
     probability at most delta.
     """
-    return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_time_pd, _collaborative_witness, COLLABORATIVE)
+    return _solve_by_target(instance, delta, seed, solve_colored_time_pd,
+                            _collaborative_witness, COLLABORATIVE)
 
 
 def solve_s_time_pd_by_target(instance: Instance, delta: float = 1e-3,
-                              seed: int = 0, mask_limit: int = MASK_LIMIT) -> SolveOutcome:
+                              seed: int = 0) -> SolveOutcome:
     """Randomized color-coding solver, strict mode (same contract)."""
-    return _solve_by_target(instance, delta, seed, mask_limit,
-                            solve_colored_s_time_pd, _strict_witness, STRICT)
+    return _solve_by_target(instance, delta, seed, solve_colored_s_time_pd,
+                            _strict_witness, STRICT)

@@ -1,9 +1,9 @@
 """Test-side oracles for the library's optimized paths.
 
 ``solve_by_target_trial_by_trial`` is the fpt-d trial loop that decides one
-coloring per trial with the scalar kernel, in trial order, and stops at the
-first success.  The library's batched loop must return the same outcome,
-field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
+coloring per trial with the one-coloring kernel, in trial order, and stops
+at the first success.  The library's batched loop must return the same
+outcome, field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
 with one generator per trial, the oracle of the loss solver's block draws.
 ``collaborative_schedule_from_pairs`` builds the greedy collaborative
 schedule from the full list of (team, slot) pairs, which the library now
@@ -42,8 +42,7 @@ from rescuepd.color_loss import (LOSS_LIMIT, loss_dp_solve, loss_plan,
                                  make_loss_coloring)
 from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    _singleton_shortcut, _strict_witness,
-                                   _taxa_arrays, _trial_rng,
-                                   color_edges_from_hash,
+                                   _trial_rng, color_edges_from_hash,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
 from rescuepd.cover import _ranked_rows
@@ -58,9 +57,8 @@ from rescuepd.outcome import SolveOutcome, trivial_outcome
 from rescuepd.structured import BOUND_GUARD, NEG, count_matrices
 
 
-def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False,
-                                   mask_limit=MASK_LIMIT):
-    """fpt-d, one scalar kernel call per trial; ``strict`` picks the mode's
+def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
+    """fpt-d, one kernel call per trial; ``strict`` picks the mode's
     kernel and witness step as solve_s_time_pd_by_target does."""
     kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
     witness = _strict_witness if strict else _collaborative_witness
@@ -71,8 +69,8 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False,
         out.seed = seed
         return out
     k = instance.target
-    if k > mask_limit:
-        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {mask_limit}")
+    if k > MASK_LIMIT:
+        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {MASK_LIMIT}")
     tree = instance.tree
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
@@ -88,7 +86,7 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
 
 
-def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0, mask_limit=LOSS_LIMIT):
+def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
     """fpt-dbar with one ``_trial_rng`` generator per trial, drawn and
     decided in trial order, as solve_time_pd_by_loss decides its blocks."""
     idx = build_derived_index(instance)
@@ -106,8 +104,8 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0, mask_limit=LOSS_L
                                 value=idx.pd_total, trials=0, seed=seed)
         return SolveOutcome(False, "fpt-dbar", trials=0, seed=seed,
                             diagnostics={"deterministic": "zero loss budget"})
-    if loss > mask_limit:
-        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {mask_limit}")
+    if loss > LOSS_LIMIT:
+        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
     tree = instance.tree
     small = [e for e in tree.edge_order if tree.weight[e] <= loss]
     big = [e for e in tree.edge_order if tree.weight[e] > loss]
@@ -309,6 +307,15 @@ def cover_product_ranked(f, g) -> list[int]:
     """Ranked subset convolution of two 0/1 sequences of length 2^w."""
     row = _ranked_rows(np.asarray(f, dtype=bool)[None, :], np.asarray(g, dtype=bool)[None, :])
     return row[0].astype(int).tolist()
+
+
+def _taxa_arrays(idx: DerivedIndex, coloring):
+    masks = coloring.taxon_masks(idx.instance.tree)
+    labels = list(idx.order)
+    return (labels,
+            [masks[x] for x in labels],
+            [idx.class_of[x] for x in labels],
+            [idx.instance.length(x) for x in labels])
 
 
 def printed_rule_decision(idx, coloring) -> bool:

@@ -1,4 +1,13 @@
-"""The batched fpt-d trials against the scalar kernel and the trial-by-trial loop."""
+"""The batched fpt-d trials against the one-coloring kernel and the
+trial-by-trial loop.
+
+The batch and the kernel run one recurrence, taxa in deadline order with
+g[C] = min(g[C], g[C & ~m] + ell): the batch in numpy over many colorings,
+the kernel in plain Python on one.  Their agreement checks the batching;
+the recurrence itself is checked against brute-force colored oracles here
+near the hours bound, and for both kernels with their witnesses in
+``test_color_target.py``.
+"""
 
 import itertools
 

@@ -188,7 +188,7 @@ def test_loss_mask_guard():
     small_target = Instance(inst.tree, inst.taxa, inst.teams,
                             max(1, idx.pd_total - 20))
     with pytest.raises(LossTooLarge):
-        solve_time_pd_by_loss(small_target, mask_limit=3)
+        solve_time_pd_by_loss(small_target)
 
 
 def test_table_entry_count_formula():

@@ -2,20 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_s_time_pd, brute_force_time_pd,
                       build_derived_index, collaborative_feasible,
                       color_edges_from_hash, pd_of_subset,
-                      solve_colored_s_time_pd, solve_colored_time_pd,
+                      schedule_team_parts, solve_colored_s_time_pd,
+                      solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_loss,
                       solve_time_pd_by_target, strict_feasible, trial_count,
                       verify_schedule)
 from rescuepd.color_target import TargetColoring, _TrialPlan
 from rescuepd.driver import solve_auto
 from rescuepd.errors import BadParams, TargetTooLarge
-from rescuepd.generators import gen_random_instance
-from rescuepd.model import MAX_HOURS
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
+from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT
 
 from reference import printed_rule_decision
 
@@ -83,6 +86,49 @@ def colored_brute_strict(instance, coloring):
             if got & full == full and strict_feasible(instance, subset) is not None:
                 return True
     return False
+
+
+def covered(masks, taxa):
+    got = 0
+    for x in taxa:
+        got |= masks[x]
+    return got
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_kernels_match_the_colored_oracles(data):
+    """Both one-coloring kernels against the brute-force colored oracles on
+    any edge coloring, the empty palette included.  A collaborative witness
+    covers the palette and is feasible; strict parts are disjoint, cover the
+    palette, and each fits its team."""
+    strict = data.draw(st.booleans(), label="strict")
+    k = data.draw(st.integers(0, 6), label="k")
+    inst = gen_random_instance(
+        n=data.draw(st.integers(2, 6), label="n"),
+        n_teams=data.draw(st.integers(1, 3), label="teams"),
+        max_ex=8, max_len=data.draw(st.integers(1, 4), label="max length"),
+        max_weight=3, tree_shape=data.draw(st.sampled_from(TREE_SHAPES), label="shape"),
+        seed=data.draw(st.integers(0, 10**6), label="instance"),
+        mode=STRICT if strict else COLLABORATIVE)
+    idx = build_derived_index(inst)
+    full = (1 << k) - 1
+    col = TargetColoring(k, {e: data.draw(st.integers(0, full), label=f"colors of {e}")
+                             for e in inst.tree.edge_order})
+    masks = col.taxon_masks(inst.tree)
+    kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
+    ok, found = kernel(idx, col)
+    assert ok == (colored_brute_strict(inst, col) if strict else colored_brute(idx, col))
+    if not ok:
+        assert found is None
+    elif strict:
+        saved = [x for part in found for x in part]
+        assert len(found) == len(inst.teams) and len(saved) == len(set(saved))
+        assert covered(masks, saved) == full
+        assert verify_schedule(inst, schedule_team_parts(inst, found)).ok
+    else:
+        assert covered(masks, found) == full
+        assert collaborative_feasible(idx, found)
 
 
 def test_colored_solver_trivial_cases():
@@ -341,4 +387,4 @@ def test_determinism_and_guard():
     big = Instance(tree, {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)},
                    (TeamWindow(0, 2),), target=35)
     with pytest.raises(TargetTooLarge):
-        solve_time_pd_by_target(big, mask_limit=30)
+        solve_time_pd_by_target(big)

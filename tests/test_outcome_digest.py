@@ -1,0 +1,34 @@
+"""tools/outcome_digest.py prints two digests per request, the same from
+the command line as in process."""
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outcome_digest.py"
+WORKLOADS = ("auto-serve", "color-coding", "crossval-sweep")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("outcome_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_outcome_digest_on_20_requests(workload, tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), workload, "1", "--requests", "20"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == [str(i) for i in range(20)]
+    for row in rows:
+        assert len(row) == 4
+        assert all(re.fullmatch("[0-9a-f]{16}", digest) for digest in row[2:])
+    assert rows == [[str(field) for field in row]
+                    for row in load_tool().digests(workload, 1, 20)]

@@ -1,0 +1,75 @@
+"""Digests of the outcomes that a benchmark workload's requests get.
+
+    python3 tools/outcome_digest.py color-coding 1 --requests 150
+
+Builds the seeded request stream of one workload in
+``perfbench/workloads.py``, solves each request as the workload does, and
+prints one line per request: its index, its class and two digests of the
+solver outcomes it got (one outcome on auto-serve and color-coding, one
+per solver call on crossval-sweep):
+
+- contract: decision, algorithm, trials, seed and diagnostics;
+- witness: saved set, value and schedule.
+
+Run it in two checkouts and compare the output.  Equal contract digests
+mean the same decisions, routes and trial indices; a witness digest may
+differ where a solver returns another valid witness.  The package is
+imported from the ``src`` directory of the checkout the script is in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from rescuepd import driver, files  # noqa: E402
+
+
+def outcomes(workload: str, request) -> list:
+    """The solver outcomes of one request, as its workload gets them."""
+    if workload == "auto-serve":
+        return [driver.solve_auto(request.instance, workloads.DELTA, request.seed)]
+    if workload == "color-coding":
+        return [workloads.solve_pinned(request)]
+    return [outcome for _, outcome in workloads.sweep(request)[1]]
+
+
+def _digest(fields) -> str:
+    text = json.dumps(fields, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digests(workload: str, seed: int, requests: int = None):
+    """(index, class, contract digest, witness digest) of the first
+    ``requests`` requests of the stream, or of all of them."""
+    blocks = workloads.build_blocks(workloads.WORKLOADS[workload], seed)
+    for request in itertools.islice(itertools.chain.from_iterable(blocks), requests):
+        outs = [o for o in outcomes(workload, request) if o is not None]
+        contract = [(o.decision, o.algorithm, o.trials, o.seed, o.diagnostics)
+                    for o in outs]
+        witness = [(o.saved, o.value, o.schedule and
+                    files.schedule_to_dict(o.schedule, o.value)) for o in outs]
+        yield request.index, request.klass, _digest(contract), _digest(witness)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--requests", type=int, default=None,
+                        help="digest only the first N requests")
+    args = parser.parse_args(argv)
+    for row in digests(args.workload, args.seed, args.requests):
+        print(*row)
+
+
+if __name__ == "__main__":
+    main()
