@@ -2,8 +2,9 @@
 
 Three exact alternatives to color coding: budget the teams per timeslot,
 budget the hours per deadline class, or (strict mode) budget team subsets
-per timeslot.  On stars the problem collapses to per-deadline knapsacks,
-each indexed by capacity, chained over capacity.
+per timeslot.  On stars the problem collapses to one knapsack indexed by
+capacity, the taxa taken in deadline order and each capped at the hours of
+its deadline class.
 """
 
 from rescuepd import (brute_force, gen_random_instance, reduce_subset_sum,

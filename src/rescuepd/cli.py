@@ -17,7 +17,7 @@ import time
 from . import files
 from .driver import (ADMISSION, disagreement_report, run_algorithm, run_bench,
                      smallest_disagreement, solve_auto, write_bench_csv)
-from .errors import RescuePDError
+from .errors import BadParams, RescuePDError
 from .feasibility import verify_schedule
 from .generators import gen_random_instance, reduce_subset_sum
 from .model import pd_of_subset
@@ -107,7 +107,13 @@ def cmd_gen(args) -> int:
             tree_shape=args.shape, mode=args.mode, seed=args.seed,
             target=args.target)
     else:
-        values = [int(z) for z in args.values.split(",")]
+        if None in (args.values, args.k, args.goal):
+            raise BadParams("--kind subset-sum needs --values, --k and --goal")
+        try:
+            values = [int(z) for z in args.values.split(",")]
+        except ValueError:
+            raise BadParams("--values must be comma-separated integers, "
+                            f"got {args.values!r}") from None
         instance = reduce_subset_sum(values, args.k, args.goal, args.pad)
     files.save_instance(instance, args.out)
     print(f"wrote {args.out} (n={len(instance.taxa)}, "
@@ -115,21 +121,43 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
+# the JSON types of a sweep family's keys other than its name; all but
+# count and seed0 are passed to gen_random_instance
+_FAMILY_KEYS = {"count": int, "seed0": int, "n": int, "n_teams": int,
+                "max_ex": int, "max_len": int, "max_weight": int,
+                "min_weight": int, "target": int, "savable_frac": (int, float),
+                "tree_shape": str, "mode": str}
+
+
+def _sweep_items(spec) -> list:
+    """The (index, family name, instance) items of a sweep spec; a malformed
+    spec raises BadParams."""
+    families = spec.get("families") if isinstance(spec, dict) else None
+    if not isinstance(families, list):
+        raise BadParams("a sweep spec must be a JSON object with a list 'families'")
+    items = []
+    for n, family in enumerate(families):
+        if not isinstance(family, dict) or "count" not in family:
+            raise BadParams(f"family {n} must be a JSON object with a 'count'")
+        params = {k: v for k, v in family.items() if k != "name"}
+        for key, value in params.items():
+            if key not in _FAMILY_KEYS:
+                raise BadParams(f"family {n} has an unknown key {key!r}")
+            if not isinstance(value, _FAMILY_KEYS[key]) or isinstance(value, bool):
+                raise BadParams(f"family {n} has {key!r} = {value!r} of the wrong type")
+        count, seed0 = params.pop("count"), params.pop("seed0", 0)
+        for i in range(count):
+            instance = gen_random_instance(seed=seed0 + i, **params)
+            items.append((len(items), family.get("name", "family"), instance))
+    return items
+
+
 def cmd_bench(args) -> int:
     with open(args.sweep) as fh:
         spec = json.load(fh)
-    delta = spec.get("delta", 1e-3)
-    seed = spec.get("seed", 0)
-    items = []
-    for family in spec["families"]:
-        params = {k: v for k, v in family.items()
-                  if k not in ("name", "count", "seed0")}
-        seed0 = family.get("seed0", 0)
-        for i in range(family["count"]):
-            instance = gen_random_instance(seed=seed0 + i, **params)
-            items.append((len(items), family.get("name", "family"), instance))
+    items = _sweep_items(spec)
     rows, disagreements, false_neg, randomized = run_bench(
-        items, delta, seed, jobs=args.jobs)
+        items, spec.get("delta", 1e-3), spec.get("seed", 0), jobs=args.jobs)
     write_bench_csv(rows, args.out)
     print(f"instances: {len(items)}  rows: {len(rows)}")
     print(f"randomized runs: {randomized}  false negatives: {false_neg}")

@@ -202,8 +202,9 @@ def run_bench(items, delta: float = 1e-3, seed: int = 0, jobs: int = 1):
     """Run a sweep; returns (rows, disagreements, false_neg, randomized_runs).
 
     Results are merged by instance index, so the outcome is independent of
-    worker scheduling.
+    worker scheduling.  A bad seed or delta is rejected before any solve.
     """
+    seed = checked_seed(seed, delta)
     results = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

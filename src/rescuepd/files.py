@@ -82,6 +82,8 @@ def schedule_from_dict(data: dict) -> tuple[Schedule, int]:
     for n, entry in enumerate(entries):
         i, j, x = _fields(entry, f"assignment {n}",
                           (("team", int), ("slot", int), ("taxon", str)))
+        if (i, j) in assignment:
+            raise ParseError(f"assignment {n} books team {i}'s slot {j} twice")
         assignment[i, j] = x
     if not all(isinstance(x, str) for x in saved):
         raise ParseError(f"'saved' must list taxon labels, got {saved!r}")

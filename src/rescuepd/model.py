@@ -224,7 +224,6 @@ class DerivedIndex:
 
     instance: Instance
     ex_values: tuple[int, ...]
-    classes: tuple[tuple[str, ...], ...]
     order: tuple[str, ...]          # taxa sorted by (deadline, label)
     class_of: dict                  # label -> class index (0-based)
     hours: tuple[int, ...]
@@ -261,7 +260,6 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
     return DerivedIndex(
         instance=instance,
         ex_values=ex_values,
-        classes=classes,
         order=order,
         class_of=class_of,
         hours=hours,

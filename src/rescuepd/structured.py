@@ -6,11 +6,11 @@ matrix is admissible when the lengths-weighted column prefixes fit the
 per-class hours, and the root table holds the value of every matrix.  With
 few distinct lengths and deadlines this is polynomial for fixed shape.
 
-On stars the problem decomposes per deadline class into 0/1 knapsacks
-(weight = rescue length, profit = leaf edge weight) chained by a max-plus
-convolution over capacity, clamping the running capacity at each class to
-that class's available hours.  Each class's knapsack is indexed by
-capacity: entry c is the best profit within weight c.
+On stars the problem is one 0/1 knapsack (weight = rescue length, profit =
+leaf edge weight) indexed by capacity: entry c is the best profit within
+weight c.  The taxa join in deadline order, and a taxon of class k may only
+fill capacities up to that class's hours, which keeps every prefix of the
+chosen set within its hours.  Capacities stop at the total rescue length.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .budget_dp import STATE_GUARD, _BudgetDP
-from .errors import BoundTooLarge, NotAStar, RescuePDError, StateSpaceTooLarge
+from .errors import BoundTooLarge, NotAStar, StateSpaceTooLarge
 from .feasibility import build_collaborative_schedule
 from .model import (COLLABORATIVE, DerivedIndex, Instance, build_derived_index,
                     canon, capped_product)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
-
-NEG = -(2**62)
 
 BOUND_GUARD = 1_000_000
 
@@ -105,40 +103,26 @@ def solve_time_pd_xp(instance: Instance, guard: int = STATE_GUARD) -> SolveOutco
 # star solver
 
 
-def _knapsack_rows(items, capacity):
-    """The by-capacity 0/1 knapsack, one row per item taken in: row i holds,
-    per capacity c <= capacity, the best profit of items[:i] within weight c."""
-    row = [0] * (capacity + 1)
-    yield row
-    for w, p in items:
-        prev, row = row, row[:]
-        for c in range(capacity, w - 1, -1):
-            cand = prev[c - w] + p
-            if cand > row[c]:
-                row[c] = cand
-        yield row
-
-
-def _profile(items, capacity) -> list[int]:
-    """Best profit of the items per capacity in [0, capacity]."""
-    for row in _knapsack_rows(items, capacity):
-        pass
-    return row
+def _star_top(idx: DerivedIndex) -> int:
+    """The largest capacity the star solver keeps: min(hours[-1], total
+    rescue length), since hours past the total length cannot help.  The
+    last deficit is the total rescue length minus hours[-1]."""
+    return idx.hours[-1] + min(0, idx.deficits[-1])
 
 
 def star_cells(idx: DerivedIndex) -> int:
-    """Table cells of the star solver: the knapsack bound hours[-1] plus
-    hours[k-1] * hours[k] for each max-plus step of the class chain."""
-    hours = idx.hours
-    return hours[-1] + sum(a * b for a, b in zip(hours, hours[1:]))
+    """Table cells the star solver touches: one capacity row of top + 1
+    cells, updated once per taxon."""
+    return len(idx.order) * (_star_top(idx) + 1)
 
 
 def solve_star(instance: Instance) -> SolveOutcome:
     """Pseudo-polynomial collaborative solver for star trees.
 
-    Per-class knapsacks chained by max-plus convolution over capacity; the
-    running capacity after class k is clamped to that class's hours, which
-    is exactly the prefix feasibility condition.
+    One by-capacity 0/1 knapsack over the taxa in deadline order: row[c] is
+    the best diversity of a set whose total length is at most c.  A taxon of
+    class k only updates the capacities up to hours[k], which is exactly the
+    prefix feasibility condition.
     """
     tree = instance.tree
     if not tree.is_star():
@@ -148,66 +132,30 @@ def solve_star(instance: Instance) -> SolveOutcome:
     out = trivial_outcome(idx, "star")
     if out is not None:
         return out
-    cells = star_cells(idx)
-    if cells > BOUND_GUARD:
-        raise BoundTooLarge(f"{cells} star table cells exceed the guard {BOUND_GUARD}")
-    class_items = [[(instance.length(x), tree.weight[x]) for x in members]
-                   for members in idx.classes]
-    profiles = [_profile(items, idx.hours[k]) for k, items in enumerate(class_items)]
-    nc = idx.n_classes
-    tables = [[profiles[0][c] for c in range(idx.hours[0] + 1)]]
-    for k in range(1, nc):
-        prev = tables[k - 1]
-        nxt = []
-        for c in range(idx.hours[k] + 1):
-            best = NEG
-            for c1 in range(min(c, idx.hours[k - 1]) + 1):
-                cand = prev[c1] + profiles[k][c - c1]
-                if cand > best:
-                    best = cand
-            nxt.append(best)
-        tables.append(nxt)
-    value = max(tables[-1])
+    size = star_cells(idx)
+    if size > BOUND_GUARD:
+        raise BoundTooLarge(f"{size} star table cells exceed the guard {BOUND_GUARD}")
+    top = _star_top(idx)
+    row = [0] * (top + 1)
+    improved = []
+    for x in idx.order:
+        ell, w = instance.length(x), tree.weight[x]
+        cells = set()
+        for c in range(min(idx.hours[idx.class_of[x]], top), ell - 1, -1):
+            cand = row[c - ell] + w
+            if cand > row[c]:
+                row[c] = cand
+                cells.add(c)
+        improved.append(cells)
+    value = max(row)
     if value < instance.target:
-        return SolveOutcome(False, "star", value=max(0, value))
-    saved = _star_witness(instance, idx, class_items, profiles, tables)
-    return checked_yes(idx, "star", saved, build_collaborative_schedule(idx, saved))
-
-
-def _star_witness(instance, idx, class_items, profiles, tables):
-    """Split capacity across classes, then recover each class's subset."""
-    nc = idx.n_classes
-    c = max(range(len(tables[-1])), key=lambda i: tables[-1][i])
-    budgets = [0] * nc
-    for k in range(nc - 1, 0, -1):
-        goal = tables[k][c]
-        for c1 in range(min(c, idx.hours[k - 1]) + 1):
-            if tables[k - 1][c1] > NEG and \
-                    tables[k - 1][c1] + profiles[k][c - c1] == goal:
-                budgets[k] = c - c1
-                c = c1
-                break
-        else:  # pragma: no cover
-            raise RescuePDError("star capacity backtrack failed")
-    budgets[0] = c
+        return SolveOutcome(False, "star", value=value)
+    # read back: the last taxon that improved cell c joins, and c loses its length
+    c = row.index(value)
     saved = []
-    for k, members in enumerate(idx.classes):
-        goal = profiles[k][budgets[k]]
-        saved.extend(_knapsack_subset(class_items[k], members, budgets[k], goal))
-    return canon(saved)
-
-
-def _knapsack_subset(items, labels, capacity, goal):
-    """Recover one subset achieving the goal profit within the capacity."""
-    rows = list(_knapsack_rows(items, capacity))
-    chosen = []
-    c = capacity
-    for i in range(len(items) - 1, -1, -1):
-        w, p = items[i]
-        if rows[i + 1][c] != rows[i][c]:
-            chosen.append(labels[i])
-            c -= w
-    picked = rows[-1][capacity]
-    if picked != goal:  # pragma: no cover
-        raise RescuePDError("knapsack subset recovery mismatch")
-    return chosen
+    for x, cells in zip(reversed(idx.order), reversed(improved)):
+        if c in cells:
+            saved.append(x)
+            c -= instance.length(x)
+    saved = canon(saved)
+    return checked_yes(idx, "star", saved, build_collaborative_schedule(idx, saved))

@@ -25,9 +25,9 @@ list a vertex's leaves, every (team, slot) pair and a deadline prefix.
 library's cover product; ``cover_product_ranked`` runs one row through the
 ranked subset convolution the library uses above 256 masks.  ``printed_rule_decision`` is the strict colored
 decision under the capacity rule as the paper prints it, kept for the
-erratum tests.  ``knapsack_kernel`` is the star solver's first knapsack,
-in three indexings (by capacity, by profit, by tolerated profit loss) that
-must induce the same profiles.
+erratum tests.  ``knapsack_kernel`` is the star solver's knapsack for one
+deadline class, in three indexings (by capacity, by profit, by tolerated
+profit loss) that must induce the same profiles.
 """
 
 import bisect
@@ -54,7 +54,9 @@ from rescuepd.model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
                             PhyloTree, TeamWindow, build_derived_index, canon,
                             pd_of_subset)
 from rescuepd.outcome import SolveOutcome, trivial_outcome
-from rescuepd.structured import BOUND_GUARD, NEG, count_matrices
+from rescuepd.structured import BOUND_GUARD, count_matrices
+
+NEG = -(2**62)
 
 
 def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
@@ -160,7 +162,7 @@ def availability(instance: Instance) -> tuple[tuple[int, int], ...]:
 
 def prefix(idx: DerivedIndex, k: int) -> tuple[str, ...]:
     """Taxa whose deadline is at most the k-th distinct extinction time."""
-    return idx.order[: sum(len(members) for members in idx.classes[: k + 1])]
+    return tuple(x for x in idx.order if idx.class_of[x] <= k)
 
 
 def collaborative_schedule_from_pairs(idx, taxa_set):

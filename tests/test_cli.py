@@ -120,6 +120,39 @@ def test_bench_subcommand(tmp_path, capsys):
     assert len(lines) > 10
 
 
+TINY = {"count": 1, "n": 4, "n_teams": 1, "max_ex": 4, "max_len": 3,
+        "max_weight": 2}
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", {}],
+    ["bench", []],
+    ["bench", {"families": [{k: v for k, v in TINY.items() if k != "count"}]}],
+    ["bench", {"families": [dict(TINY, depth=3)]}],
+    ["bench", {"families": [dict(TINY, n="6")]}],
+    ["bench", {"families": [dict(TINY, count=True)]}],
+    ["bench", {"families": [TINY], "delta": "x"}],
+    ["bench", {"families": [TINY], "seed": "x"}],
+    ["gen", "--kind", "subset-sum", "--k", "1", "--goal", "3"],
+    ["gen", "--kind", "subset-sum", "--values", "1,2", "--goal", "3"],
+    ["gen", "--kind", "subset-sum", "--values", "1,2", "--k", "1"],
+    ["gen", "--kind", "subset-sum", "--values", "1,x", "--k", "1", "--goal", "3"],
+], ids=["sweep-empty-object", "sweep-list", "family-without-count",
+        "unknown-generator-key", "n-as-string", "count-as-bool",
+        "delta-as-string", "seed-as-string", "no-values", "no-k", "no-goal",
+        "values-not-integers"])
+def test_bad_cli_input_is_a_clean_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command[0] == "bench":
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(command[1]))
+        command = ["bench", "--sweep", str(sweep)]
+    assert main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_auto_order_prefers_star(prop5_instance):
     algs = applicable_algorithms(prop5_instance)
     assert algs[0] == "star"
@@ -213,8 +246,11 @@ def shared_slot_schedule(**changes):
     shared_slot_schedule(mode="weird"),
     shared_slot_schedule(assignments=[{"team": 0, "slot": 1, "taxon": "z"}]),
     shared_slot_schedule(saved=["a", "z"]),
+    shared_slot_schedule(assignments=[{"team": 0, "slot": 1, "taxon": "a"},
+                                      {"team": 0, "slot": 1, "taxon": "b"}]),
 ], ids=["no-assignments", "no-slot", "pd-not-integer", "top-level-list",
-        "unknown-mode", "unknown-taxon-assigned", "unknown-taxon-saved"])
+        "unknown-mode", "unknown-taxon-assigned", "unknown-taxon-saved",
+        "slot-booked-twice"])
 def test_malformed_schedule_is_a_clean_error(tmp_path, capsys, schedule):
     instance = tmp_path / "inst.json"
     save_instance(split_rescue("collaborative"), instance)

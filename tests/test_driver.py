@@ -12,7 +12,7 @@ from rescuepd import budget_dp, color_loss, color_target, structured
 from rescuepd.driver import (ADMISSION, applicable_algorithms, run_algorithm,
                              run_bench_instance, solve_auto)
 from rescuepd.errors import BoundTooLarge, RescuePDError
-from rescuepd.model import COLLABORATIVE, STRICT
+from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT
 
 from conftest import split_rescue
 
@@ -87,35 +87,54 @@ def test_team_count_budgets_skip_idle_slots():
     assert len(dp.root_budget()) == 12
 
 
+def long_star(top):
+    """Two taxa of length top, both due at slot top, one team (0, top): the
+    star solver keeps capacities 0 .. top for each taxon."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(top, top), "b": TaxonInfo(top, top)}
+    return Instance(tree, taxa, (TeamWindow(0, top),), target=1)
+
+
 def test_star_over_its_bound_is_left_out():
-    instance = two_leaf_star(structured.BOUND_GUARD + 100_000)
-    algorithms = applicable_algorithms(instance)
+    # n * (top + 1) = 2 * (top + 1) cells
+    over = long_star(structured.BOUND_GUARD // 2)
+    assert structured.star_cells(build_derived_index(over)) > structured.BOUND_GUARD
+    algorithms = applicable_algorithms(over)
     assert "star" not in algorithms
-    out = solve_auto(instance)
+    with pytest.raises(BoundTooLarge):
+        structured.solve_star(over)
+    out = solve_auto(over)
     assert out.decision and out.algorithm == algorithms[0]
-    assert "star" in applicable_algorithms(two_leaf_star(structured.BOUND_GUARD))
+    at = long_star(structured.BOUND_GUARD // 2 - 1)
+    assert structured.star_cells(build_derived_index(at)) == structured.BOUND_GUARD
+    assert applicable_algorithms(at)[0] == "star"
 
 
-def test_star_cost_counts_the_class_chain():
-    # two deadline classes of 1500 hours each: the knapsack bound is within
-    # the guard, the max-plus chain between the classes is not
+def test_star_cost_is_one_capacity_row():
+    # two deadline classes of 1500 and 3000 hours: three unit-length taxa
+    # need only capacities 0 .. 3, whatever the hours
     tree = PhyloTree.from_edges([("r", "a", 2), ("r", "b", 1), ("r", "c", 1)])
     taxa = {"a": TaxonInfo(1, 1500), "b": TaxonInfo(1, 3000),
             "c": TaxonInfo(1, 3000)}
     instance = Instance(tree, taxa, (TeamWindow(0, 3000),), target=3)
-    idx = build_derived_index(instance)
-    assert idx.hours[-1] <= structured.BOUND_GUARD < structured.star_cells(idx)
-    assert "star" not in applicable_algorithms(instance)
-    with pytest.raises(BoundTooLarge):
-        structured.solve_star(instance)
+    assert structured.star_cells(build_derived_index(instance)) == 3 * 4
+    assert applicable_algorithms(instance)[0] == "star"
     out = solve_auto(instance)
-    assert out.decision
+    assert out.diagnostics["auto"] == "star"
+    assert out.value == brute.brute_force(instance).value
     assert_matches_oracle(instance, out)
 
 
 def test_routing_cost_ignores_window_length():
-    assert applicable_algorithms(two_leaf_star(3_000_000)) == \
-        ["fpt-dbar", "fpt-d", "xp-counts", "brute"]
+    # the star's cost stops at the total rescue length; the hours DPs still
+    # see the short window of s = 2
+    stars = {s: two_leaf_star(s) for s in (2, 10**6, 3 * 10**6, MAX_HOURS)}
+    costs = {structured.star_cells(build_derived_index(inst)) for inst in stars.values()}
+    assert costs == {2 * 3}
+    routes = {s: applicable_algorithms(inst) for s, inst in stars.items()}
+    assert all(route[0] == "star" for route in routes.values())
+    assert routes[10**6] == routes[3 * 10**6] == routes[MAX_HOURS] == \
+        ["star", "fpt-dbar", "fpt-d", "xp-counts", "brute"]
 
 
 def test_team_vectors_match_the_per_slot_product():

@@ -20,7 +20,8 @@ def test_fig1_derived_index(fig1_instance):
     assert idx.ex_values == (7, 12, 18)
     assert idx.hours == (19, 39, 54)   # the printed 55 contradicts the sums
     assert idx.team_hours == ((7, 12, 17), (5, 10, 11), (4, 9, 12), (3, 8, 14))
-    assert idx.classes == (("x1", "x2"), ("x4", "x5"), ("x3", "x6"))
+    assert idx.order == ("x1", "x2", "x4", "x5", "x3", "x6")
+    assert [idx.class_of[x] for x in idx.order] == [0, 0, 1, 1, 2, 2]
     assert idx.deficits == (19 - 19, 34 - 39, 52 - 54)
 
 

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
-                      brute_force_time_pd, build_derived_index, solve_star,
-                      solve_time_pd_xp, verify_schedule)
+                      brute_force_time_pd, build_derived_index, pd_of_subset,
+                      solve_star, solve_time_pd_xp, verify_schedule)
 from rescuepd.errors import BoundTooLarge, NotAStar, StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance, reduce_subset_sum
 from rescuepd.model import MAX_HOURS
-from rescuepd.structured import _knapsack_rows, _profile
 
 from reference import KERNEL_MODES, knapsack_kernel, memo_xp, profile_from_kernel
 
@@ -59,11 +58,6 @@ def test_kernel_matches_bruteforce(items, capacity):
     assert profile == [brute_knapsack(items, c) for c in range(capacity + 1)]
     profile = profile_from_kernel(items, "by-loss", capacity)
     assert profile == [brute_knapsack(items, c) for c in range(capacity + 1)]
-    # the star solver's knapsack: row i over the first i items
-    rows = list(_knapsack_rows(items, capacity))
-    assert len(rows) == len(items) + 1
-    for i, row in enumerate(rows):
-        assert row == [brute_knapsack(items[:i], c) for c in range(capacity + 1)]
 
 
 def test_kernel_guard():
@@ -96,13 +90,53 @@ def test_star_oracle_sweep_and_mode_consistency():
         out = solve_star(inst)
         assert max(0, out.value) == oracle.value, seed
         assert out.decision == oracle.decision, seed
-        # every knapsack indexing gives each class the solver's profile
+        # every knapsack indexing gives each class the brute-force profile
         idx = build_derived_index(inst)
-        for k, members in enumerate(idx.classes):
-            items = [(inst.length(x), inst.tree.weight[x]) for x in members]
-            want = _profile(items, idx.hours[k])
+        for k in range(idx.n_classes):
+            items = [(inst.length(x), inst.tree.weight[x])
+                     for x in idx.order if idx.class_of[x] == k]
+            want = [brute_knapsack(items, c) for c in range(idx.hours[k] + 1)]
             for mode in KERNEL_MODES:
                 assert profile_from_kernel(items, mode, idx.hours[k]) == want, (seed, mode)
+
+
+_SMALL_OR_HUGE = (st.integers(0, 12), st.integers(0, MAX_HOURS))
+
+
+@st.composite
+def stars(draw):
+    """Stars of 2-8 taxa with small lengths, leaf weights up to 2^63, and
+    deadlines and team windows that are small or up to MAX_HOURS; the
+    windows' total length stays within MAX_HOURS."""
+    n = draw(st.integers(2, 8))
+    labels = [f"x{i}" for i in range(n)]
+    weights = draw(st.lists(st.integers(1, 2**63), min_size=n, max_size=n))
+    tree = PhyloTree.from_edges([("r", x, w) for x, w in zip(labels, weights)])
+    taxa = {x: TaxonInfo(draw(st.integers(1, 6)),
+                         max(1, draw(st.one_of(*_SMALL_OR_HUGE))))
+            for x in labels}
+    teams, room = [], MAX_HOURS
+    for _ in range(draw(st.integers(1, 3))):
+        span = draw(st.one_of(st.integers(1, 12), st.integers(1, room)))
+        span = min(span, room)
+        start = min(draw(st.one_of(*_SMALL_OR_HUGE)), MAX_HOURS - span)
+        teams.append(TeamWindow(start, start + span))
+        room -= span
+        if room == 0:
+            break
+    target = draw(st.integers(1, sum(weights)))
+    return Instance(tree, taxa, tuple(teams), target)
+
+
+@given(stars())
+@settings(max_examples=300, deadline=None)
+def test_star_matches_the_oracle_at_any_scale(inst):
+    oracle = brute_force_time_pd(inst)
+    out = solve_star(inst)
+    assert (out.decision, out.value) == (oracle.decision, oracle.value)
+    if out.decision:
+        assert verify_schedule(inst, out.schedule).ok
+        assert pd_of_subset(inst.tree, out.saved) >= inst.target
 
 
 def test_star_rejects_non_star_and_strict():
@@ -115,7 +149,7 @@ def test_star_rejects_non_star_and_strict():
 
 
 def test_combine_associativity():
-    # regrouping the max-plus chaining of class profiles changes nothing
+    # regrouping a max-plus convolution over capacity changes nothing
     def combine(a, b, cap):
         return [max(a[c1] + b[c - c1] for c1 in range(min(c, len(a) - 1) + 1)
                     if c - c1 < len(b))
