@@ -121,12 +121,21 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
-# the JSON types of a sweep family's keys other than its name; all but
-# count and seed0 are passed to gen_random_instance
+# the JSON types of a sweep spec's keys, and of a family's keys other than
+# its name; all family keys but count and seed0 go to gen_random_instance
+_SPEC_KEYS = {"families": list, "delta": (int, float), "seed": int}
 _FAMILY_KEYS = {"count": int, "seed0": int, "n": int, "n_teams": int,
                 "max_ex": int, "max_len": int, "max_weight": int,
                 "min_weight": int, "target": int, "savable_frac": (int, float),
                 "tree_shape": str, "mode": str}
+
+
+def _check_keys(what: str, params: dict, types: dict) -> None:
+    for key, value in params.items():
+        if key not in types:
+            raise BadParams(f"{what} has an unknown key {key!r}")
+        if not isinstance(value, types[key]) or isinstance(value, bool):
+            raise BadParams(f"{what} has {key!r} = {value!r} of the wrong type")
 
 
 def _sweep_items(spec) -> list:
@@ -135,16 +144,13 @@ def _sweep_items(spec) -> list:
     families = spec.get("families") if isinstance(spec, dict) else None
     if not isinstance(families, list):
         raise BadParams("a sweep spec must be a JSON object with a list 'families'")
+    _check_keys("the sweep spec", spec, _SPEC_KEYS)
     items = []
     for n, family in enumerate(families):
         if not isinstance(family, dict) or "count" not in family:
             raise BadParams(f"family {n} must be a JSON object with a 'count'")
         params = {k: v for k, v in family.items() if k != "name"}
-        for key, value in params.items():
-            if key not in _FAMILY_KEYS:
-                raise BadParams(f"family {n} has an unknown key {key!r}")
-            if not isinstance(value, _FAMILY_KEYS[key]) or isinstance(value, bool):
-                raise BadParams(f"family {n} has {key!r} = {value!r} of the wrong type")
+        _check_keys(f"family {n}", params, _FAMILY_KEYS)
         count, seed0 = params.pop("count"), params.pop("seed0", 0)
         for i in range(count):
             instance = gen_random_instance(seed=seed0 + i, **params)

@@ -20,6 +20,15 @@ uses at most 2 * loss color slots, so a trial succeeds with probability at
 least e^(-2*loss) and ceil(e^(2*loss) * ln(1/delta)) trials bound the
 false-no rate by delta.  Yes answers are re-verified before return.
 
+Trial 1 runs the table in plain Python (``_LossDP``), which keeps cheap
+yes-instances cheap.  Later trials come in blocks of 4, 16, 64 and 256
+colorings, and ``_LossBatch`` decides a block in numpy, one popcount layer
+of path-color sets at a time for every trial at once.  The lowest trial
+that succeeds runs the plain table again, whose backtrack gives the
+witness, so the outcome is the one a trial-by-trial loop gives.  The batch
+keeps cells in int64; once the rescue lengths sum to 2^62 or more, every
+trial runs the plain table on Python ints.
+
 The dynamic program requires a binary tree, which makes the sibling edge of
 an anchor unique.
 """
@@ -30,8 +39,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .color_target import (INF, checked_seed, trial_blocks, trial_count,
-                           trial_draws)
+import numpy as np
+
+from .color_target import (BATCH_CELLS, INF, checked_seed, trial_blocks,
+                           trial_count, trial_draws)
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
@@ -312,6 +323,198 @@ def _masks_of_popcount(bits, pc):
         yield m
 
 
+def _color_positions(tree: PhyloTree, loss: int):
+    """Where each edge's colors sit in a trial's draws, and the draw width.
+
+    The edges within the loss come first, then the heavier ones: edge j
+    takes its key color at position j + 1.  After those, each edge within
+    the loss takes its w - 1 extra colors in turn.  Returns a dict from edge
+    to its positions, key position first, and the last position used."""
+    small = [e for e in tree.edge_order if tree.weight[e] <= loss]
+    ordered = small + [e for e in tree.edge_order if tree.weight[e] > loss]
+    positions = {e: [j + 1] for j, e in enumerate(ordered)}
+    pos = len(ordered)
+    for e in small:
+        positions[e] += range(pos + 1, pos + tree.weight[e])
+        pos += tree.weight[e] - 1
+    return positions, pos
+
+
+def _row_coloring(tree: PhyloTree, loss: int, positions: dict, f) -> LossColoring:
+    """The coloring of one trial from its draws f (a list)."""
+    key = {e: f[ps[0]] for e, ps in positions.items()}
+    extras = {}
+    for e, ps in positions.items():
+        if tree.weight[e] <= loss:
+            mask = 0
+            for p in ps[1:]:
+                mask |= 1 << (f[p] - 1)
+            extras[e] = mask
+    return make_loss_coloring(tree, loss, key, extras)
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """The cells whose path-color set c1 has one popcount p: ``cells[l, s]``
+    numbers (c1_l, c2_ls) for the subsets c2_ls of c1_l's complement.
+    ``tuples[m, j]`` is the m-th anchored tuple whose path weighs at most p
+    in the j-th class that has one, or the padding tuple, which is never a
+    candidate; ``slot[q]`` is the j of class q, or -1."""
+
+    not_c1: np.ndarray    # (c1, 1): ~c1
+    c2: np.ndarray        # (c1, c2)
+    cells: np.ndarray     # (c1, c2)
+    tuples: np.ndarray    # (member, class)
+    slot: tuple
+
+
+class _LossBatch:
+    """The table of ``_LossDP`` for a block of colorings at once.
+
+    Per trial, an anchored tuple is a candidate when its path is within the
+    loss and its path draws are pairwise distinct: then every path edge is
+    eligible and its colors are unique.  A candidate counts in a cell when
+    its path colors lie in c1 and its sibling key color in c2; as c1 and c2
+    are disjoint, that also keeps the key color off the path.
+
+    The cell (c1, c2) is numbered T3(c1) + 2 T3(c2), where T3 reads a color
+    set as a base-3 number with one digit per color, so every disjoint pair
+    has its own number below 3^(2 loss).  T3 adds over disjoint sets, so a
+    candidate's child (c1 - pmask, c2 + pmask - kbit) lies T3(pmask) -
+    2 T3(kbit) cells from its parent, for every (c1, c2) it counts in.  A
+    child has a smaller c1 popcount, so the table is filled one popcount
+    layer at a time for every (trial, c1, c2) at once.
+
+    Within a cell, every candidate of class c reaches the same child class,
+    so its best value M_c is a max over the class.  The scalar rule keeps a
+    class c < q value v when v meets every deficit of classes c .. q - 1;
+    the best kept value at q therefore is best[q] = max(M_q, best[q - 1] if
+    best[q - 1] >= deficit[q - 1]).  A pass decides as many trials as keep
+    their tables, and the gathered (tuple, c1, c2) children of a layer,
+    within BATCH_CELLS cells.  Cells are int64, which holds every sum of
+    rescue lengths below 2^62.  An unreached cell holds MINF, and a sum read
+    from it adds the lengths of distinct taxa due by some class c: it stays
+    below need_c - MAX_HOURS, the least deficit of the classes from c on,
+    so such sums decide nothing.
+    """
+
+    def __init__(self, idx: DerivedIndex, loss: int, plan: LossPlan,
+                 positions: dict):
+        tree = idx.instance.tree
+        bits = 2 * loss
+        self.nc = nc = idx.n_classes
+        self.deficits = idx.deficits
+        # (class, length, path weight, path draw positions, sibling key position)
+        within = []
+        for x, _, e, path in plan.tuples:
+            if sum(tree.weight[edge] for edge in path) <= loss:
+                draws = [p for edge in path for p in positions[edge]]
+                within.append((idx.class_of[x], idx.instance.length(x),
+                               len(draws), draws, positions[e][0]))
+        # the padding tuple: two draws at the unused position 0 give one
+        # color for a weight above the loss, so it is never a candidate
+        pad = len(within)
+        within.append((0, 0, bits + 1, [0, 0], 0))
+        self.cls, self.ell, self.weight = (
+            np.array(column, dtype=np.int64) for column in list(zip(*within))[:3])
+        self.path_draws = np.array([p for t in within for p in t[3]])
+        self.path_starts = np.cumsum([0] + [len(t[3]) for t in within[:-1]])
+        self.sibling_draw = np.array([t[4] for t in within])
+        self.pow3 = np.array([0] + [3**i for i in range(bits)], dtype=np.int64)
+        self.too_wide = 1 << bits  # in no c1: marks a non-candidate
+        self.n_cells = 3**bits
+        self.base, ok = [], True
+        for q in range(nc):
+            ok = ok and (q == 0 or self.deficits[q - 1] <= 0)
+            self.base.append(0 if ok else MINF)
+        subsets = np.arange(1 << bits)
+        self.base_cells = 2 * self._t3(subsets)
+        self.layers = []
+        gather = 0
+        for p in range(1, loss + 1):
+            c1 = np.array(list(_masks_of_popcount(bits, p)), dtype=np.int64)
+            comp = np.array([[b for b in range(bits) if not m >> b & 1]
+                             for m in c1.tolist()], dtype=np.int64)
+            s = np.arange(1 << (bits - p))
+            c2 = np.zeros((len(c1), len(s)), dtype=np.int64)
+            for i in range(bits - p):  # subset s of the complement, bit by bit
+                c2 |= (s >> i & 1) << comp[:, i, None]
+            members = {}
+            for t in np.flatnonzero(self.weight <= p).tolist():
+                members.setdefault(within[t][0], []).append(t)
+            tuples = np.full((max(map(len, members.values()), default=1),
+                              max(1, len(members))), pad)
+            for j, ts in enumerate(members.values()):
+                tuples[:len(ts), j] = ts
+            slot = tuple(list(members).index(q) if q in members else -1
+                         for q in range(nc))
+            self.layers.append(_Layer(~c1[:, None], c2,
+                                      self._t3(c1)[:, None] + 2 * self._t3(c2),
+                                      tuples, slot))
+            gather = max(gather, c2.size * tuples.size)
+        self.rows = max(1, BATCH_CELLS // max(gather, self.n_cells * nc))
+
+    def _t3(self, masks: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(masks)
+        for b, p3 in enumerate(self.pow3[1:].tolist()):
+            out += (masks >> b & 1) * p3
+        return out
+
+    def decide(self, draws: np.ndarray) -> np.ndarray:
+        """Colored decision of every trial whose draws are a row of draws."""
+        bits = np.left_shift(1, draws - 1)
+        pmask = np.bitwise_or.reduceat(bits[:, self.path_draws], self.path_starts,
+                                       axis=1)
+        kbit = bits[:, self.sibling_draw]
+        pmask[np.bitwise_count(pmask) != self.weight] = self.too_wide
+        pow3 = self.pow3[draws]
+        shift = (np.add.reduceat(pow3[:, self.path_draws], self.path_starts, axis=1)
+                 - 2 * pow3[:, self.sibling_draw]) * self.nc + self.cls
+        return np.concatenate([
+            self._decide_rows(pmask[lo:lo + self.rows], kbit[lo:lo + self.rows],
+                              shift[lo:lo + self.rows])
+            for lo in range(0, len(draws), self.rows)])
+
+    def _decide_rows(self, pmask, kbit, shift):
+        n, nc, d = len(pmask), self.nc, self.deficits
+        last = nc - 1
+        table = np.empty((n, self.n_cells, nc), dtype=np.int64)
+        table[:, self.base_cells] = self.base
+        flat = table.reshape(-1)
+        # child index of each (trial, tuple), less its parent's cell number
+        at = np.arange(n)[:, None] * (self.n_cells * nc) + shift
+        # as accept(): some cell of the last class meets the last deficit
+        found = np.full(n, self.base[last] >= d[last])
+        for layer in self.layers:
+            # axes (member, trial, c1, class, c2)
+            sel = layer.tuples
+            fits = pmask[:, sel].transpose(1, 0, 2)[:, :, None] & layer.not_c1 == 0
+            kb = kbit[:, sel].transpose(1, 0, 2)[:, :, None, :, None]
+            # a tuple that does not fit may point outside the table; ok drops it
+            child = flat.take(at[:, sel].transpose(1, 0, 2)[:, :, None, :, None]
+                              + nc * layer.cells[:, None], mode="clip")
+            ok = kb & layer.c2[:, None] != 0
+            ok &= fits[..., None]
+            child += self.ell[sel][:, None, None, :, None]
+            by_class = np.where(ok, child, MINF).max(axis=0)
+            keys = np.bitwise_or.reduce(np.where(fits, kb[..., 0], 0), axis=0)
+            # ground: the key bits of the candidates of classes <= q; a c2
+            # that holds none of them is a base cell
+            best, ground = MINF, 0
+            for q in range(nc):
+                if q:
+                    best = np.where(best >= d[q - 1], best, MINF)
+                k = layer.slot[q]
+                if k >= 0:
+                    best = np.maximum(by_class[:, :, k], best)
+                    ground = ground | keys[:, :, k, None]
+                cell = np.where(layer.c2 & ground == 0, self.base[q], best)
+                table[:, layer.cells, q] = cell
+                if q == last:
+                    found |= (cell >= d[last]).any(axis=(-2, -1))
+        return found
+
+
 def loss_dp_solve(instance: Instance, coloring: LossColoring, loss: int,
                   idx: DerivedIndex = None, plan: LossPlan = None):
     """Colored decision: (found, anchored set or None, table entry count).
@@ -338,7 +541,8 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     One-sided like the target solver: yes answers ship verified witnesses,
     a no is wrong with probability at most delta.  Loss budget zero needs
     no colors: saving everything either works or nothing does.  Colorings
-    are drawn for blocks of 1, 4, 16, ... trials and decided in trial order.
+    are drawn for blocks of 1, 4, 16, ... trials; the reported trial is the
+    lowest that succeeds.
     """
     seed = checked_seed(seed, delta)
     check_mode(instance, COLLABORATIVE, "fpt-dbar")
@@ -361,34 +565,29 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     if loss > LOSS_LIMIT:
         raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
     tree = instance.tree
-    small = [e for e in tree.edge_order if tree.weight[e] <= loss]
-    big = [e for e in tree.edge_order if tree.weight[e] > loss]
-    ordered = small + big
-    n_edges = len(ordered)
-    width = n_edges + sum(tree.weight[e] - 1 for e in small)
+    positions, width = _color_positions(tree, loss)
     n_trials = trial_count(2 * loss, delta)
     plan = loss_plan(tree, loss)
-    entries = None
+    batch = None
+    batched = sum(instance.length(x) for x in tree.taxa) < 2**62  # int64 cells
+    entries = loss_table_entry_count(loss, idx.n_classes)
     for first, count in trial_blocks(n_trials, DRAW_ROWS):
-        block = trial_draws(seed, first, count, 2 * loss, width).tolist()
-        for trial, f in enumerate(block, first):
-            key = {e: f[j + 1] for j, e in enumerate(ordered)}
-            extras = {}
-            pos = n_edges
-            for e in small:
-                mask = 0
-                for _ in range(tree.weight[e] - 1):
-                    pos += 1
-                    mask |= 1 << (f[pos] - 1)
-                extras[e] = mask
-            coloring = make_loss_coloring(tree, loss, key, extras)
+        draws = trial_draws(seed, first, count, 2 * loss, width)
+        if first == 1 or not batched:
+            hits = range(count)
+        else:
+            batch = batch or _LossBatch(idx, loss, plan, positions)
+            hits = np.flatnonzero(batch.decide(draws)).tolist()
+        for h in hits:
+            # the plain table decides the rows no batch did, and gives the witness
+            coloring = _row_coloring(tree, loss, positions, draws[h].tolist())
             found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
             if found:
                 sacrificed = {x for x, _, _ in anchored}
                 saved = canon(set(tree.taxa) - sacrificed)
                 return checked_yes(idx, "fpt-dbar", saved,
                                    build_collaborative_schedule(idx, saved),
-                                   trials=trial, seed=seed,
+                                   trials=first + h, seed=seed,
                                    diagnostics={"planned_trials": n_trials,
                                                 "table_entries": entries})
     return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,

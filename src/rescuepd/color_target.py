@@ -31,9 +31,10 @@ installed numpy.
 
 The solver decides trial 1 with the one-coloring kernel
 (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
-cheap yes-instances cheap, and the later trials in batches of 4, 16, 64,
-... colorings per numpy pass, up to 2^14 table cells; a batch runs the
-same recurrence in numpy over (trials x color sets).  The reported trial
+cheap yes-instances cheap, and the later trials in blocks of 4, 16, 64,
+... colorings, at least 16 from there on, decided up to 2^14 table cells
+per numpy pass; a pass runs the same recurrence in numpy over (trials x
+color sets).  The reported trial
 is the lowest successful index.  The kernel re-runs that coloring and
 reads the witness back from the cells each taxon improved, so the outcome
 is the one a trial-by-trial loop gives.
@@ -354,7 +355,13 @@ class _TrialPlan:
         self.n_colors = n_colors
 
     def decide(self, draws: np.ndarray) -> np.ndarray:
-        """Colored decision of every trial whose draws are a row of draws."""
+        """Colored decision of every trial whose draws are a row of draws,
+        BATCH_CELLS table cells per numpy pass."""
+        rows = max(1, BATCH_CELLS >> self.n_colors)
+        return np.concatenate([self._decide_rows(draws[lo:lo + rows])
+                               for lo in range(0, len(draws), rows)])
+
+    def _decide_rows(self, draws: np.ndarray) -> np.ndarray:
         bits = np.left_shift(1, draws[:, 1:] - 1)
         edge_masks = np.bitwise_or.reduceat(bits, self.edge_starts, axis=1)
         masks = np.bitwise_or.reduceat(edge_masks[:, self.path_edges],
@@ -428,7 +435,8 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
     plan = None
-    for first, count in trial_blocks(n_trials, max(1, BATCH_CELLS >> k)):
+    # blocks of 16 rows or more take the block draw at any target
+    for first, count in trial_blocks(n_trials, max(_BLOCK_ROWS, BATCH_CELLS >> k)):
         draws = trial_draws(seed, first, count, k, width)
         if first == 1:
             hits = [0]

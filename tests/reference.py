@@ -4,7 +4,9 @@
 coloring per trial with the one-coloring kernel, in trial order, and stops
 at the first success.  The library's batched loop must return the same
 outcome, field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
-with one generator per trial, the oracle of the loss solver's block draws.
+with one generator and one plain-Python table per trial, the oracle of the
+loss solver's block draws and batched tables; ``loss_coloring_from_draws``
+reads one trial's coloring from its draws.
 ``collaborative_schedule_from_pairs`` builds the greedy collaborative
 schedule from the full list of (team, slot) pairs, which the library now
 merges lazily from the team windows.
@@ -88,6 +90,33 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
                         diagnostics={"planned_trials": n_trials, "delta": delta})
 
 
+def loss_draw_width(tree, loss):
+    """Draw positions of one fpt-dbar trial after the unused position 0: a
+    key color per edge, and w - 1 extra colors per edge of weight w within
+    the loss."""
+    return sum(tree.weight[e] if tree.weight[e] <= loss else 1
+               for e in tree.edge_order)
+
+
+def loss_coloring_from_draws(tree, loss, f):
+    """The fpt-dbar coloring of one trial's draws f: key colors of the edges
+    within the loss, then of the heavier ones, then the extras of the edges
+    within the loss, each in canonical edge order."""
+    small = [e for e in tree.edge_order if tree.weight[e] <= loss]
+    big = [e for e in tree.edge_order if tree.weight[e] > loss]
+    ordered = small + big
+    key = {e: int(f[j + 1]) for j, e in enumerate(ordered)}
+    extras = {}
+    pos = len(ordered)
+    for e in small:
+        mask = 0
+        for _ in range(tree.weight[e] - 1):
+            pos += 1
+            mask |= 1 << (int(f[pos]) - 1)
+        extras[e] = mask
+    return make_loss_coloring(tree, loss, key, extras)
+
+
 def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
     """fpt-dbar with one ``_trial_rng`` generator per trial, drawn and
     decided in trial order, as solve_time_pd_by_loss decides its blocks."""
@@ -109,25 +138,13 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
     if loss > LOSS_LIMIT:
         raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
     tree = instance.tree
-    small = [e for e in tree.edge_order if tree.weight[e] <= loss]
-    big = [e for e in tree.edge_order if tree.weight[e] > loss]
-    ordered = small + big
-    width = len(ordered) + sum(tree.weight[e] - 1 for e in small)
+    width = loss_draw_width(tree, loss)
     n_trials = trial_count(2 * loss, delta)
     plan = loss_plan(tree, loss)
     entries = None
     for trial in range(1, n_trials + 1):
         f = _trial_rng(seed, trial).integers(1, 2 * loss + 1, size=width + 1)
-        key = {e: int(f[j + 1]) for j, e in enumerate(ordered)}
-        extras = {}
-        pos = len(ordered)
-        for e in small:
-            mask = 0
-            for _ in range(tree.weight[e] - 1):
-                pos += 1
-                mask |= 1 << (int(f[pos]) - 1)
-            extras[e] = mask
-        coloring = make_loss_coloring(tree, loss, key, extras)
+        coloring = loss_coloring_from_draws(tree, loss, f)
         found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
         if found:
             sacrificed = {x for x, _, _ in anchored}

@@ -133,14 +133,15 @@ TINY = {"count": 1, "n": 4, "n_teams": 1, "max_ex": 4, "max_len": 3,
     ["bench", {"families": [dict(TINY, count=True)]}],
     ["bench", {"families": [TINY], "delta": "x"}],
     ["bench", {"families": [TINY], "seed": "x"}],
+    ["bench", {"families": [TINY], "dleta": 0.5}],
     ["gen", "--kind", "subset-sum", "--k", "1", "--goal", "3"],
     ["gen", "--kind", "subset-sum", "--values", "1,2", "--goal", "3"],
     ["gen", "--kind", "subset-sum", "--values", "1,2", "--k", "1"],
     ["gen", "--kind", "subset-sum", "--values", "1,x", "--k", "1", "--goal", "3"],
 ], ids=["sweep-empty-object", "sweep-list", "family-without-count",
         "unknown-generator-key", "n-as-string", "count-as-bool",
-        "delta-as-string", "seed-as-string", "no-values", "no-k", "no-goal",
-        "values-not-integers"])
+        "delta-as-string", "seed-as-string", "unknown-spec-key", "no-values",
+        "no-k", "no-goal", "values-not-integers"])
 def test_bad_cli_input_is_a_clean_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     if command[0] == "bench":

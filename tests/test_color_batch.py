@@ -19,6 +19,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       build_derived_index, color_edges_from_hash,
                       solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
+from rescuepd import color_target
 from rescuepd.color_target import _TrialPlan, _trial_rng, trial_draws
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
@@ -168,3 +169,25 @@ def test_outcomes_equal_the_trial_by_trial_loop():
         full_runs += not got.decision and got.trials == planned
         later_hits += got.decision and got.trials > 1
     assert full_runs >= 20 and later_hits >= 20, (full_runs, later_hits)
+
+
+def test_wide_targets_take_the_block_draw(monkeypatch):
+    """At target 11 a pass decides 8 trials, yet the blocks still draw 16
+    rows at once; the reported trials equal the trial-by-trial loop's."""
+    counts = []
+    draw = color_target.trial_draws
+    monkeypatch.setattr(color_target, "trial_draws",
+                        lambda *args: counts.append(args[2]) or draw(*args))
+    tree = PhyloTree.from_edges([("r", "u", 1), ("r", "v", 1), ("u", "a", 3),
+                                 ("u", "b", 3), ("v", "c", 3), ("v", "d", 3),
+                                 ("v", "e", 3)])
+    taxa = {x: TaxonInfo(1, 5) for x in tree.taxa}
+    inst = Instance(tree, taxa, (TeamWindow(0, 5),), 11)
+    assert color_target.BATCH_CELLS >> 11 == 8
+    trials = []
+    for seed in range(4):
+        got = solve_time_pd_by_target(inst, 1e-3, seed)
+        assert got.decision
+        assert got == solve_by_target_trial_by_trial(inst, 1e-3, seed)
+        trials.append(got.trials)
+    assert max(counts) == 16 and max(trials) > 22, (counts, trials)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_time_pd, build_derived_index,
@@ -8,7 +10,9 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       loss_table_entry_count, make_loss_coloring,
                       pd_of_subset, solve_time_pd_by_loss,
                       solve_time_pd_by_target, trial_count, verify_schedule)
-from rescuepd.color_loss import candidate_tuples
+from rescuepd.color_loss import (_color_positions, _LossBatch, candidate_tuples,
+                                 loss_plan)
+from rescuepd.color_target import trial_draws
 from rescuepd.driver import solve_auto
 from rescuepd.errors import LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
@@ -19,7 +23,8 @@ from conftest import color_mask
 from lemmas import (anchored_set_for_sacrifice, check_color_respectful,
                     find_valid_ordering, injective_coloring, is_good,
                     is_q_grounding, path_between)
-from reference import offspring, prefix, solve_by_loss_trial_by_trial
+from reference import (loss_coloring_from_draws, loss_draw_width, offspring,
+                       prefix, solve_by_loss_trial_by_trial)
 
 
 def deadline_of(instance):
@@ -289,3 +294,71 @@ def test_deficit_near_the_hours_bound():
         assert out.algorithm == "fpt-dbar"
         assert out.decision and out.value == 3 and out.saved == ("b", "c")
         assert verify_schedule(inst, out.schedule).ok
+
+
+# first trials of the solver's blocks of 4, 16, 64 and 256 colorings
+BLOCK_STARTS = (2, 6, 22, 86, 342)
+
+
+def batch_for(instance, loss):
+    positions, _ = _color_positions(instance.tree, loss)
+    return _LossBatch(build_derived_index(instance), loss,
+                      loss_plan(instance.tree, loss), positions)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_batched_decisions_match_the_scalar_table(data):
+    loss = data.draw(st.integers(1, 3), label="loss")
+    n_classes = data.draw(st.integers(1, 6), label="classes")
+    base = gen_random_instance(
+        n=data.draw(st.integers(2, 7), label="n"),
+        n_teams=data.draw(st.integers(1, 2), label="teams"), max_ex=2 * n_classes,
+        max_len=3, max_weight=3,
+        tree_shape=data.draw(st.sampled_from(("caterpillar", "random-binary")),
+                             label="shape"),
+        seed=data.draw(st.integers(0, 10**6), label="instance"))
+    deadline = st.sampled_from([2 * c for c in range(1, n_classes + 1)])
+    taxa = {x: TaxonInfo(base.length(x), data.draw(deadline, label="deadline"))
+            for x in base.tree.taxa}
+    # the table reads the loss only as its palette of 2 * loss colors
+    inst = Instance(base.tree, taxa, base.teams,
+                    max(0, base.tree.total_weight() - loss))
+    start = data.draw(st.sampled_from(BLOCK_STARTS), label="block start")
+    first = data.draw(st.integers(max(2, start - 8), start), label="first")
+    count = data.draw(st.integers(1, 24), label="count")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    draws = trial_draws(seed, first, count, 2 * loss, loss_draw_width(inst.tree, loss))
+    got = batch_for(inst, loss).decide(draws).tolist()
+    want = [loss_dp_solve(inst, loss_coloring_from_draws(inst.tree, loss, row), loss)[0]
+            for row in draws]
+    assert got == want
+
+
+@pytest.mark.parametrize("length, batched", [(2**60 - 1, True), (2**60, False)])
+def test_lengths_near_the_int64_bound(monkeypatch, length, batched):
+    """Four taxa of one length: saving three of them needs 3 * length hours,
+    one less is given, and only a weight-1 leaf may be lost.  The lengths
+    sum to just under 2^62, where blocks run the int64 batch, or to 2^62,
+    where every trial runs the plain table; both run every planned trial
+    as the trial-by-trial loop does.  (A yes would list every hour of its
+    schedule.)"""
+    decides = []
+    monkeypatch.setattr(_LossBatch, "decide",
+                        lambda self, draws, run=_LossBatch.decide:
+                        decides.append(len(draws)) or run(self, draws))
+    tree = parse_newick("((a:1,b:2):1,(c:2,d:1):1);")
+    hours = 3 * length - 1
+    one_class = {x: TaxonInfo(length, hours) for x in tree.taxa}
+    # a and b due at slot length, when only one of them can be done
+    two_classes = dict(one_class, a=TaxonInfo(length, length),
+                       b=TaxonInfo(length, length))
+    for taxa in (one_class, two_classes):
+        inst = Instance(tree, taxa, (TeamWindow(0, hours),), tree.total_weight() - 1)
+        assert max(build_derived_index(inst).deficits) == length + 1
+        for seed in range(3):
+            out = solve_time_pd_by_loss(inst, 1e-3, seed)
+            assert not out.decision and out.trials == trial_count(2, 1e-3)
+            assert outcome_fields(out) == outcome_fields(
+                solve_by_loss_trial_by_trial(inst, 1e-3, seed))
+    assert bool(decides) == batched

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_time_pd, build_derived_index, pd_of_subset,
                       solve_star, solve_time_pd_xp, verify_schedule)
+from rescuepd import budget_dp
 from rescuepd.errors import BoundTooLarge, NotAStar, StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance, reduce_subset_sum
 from rescuepd.model import MAX_HOURS
@@ -149,19 +152,35 @@ def test_star_rejects_non_star_and_strict():
 
 
 def test_combine_associativity():
-    # regrouping a max-plus convolution over capacity changes nothing
-    def combine(a, b, cap):
-        return [max(a[c1] + b[c - c1] for c1 in range(min(c, len(a) - 1) + 1)
-                    if c - c1 < len(b))
-                for c in range(cap + 1)]
+    """The budget DPs' child merge, which the xp solver runs too, is the
+    max-plus step P'(B) = max(P(B), max over S <= B of max(0, P(B - S)) +
+    V(S)); merging two children in either order gives one table."""
+    engine = object.__new__(budget_dp._BudgetDP)
+    engine.dtype, engine.neg = np.int64, -100
+    grid = budget_dp._Grid((3, 2))
+    pairs = grid.fields @ grid.digits, grid.strides @ grid.digits
+    vectors = [tuple(v) for v in grid.digits.T.tolist()]
 
-    p1 = [0, 2, 3, 3]
-    p2 = [0, 0, 4, 5]
-    p3 = [0, 1, 1, 6]
-    cap = 3
-    left = combine(combine(p1, p2, cap), p3, cap)
-    right = combine(p1, combine(p2, p3, cap), cap)
-    assert left == right
+    def merge(p, v):
+        out = []
+        for b, top in enumerate(vectors):
+            best = p[b]
+            for s, share in enumerate(vectors):
+                if all(x <= y for x, y in zip(share, top)):
+                    rest = vectors.index(tuple(y - x for x, y in zip(share, top)))
+                    best = max(best, max(0, p[rest]) + v[s])
+            out.append(best)
+        return out
+
+    rng = random.Random(7)
+    for _ in range(20):
+        p, a, b = (np.array([rng.choice([-100, *range(10)]) for _ in vectors])
+                   for _ in range(3))
+        pa = engine._merge(grid, pairs, a, p)
+        assert pa.tolist() == merge(p.tolist(), a.tolist())
+        pb = engine._merge(grid, pairs, b, p)
+        assert (engine._merge(grid, pairs, b, pa).tolist()
+                == engine._merge(grid, pairs, a, pb).tolist())
 
 
 def test_xp_single_bucket_threshold():
