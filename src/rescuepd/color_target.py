@@ -23,11 +23,11 @@ Trial t colors the tree from its own seeded generator,
 ``Generator(PCG64(SeedSequence([seed, t])))``, so every trial is decided
 independently of the others.  ``trial_draws`` makes the colorings of a
 block of trials at once: from 16 rows up it runs the SeedSequence hashing
-of every row in numpy, lets one reused PCG64 step each row's seeded state,
-and applies Lemire's bounded draw to the whole block.  Its rows are
-bit-identical to the per-trial generator, which redraws the rare row that
-hits Lemire's rejection; ``tests/test_trial_draws.py`` pins this for the
-installed numpy.
+and the PCG64 steps of every row in numpy, on the 128-bit states as pairs
+of uint64 words, and applies Lemire's bounded draw to the whole block.
+Its rows are bit-identical to the per-trial generator, which redraws the
+rare row that hits Lemire's rejection; ``tests/test_trial_draws.py`` pins
+this for the installed numpy.
 
 The solver decides trial 1 with the one-coloring kernel
 (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
@@ -229,12 +229,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 # pool word hashed with the next constant of a fixed sequence, and the words
 # crossed by mix().  mix_entropy makes 4 + 12 hashes, generate_state(4,
 # uint64) eight.  PCG64 is then seeded with PCG's srandom: inc = 2 seq + 1,
-# state = (inc + init) M + inc (mod 2^128).
+# state = (inc + init) M + inc (mod 2^128).  Each raw output steps the state,
+# s <- s M + inc, and returns the XSL-RR of the new state.  The 128-bit
+# numbers are (hi, lo) pairs of uint64 arrays, whose arithmetic wraps mod 2^64.
 _POOL = 4
 _BLOCK_ROWS = 16  # below this the per-call cost beats the per-row saving
 _MIX_L, _MIX_R, _XSHIFT = np.uint32(0xca01f9dd), np.uint32(0x4973f715), np.uint32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
@@ -264,10 +267,80 @@ def _seed_words(seed: int) -> list:
     return words
 
 
-def _seeded_pcg_states(words: list, first: int, count: int):
-    """(state, inc) of PCG64(SeedSequence([seed, t])) for each trial t of
-    first .. first + count - 1 < 2^32, where ``words`` are the seed's words
-    and leave room for t in the pool."""
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each a * b, from products of 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    mid = a0 * b0
+    mid >>= _SHIFT32
+    mid += a1 * b0
+    low = a0 * b1
+    low += mid & _LOW32
+    low >>= _SHIFT32
+    mid >>= _SHIFT32
+    mid += low
+    del low  # at most three block-sized arrays live at once
+    mid += a1 * b1
+    return mid
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, k_hi: np.ndarray, k_lo: np.ndarray):
+    """(hi, lo) * (k_hi, k_lo) mod 2^128."""
+    high = _mulhi64(lo, k_lo)
+    high += hi * k_lo
+    high += lo * k_hi
+    return high, lo * k_lo
+
+
+def _iadd128(hi: np.ndarray, lo: np.ndarray, hi2: np.ndarray, lo2: np.ndarray):
+    """(hi, lo) += (hi2, lo2) mod 2^128, in place; the low words' sum carries."""
+    lo += lo2
+    hi += hi2
+    hi += lo < lo2
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state: hi ^ lo rotated right by hi >> 58."""
+    folded = hi ^ lo
+    rot = hi >> np.uint64(58)
+    out = folded >> rot
+    np.negative(rot, out=rot)
+    rot &= np.uint64(63)  # a rotation by 0 shifts left by 0, not 64
+    folded <<= rot
+    out |= folded
+    return out
+
+
+_jumps = np.zeros((2, 3, 1, 0), dtype=np.uint64)  # see _jump_table
+
+
+def _jump_table(n: int) -> np.ndarray:
+    """The (hi, lo) words of the constants of raw positions 0 .. n - 1.
+
+    Seeded with (init, seq), PCG64 is at P init + Q inc after j + 1 steps,
+    where P = M^(j+2), Q = 1 + M + ... + M^(j+2) and inc = 2 seq + 1; that
+    is [P, 2 Q] . [init, seq] + Q, and [:, :, 0, j] holds P, 2 Q and Q.  One
+    table serves every call: it grows on demand to the widest row drawn,
+    and each call takes a slice of it.
+    """
+    global _jumps
+    table = _jumps
+    if table.shape[-1] < n:
+        power, total, columns = _PCG_MULT**2 & _MASK128, 1 + _PCG_MULT, []
+        for _ in range(max(n, 2 * table.shape[-1])):
+            total = (total + power) & _MASK128
+            columns.append((power, 2 * total & _MASK128, total))
+            power = power * _PCG_MULT & _MASK128
+        consts = np.array(columns, dtype=object).T[:, None]
+        table = _jumps = np.array([consts >> 64, consts & _MASK64], dtype=np.uint64)
+    return table[..., :n]
+
+
+def _seed_block(words: list, first: int, count: int) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
+    of first .. first + count - 1 < 2^32, one column per trial, where
+    ``words`` are the seed's words and leave room for t in the pool.  PCG64
+    reads the rows as init's (hi, lo) and seq's (hi, lo)."""
     entropy = np.zeros((_POOL, count), dtype=np.uint32)
     entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
@@ -281,10 +354,17 @@ def _seeded_pcg_states(words: list, first: int, count: int):
         n += _POOL - 1
     # uint64 word j of the state is its uint32 words 2j (low) and 2j + 1
     half = _hashmix(np.tile(pool, (2, 1)), _STATE_HASH).astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = (half[0::2] | half[1::2] << np.uint64(32)).tolist()
-    for a, b, c, d in zip(init_hi, init_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc
+    return half[0::2] | half[1::2] << _SHIFT32
+
+
+def _pcg_outputs(seeded: np.ndarray, n: int) -> np.ndarray:
+    """The first n raw outputs of PCG64 seeded with each column of seeded,
+    (init_hi, init_lo, seq_hi, seq_lo), one row per column."""
+    table = _jump_table(n)
+    hi, lo = _mul128(seeded[0::2, :, None], seeded[1::2, :, None], *table[:, :2])
+    _iadd128(hi[0], lo[0], hi[1], lo[1])
+    _iadd128(hi[0], lo[0], *table[:, 2])
+    return _xsl_rr(hi[0], lo[0])
 
 
 def trial_draws(seed: int, first: int, count: int, n_colors: int,
@@ -296,32 +376,24 @@ def trial_draws(seed: int, first: int, count: int, n_colors: int,
     ``_trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)``,
     so a trial's coloring does not depend on how the trials are grouped.
 
-    Blocks of 16 rows or more seed every row's PCG64 at once: the
-    SeedSequence hashing runs in numpy over the trial indices, one reused
-    PCG64 is set to each row's seeded state and numpy steps it with
-    ``random_raw``, and Lemire's bounded draw maps the 32-bit halves (low
-    half first) to colors for the whole block.  A row in which some draw
-    falls in Lemire's rejection zone is redrawn by ``_trial_rng``, as are
-    small blocks, seeds of four or more words and blocks that reach trial
-    2^32 (whose entropy no longer fits the pool).  numpy does not promise
-    stable streams across versions (NEP 19); the equality test against
-    ``_trial_rng`` pins the installed numpy.
+    Blocks of 16 rows or more run every row's PCG64 in numpy: the
+    SeedSequence hashing over the trial indices, then the 128-bit seeding,
+    steps and output of all rows and positions at once, each position's
+    state reached by jumping ahead from the seed.  Lemire's bounded draw
+    maps the 32-bit halves (low half first) to colors for the whole block.
+    A row in which some draw falls in Lemire's rejection zone is redrawn by
+    ``_trial_rng``, as are small blocks, seeds of four or more words and
+    blocks that reach trial 2^32 (whose entropy no longer fits the pool).
+    numpy does not promise stable streams across versions (NEP 19); the
+    equality test against ``_trial_rng`` pins the installed numpy.
     """
     draws = np.empty((count, width + 1), dtype=np.int64)
     words = _seed_words(seed)
     if count < _BLOCK_ROWS or len(words) >= _POOL or first + count > 2**32:
         redraw = range(count)
     else:
-        bitgen = np.random.PCG64(0)
-        state = {"state": 0, "inc": 0}
-        setting = {"bit_generator": "PCG64", "state": state,
-                   "has_uint32": 0, "uinteger": 0}
         n_raw = width // 2 + 1
-        raw = np.empty((count, n_raw), dtype=np.uint64)
-        for r, (seeded, inc) in enumerate(_seeded_pcg_states(words, first, count)):
-            state["state"], state["inc"] = seeded, inc
-            bitgen.state = setting
-            raw[r] = bitgen.random_raw(n_raw)
+        raw = _pcg_outputs(_seed_block(words, first, count), n_raw)
         halves = np.empty((count, 2 * n_raw), dtype=np.uint64)
         halves[:, 0::2] = raw & np.uint64(_MASK32)
         halves[:, 1::2] = raw >> np.uint64(32)

@@ -1,14 +1,16 @@
 """The admission table of `auto`: costs, caps, guards and routing."""
 
+import dataclasses
 import inspect
 import math
+import sys
 
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute,
                       build_derived_index, gen_random_instance, pd_of_subset,
                       verify_schedule)
-from rescuepd import budget_dp, color_loss, color_target, structured
+from rescuepd import budget_dp, color_loss, color_target, driver, feasibility, structured
 from rescuepd.driver import (ADMISSION, applicable_algorithms, run_algorithm,
                              run_bench_instance, solve_auto)
 from rescuepd.errors import BoundTooLarge, RescuePDError
@@ -171,6 +173,75 @@ def test_bench_times_the_oracle():
     rows = run_bench_instance((0, "tiny", instance))[0]
     assert rows[0].algorithm == "brute" and rows[0].wall_ms > 0
     assert all(row.pd_total == instance.tree.total_weight() for row in rows)
+
+
+def verified_schedules(monkeypatch):
+    """The schedules feasibility.verify_schedule is asked to check, through
+    every module of the package that imported it."""
+    checked = []
+    verify = feasibility.verify_schedule
+
+    def spy(instance, schedule):
+        checked.append(schedule)
+        return verify(instance, schedule)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rescuepd") and \
+                getattr(module, "verify_schedule", None) is verify:
+            monkeypatch.setattr(module, "verify_schedule", spy)
+    return checked
+
+
+def bench_outcomes(monkeypatch):
+    """The (algorithm, outcome) of every solver call run_bench_instance makes."""
+    calls = []
+    run, oracle = driver.run_algorithm, driver.brute_force
+
+    def run_recorded(instance, algorithm, *args):
+        calls.append((algorithm, run(instance, algorithm, *args)))
+        return calls[-1][1]
+
+    def brute_recorded(instance):
+        calls.append(("brute", oracle(instance)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(driver, "run_algorithm", run_recorded)
+    monkeypatch.setattr(driver, "brute_force", brute_recorded)
+    return calls
+
+
+BENCH_YES = [  # each a yes for brute and at least two other solvers
+    gen_random_instance(n=6, seed=0, target=3),
+    gen_random_instance(n=6, seed=4, mode=STRICT, target=3),
+    gen_random_instance(n=5, seed=14, max_ex=30, n_teams=3, target=20),
+    gen_random_instance(n=5, seed=2, tree_shape="star", max_ex=30, n_teams=3,
+                        target=6),
+]
+
+
+@pytest.mark.parametrize("instance", BENCH_YES)
+def test_bench_verifies_each_yes_once(monkeypatch, instance):
+    checked = verified_schedules(monkeypatch)
+    calls = bench_outcomes(monkeypatch)
+    rows = run_bench_instance((0, "tiny", instance))[0]
+    assert [row.algorithm for row in rows] == [algorithm for algorithm, _ in calls]
+    yes = [outcome for _, outcome in calls if outcome.decision]
+    assert len(yes) == len(calls) >= 3
+    # the solvers' own checked_yes and the oracle's re-check: one each
+    assert sorted(map(id, checked)) == sorted(id(outcome.schedule) for outcome in yes)
+
+
+def test_bench_refuses_a_tampered_oracle_witness(monkeypatch):
+    instance = BENCH_YES[0]
+    oracle = brute.brute_force(instance)
+    assert oracle.decision and oracle.schedule.assignment
+    # a schedule that saves nothing, and a saved set below the target
+    for schedule, saved in ((dataclasses.replace(oracle.schedule, assignment={}),
+                             oracle.saved), (oracle.schedule, ())):
+        bad = dataclasses.replace(oracle, schedule=schedule, saved=saved)
+        monkeypatch.setattr(driver, "brute_force", lambda inst: bad)
+        with pytest.raises(RescuePDError, match="brute returned an unverifiable witness"):
+            run_bench_instance((0, "tiny", instance))
 
 
 def test_long_windows_are_never_listed(monkeypatch):

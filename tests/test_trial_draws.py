@@ -10,10 +10,12 @@ Never skip them.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rescuepd import color_target
 from rescuepd.color_loss import LOSS_LIMIT
-from rescuepd.color_target import MASK_LIMIT, _trial_rng, trial_draws
+from rescuepd.color_target import (MASK_LIMIT, _iadd128, _mul128, _pcg_outputs,
+                                   _trial_rng, _xsl_rr, trial_draws)
 
 from test_color_batch import BATCH_STARTS
 
@@ -57,8 +59,13 @@ def test_a_rejected_draw_is_redrawn(scalar_trials):
     assert scalar_trials == [16908]
 
 
-def test_blocks_take_the_numpy_path(scalar_trials):
+def test_blocks_take_the_numpy_path(scalar_trials, monkeypatch):
+    generators = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64",
+                        lambda *args: generators.append(args) or pcg64(*args))
     draws = trial_draws(1, 2, 64, 5, 25)
+    assert generators == []  # the block is stepped in numpy, not by a PCG64
     assert scalar_trials == []
     assert np.array_equal(draws, reference(1, 2, 64, 5, 25))
 
@@ -86,3 +93,65 @@ def test_small_and_late_blocks_stay_per_trial(scalar_trials, first, count):
     assert np.array_equal(trial_draws(7, first, count, 5, 9),
                           reference(7, first, count, 5, 9))
     assert scalar_trials == list(range(first, first + count))
+
+
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+EDGES = (0, 2**64 - 1, 2**128 - 1)
+WIDE = st.integers(0, MASK128) | st.sampled_from(EDGES)
+
+
+def split(*values):
+    """uint64 (hi, lo) arrays of 128-bit ints."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+def joined(hi, lo):
+    return [int(h) << 64 | int(l) for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def xsl_rr(state):
+    """PCG64's output function on a Python int."""
+    value, rot = (state >> 64 ^ state) & MASK64, state >> 122
+    return (value >> rot | value << (64 - rot)) & MASK64
+
+
+@settings(max_examples=200)
+@given(states=st.lists(WIDE, min_size=1, max_size=6), inc=WIDE, k=WIDE)
+@example(states=list(EDGES), inc=MASK128, k=MASK128)
+@example(states=list(EDGES), inc=0, k=0)
+def test_128_bit_step_and_output_equal_int_arithmetic(states, inc, k):
+    hi, lo = split(*states)
+    n, mult = len(states), color_target._PCG_MULT
+    incs = split(*[inc] * n)
+    assert joined(*_mul128(hi, lo, *split(*[k] * n))) == [s * k & MASK128 for s in states]
+    assert _xsl_rr(hi, lo).tolist() == [xsl_rr(s) for s in states]
+    step = _mul128(hi, lo, *split(*[mult] * n))
+    _iadd128(*step, *incs)
+    assert joined(*step) == [s * mult + inc & MASK128 for s in states]
+    _iadd128(hi, lo, *incs)
+    assert joined(hi, lo) == [s + inc & MASK128 for s in states]
+
+
+def test_output_at_every_rotation():
+    # hi >> 58 is the rotation; 0 must leave hi ^ lo as it is
+    states = [rot << 122 | 0x0123456789abcdef << 64 | 0xfedcba9876543210
+              for rot in range(64)]
+    got = _xsl_rr(*split(*states)).tolist()
+    assert got == [xsl_rr(s) for s in states]
+    assert got[0] == (states[0] >> 64 ^ states[0]) & MASK64
+
+
+@settings(max_examples=60)
+@given(init=WIDE, seq=WIDE, n=st.integers(1, 70))
+def test_jumps_equal_the_stepped_generator(init, seq, n):
+    """Position j of a row is PCG64's (j + 1)-th raw output after seeding
+    with (init, seq), whatever width the shared jump table has grown to."""
+    inc = 2 * seq + 1 & MASK128
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": ((inc + init) * color_target._PCG_MULT + inc)
+                              & MASK128, "inc": inc}}
+    seeded = np.array([[init >> 64], [init & MASK64], [seq >> 64], [seq & MASK64]],
+                      dtype=np.uint64)
+    assert np.array_equal(_pcg_outputs(seeded, n)[0], bitgen.random_raw(n))
