@@ -20,14 +20,14 @@ uses at most 2 * loss color slots, so a trial succeeds with probability at
 least e^(-2*loss) and ceil(e^(2*loss) * ln(1/delta)) trials bound the
 false-no rate by delta.  Yes answers are re-verified before return.
 
-Trial 1 runs the table in plain Python (``_LossDP``), which keeps cheap
-yes-instances cheap.  Later trials come in blocks of 4, 16, 64 and 256
-colorings, and ``_LossBatch`` decides a block in numpy, one popcount layer
-of path-color sets at a time for every trial at once.  The lowest trial
-that succeeds runs the plain table again, whose backtrack gives the
-witness, so the outcome is the one a trial-by-trial loop gives.  The batch
-keeps cells in int64; once the rescue lengths sum to 2^62 or more, every
-trial runs the plain table on Python ints.
+One table decides every trial.  Trials come in blocks of 1, 4, 16, 64 and
+256 colorings, and ``_LossBatch`` fills the table of a whole block in
+numpy, one popcount layer of path-color sets at a time for every trial at
+once.  The lowest trial that succeeds fills its table again as one row,
+from the candidate tuples of its coloring (``loss_dp_solve``), and the
+witness is read back from that row, so the outcome is the one a
+trial-by-trial loop gives.  Cells are int64 while the rescue lengths sum
+to less than 2^62, and Python ints from there on.
 
 The dynamic program requires a binary tree, which makes the sibling edge of
 an anchor unique.
@@ -50,7 +50,8 @@ from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 MINF = -INF
-LOSS_LIMIT = 14  # 2 * loss color bits
+LOSS_LIMIT = 14  # 2 * loss color bits; keeps the cell numbers 3^(2 loss) in int64
+TABLE_GUARD = 5 * 10**7  # table entries of one coloring; no lower than auto admits
 DRAW_ROWS = 256  # most colorings drawn per block; bounds the draws' memory
 
 
@@ -168,153 +169,6 @@ def planned_work(idx: DerivedIndex, delta: float) -> int:
     return trial_count(2 * loss, delta) * loss_table_entry_count(loss, idx.n_classes)
 
 
-@dataclass(frozen=True)
-class LossPlan:
-    """What every trial of one request shares: the anchored tuples of the
-    tree and the order in which the table visits path-color sets c1 (by
-    popcount up to the loss, then lexicographic positions)."""
-
-    tuples: tuple
-    c1_order: tuple
-
-
-def loss_plan(tree: PhyloTree, loss: int) -> LossPlan:
-    return LossPlan(tuple(anchored_tuples(tree)),
-                    tuple(c1 for pc in range(loss + 1)
-                          for c1 in _masks_of_popcount(2 * loss, pc)))
-
-
-class _LossDP:
-    """Full-table dynamic program over (path colors, sibling colors, class)."""
-
-    def __init__(self, idx: DerivedIndex, coloring: LossColoring, loss: int,
-                 plan: LossPlan = None):
-        tree = idx.instance.tree
-        plan = plan or loss_plan(tree, loss)
-        self.idx = idx
-        self.coloring = coloring
-        self.loss = loss
-        self.bits = 2 * loss
-        self.full = (1 << self.bits) - 1
-        self.nc = idx.n_classes
-        self.c1_order = plan.c1_order
-        self.tuples = []
-        for x, v, e, path in candidate_tuples(tree, coloring, idx, self.nc - 1,
-                                              plan.tuples):
-            self.tuples.append((idx.class_of[x], idx.instance.length(x),
-                                coloring.path_mask(path), coloring.key_bit(e),
-                                (x, v, e)))
-        d = idx.deficits
-        self.segmax = [[max(d[a:b + 1]) if a <= b else MINF
-                        for b in range(self.nc)] for a in range(self.nc)]
-        self.table = {}
-        self.entries = 0
-
-    def _key(self, c1, c2, q):
-        return ((c1 << self.bits) | c2) * 16 + q
-
-    def run(self):
-        for c1 in self.c1_order:
-            self._fill_c1(c1)
-
-    def _fill_c1(self, c1):
-        nc = self.nc
-        defs = self.idx.deficits
-        cand = [t for t in self.tuples if t[2] & ~c1 == 0]
-        base = []
-        ok = True
-        for q in range(nc):
-            if q > 0 and defs[q - 1] > 0:
-                ok = False
-            base.append(0 if ok else MINF)
-        per_class: list[list] = [[] for _ in range(nc)]
-        for t in cand:
-            per_class[t[0]].append(t)
-        ground_keys = []   # per q: OR of sibling key bits over classes <= q
-        by_class = []      # per q: candidates over classes <= q
-        running, acc = 0, []
-        for q in range(nc):
-            for t in per_class[q]:
-                running |= t[3]
-            acc = acc + per_class[q]
-            ground_keys.append(running)
-            by_class.append(acc)
-        comp = self.full ^ c1
-        table, bits = self.table, self.bits
-        high = c1 << bits
-        for q in range(nc):
-            gk = ground_keys[q]
-            bq = base[q]
-            cands = by_class[q]
-            seg = self.segmax
-            c2 = comp
-            while True:
-                if c2 & gk == 0:
-                    table[(high | c2) * 16 + q] = bq
-                else:
-                    best = MINF
-                    for cls_t, ell_t, pmask, kbit, _ in cands:
-                        if not kbit & c2:
-                            continue
-                        child = table[(((c1 & ~pmask) << bits)
-                                       | ((c2 | pmask) & ~kbit)) * 16 + cls_t]
-                        if child == MINF:
-                            continue
-                        val = child + ell_t
-                        if val > best and (cls_t > q - 1 or val >= seg[cls_t][q - 1]):
-                            best = val
-                    table[(high | c2) * 16 + q] = best
-                self.entries += 1
-                if c2 == 0:
-                    break
-                c2 = (c2 - 1) & comp
-
-    def accept(self):
-        """First (c1, c2) cell meeting the final deficit, scan order fixed."""
-        last = self.nc - 1
-        threshold = self.idx.deficits[last]
-        for c1 in self.c1_order:
-            comp = self.full ^ c1
-            c2 = comp
-            while True:
-                if self.table[self._key(c1, c2, last)] >= threshold:
-                    return c1, c2
-                if c2 == 0:
-                    break
-                c2 = (c2 - 1) & comp
-        return None
-
-    def extract(self, c1, c2):
-        """Backtrack one qualifying cell into an anchored taxa set."""
-        anchored = []
-        q = self.nc - 1
-        while True:
-            val = self.table[self._key(c1, c2, q)]
-            cand = [t for t in self.tuples
-                    if t[2] & ~c1 == 0 and t[0] <= q and t[3] & c2]
-            gk = 0
-            for t in cand:
-                gk |= t[3]
-            if c2 & gk == 0:
-                if val != 0:  # pragma: no cover
-                    raise RescuePDError("loss table backtrack hit a bad base")
-                return anchored
-            step = None
-            for cls_t, ell_t, pmask, kbit, tup in cand:
-                child = self.table[self._key(c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t)]
-                if child == MINF or child + ell_t != val:
-                    continue
-                if cls_t <= q - 1 and val < self.segmax[cls_t][q - 1]:
-                    continue
-                step = (cls_t, pmask, kbit, tup)
-                break
-            if step is None:  # pragma: no cover
-                raise RescuePDError("loss table backtrack failed")
-            cls_t, pmask, kbit, tup = step
-            anchored.append(tup)
-            c1, c2, q = c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t
-
-
 def _masks_of_popcount(bits, pc):
     for positions in itertools.combinations(range(bits), pc):
         m = 0
@@ -369,7 +223,7 @@ class _Layer:
 
 
 class _LossBatch:
-    """The table of ``_LossDP`` for a block of colorings at once.
+    """The loss table of one request, filled for a block of colorings at once.
 
     Per trial, an anchored tuple is a candidate when its path is within the
     loss and its path draws are pairwise distinct: then every path edge is
@@ -383,55 +237,74 @@ class _LossBatch:
     candidate's child (c1 - pmask, c2 + pmask - kbit) lies T3(pmask) -
     2 T3(kbit) cells from its parent, for every (c1, c2) it counts in.  A
     child has a smaller c1 popcount, so the table is filled one popcount
-    layer at a time for every (trial, c1, c2) at once.
+    layer at a time for every (trial, c1, c2) at once.  Layer 0 holds the
+    base cells (c1 empty), where no candidate fits.
 
-    Within a cell, every candidate of class c reaches the same child class,
-    so its best value M_c is a max over the class.  The scalar rule keeps a
-    class c < q value v when v meets every deficit of classes c .. q - 1;
-    the best kept value at q therefore is best[q] = max(M_q, best[q - 1] if
-    best[q - 1] >= deficit[q - 1]).  A pass decides as many trials as keep
-    their tables, and the gathered (tuple, c1, c2) children of a layer,
-    within BATCH_CELLS cells.  Cells are int64, which holds every sum of
-    rescue lengths below 2^62.  An unreached cell holds MINF, and a sum read
-    from it adds the lengths of distinct taxa due by some class c: it stays
-    below need_c - MAX_HOURS, the least deficit of the classes from c on,
-    so such sums decide nothing.
+    A cell keeps the most rescue length that a sacrifice of its candidates
+    reaches.  Within a cell, every candidate of class c reaches the same
+    child class, so its best value M_c is a max over the class.  A class
+    c < q value v is kept at q when v meets every deficit of classes c ..
+    q - 1; the best kept value at q therefore is best[q] = max(M_q,
+    best[q - 1] if best[q - 1] >= deficit[q - 1]).  A pass decides as many
+    trials as keep their tables, and the gathered (tuple, c1, c2) children
+    of a layer, within BATCH_CELLS cells.
+
+    Cells are int64 while the rescue lengths sum to less than 2^62, and
+    Python ints (object cells) from there on.  An unreached cell holds
+    ``minf``: MINF in int64 cells, and that total less in object cells.  A
+    sum read from it adds the lengths of distinct taxa due by some class c:
+    it stays below need_c - MAX_HOURS, the least deficit of the classes
+    from c on, so such sums decide nothing, and below 0, so a cell is
+    reached exactly when its value is >= 0.
     """
 
-    def __init__(self, idx: DerivedIndex, loss: int, plan: LossPlan,
-                 positions: dict):
+    def __init__(self, idx: DerivedIndex, loss: int):
+        if loss > LOSS_LIMIT:
+            raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
+        self.entries = loss_table_entry_count(loss, idx.n_classes)
+        if self.entries > TABLE_GUARD:
+            raise LossTooLarge(f"loss budget {loss} over {idx.n_classes} deadline "
+                               f"classes needs {self.entries} table entries, above "
+                               f"the guard {TABLE_GUARD}")
         tree = idx.instance.tree
-        bits = 2 * loss
+        self.tuples = tuple(anchored_tuples(tree))
+        self.positions, self.width = _color_positions(tree, loss)
+        self.bits = bits = 2 * loss
         self.nc = nc = idx.n_classes
         self.deficits = idx.deficits
+        total = sum(idx.instance.length(x) for x in tree.taxa)
+        self.dtype, self.minf = (np.int64, MINF) if total < 2**62 else (object, MINF - total)
         # (class, length, path weight, path draw positions, sibling key position)
-        within = []
-        for x, _, e, path in plan.tuples:
+        within, self.index_of = [], {}
+        for x, v, e, path in self.tuples:
             if sum(tree.weight[edge] for edge in path) <= loss:
-                draws = [p for edge in path for p in positions[edge]]
+                self.index_of[x, v, e] = len(within)
+                draws = [p for edge in path for p in self.positions[edge]]
                 within.append((idx.class_of[x], idx.instance.length(x),
-                               len(draws), draws, positions[e][0]))
+                               len(draws), draws, self.positions[e][0]))
         # the padding tuple: two draws at the unused position 0 give one
         # color for a weight above the loss, so it is never a candidate
         pad = len(within)
         within.append((0, 0, bits + 1, [0, 0], 0))
-        self.cls, self.ell, self.weight = (
-            np.array(column, dtype=np.int64) for column in list(zip(*within))[:3])
+        cls, ell, weight = list(zip(*within))[:3]
+        self.cls, self.weight = np.array(cls), np.array(weight)
+        self.ell = np.array(ell, dtype=self.dtype)
         self.path_draws = np.array([p for t in within for p in t[3]])
         self.path_starts = np.cumsum([0] + [len(t[3]) for t in within[:-1]])
         self.sibling_draw = np.array([t[4] for t in within])
         self.pow3 = np.array([0] + [3**i for i in range(bits)], dtype=np.int64)
+        masks = np.arange(1 << bits)
+        self.t3 = sum(((masks >> b & 1) * p3 for b, p3 in enumerate(self.pow3[1:])),
+                      np.zeros_like(masks))  # T3 of every color set
         self.too_wide = 1 << bits  # in no c1: marks a non-candidate
         self.n_cells = 3**bits
         self.base, ok = [], True
         for q in range(nc):
             ok = ok and (q == 0 or self.deficits[q - 1] <= 0)
-            self.base.append(0 if ok else MINF)
-        subsets = np.arange(1 << bits)
-        self.base_cells = 2 * self._t3(subsets)
+            self.base.append(0 if ok else self.minf)
         self.layers = []
         gather = 0
-        for p in range(1, loss + 1):
+        for p in range(loss + 1):
             c1 = np.array(list(_masks_of_popcount(bits, p)), dtype=np.int64)
             comp = np.array([[b for b in range(bits) if not m >> b & 1]
                              for m in c1.tolist()], dtype=np.int64)
@@ -449,16 +322,14 @@ class _LossBatch:
             slot = tuple(list(members).index(q) if q in members else -1
                          for q in range(nc))
             self.layers.append(_Layer(~c1[:, None], c2,
-                                      self._t3(c1)[:, None] + 2 * self._t3(c2),
+                                      self.t3[c1][:, None] + 2 * self.t3[c2],
                                       tuples, slot))
             gather = max(gather, c2.size * tuples.size)
         self.rows = max(1, BATCH_CELLS // max(gather, self.n_cells * nc))
 
-    def _t3(self, masks: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(masks)
-        for b, p3 in enumerate(self.pow3[1:].tolist()):
-            out += (masks >> b & 1) * p3
-        return out
+    def _cell(self, c1: int, c2: int) -> int:
+        """The number T3(c1) + 2 T3(c2) of one cell."""
+        return int(self.t3[c1] + 2 * self.t3[c2])
 
     def decide(self, draws: np.ndarray) -> np.ndarray:
         """Colored decision of every trial whose draws are a row of draws."""
@@ -471,21 +342,26 @@ class _LossBatch:
         shift = (np.add.reduceat(pow3[:, self.path_draws], self.path_starts, axis=1)
                  - 2 * pow3[:, self.sibling_draw]) * self.nc + self.cls
         return np.concatenate([
-            self._decide_rows(pmask[lo:lo + self.rows], kbit[lo:lo + self.rows],
-                              shift[lo:lo + self.rows])
+            self._fill(pmask[lo:lo + self.rows], kbit[lo:lo + self.rows],
+                       shift[lo:lo + self.rows])[0]
             for lo in range(0, len(draws), self.rows)])
 
-    def _decide_rows(self, pmask, kbit, shift):
-        n, nc, d = len(pmask), self.nc, self.deficits
+    def _fill(self, pmask, kbit, shift):
+        """Fill the tables of a pass of rows, one row per trial: per tuple its
+        path colors (``too_wide`` when it is no candidate), its sibling key
+        color and its child's offset.  Returns (found, table): whether some
+        cell of the last class meets the last deficit, and the cells (row,
+        cell, class)."""
+        n, nc, d, minf = len(pmask), self.nc, self.deficits, self.minf
         last = nc - 1
-        table = np.empty((n, self.n_cells, nc), dtype=np.int64)
-        table[:, self.base_cells] = self.base
+        need = max(d[last], 0)
+        table = np.full((n, self.n_cells, nc), minf, dtype=self.dtype)
+        table[:, self.layers[0].cells] = self.base  # no candidate fits c1 = {}
         flat = table.reshape(-1)
         # child index of each (trial, tuple), less its parent's cell number
         at = np.arange(n)[:, None] * (self.n_cells * nc) + shift
-        # as accept(): some cell of the last class meets the last deficit
-        found = np.full(n, self.base[last] >= d[last])
-        for layer in self.layers:
+        found = np.full(n, self.base[last] >= need)
+        for layer in self.layers[1:]:
             # axes (member, trial, c1, class, c2)
             sel = layer.tuples
             fits = pmask[:, sel].transpose(1, 0, 2)[:, :, None] & layer.not_c1 == 0
@@ -496,14 +372,14 @@ class _LossBatch:
             ok = kb & layer.c2[:, None] != 0
             ok &= fits[..., None]
             child += self.ell[sel][:, None, None, :, None]
-            by_class = np.where(ok, child, MINF).max(axis=0)
+            by_class = np.where(ok, child, minf).max(axis=0)
             keys = np.bitwise_or.reduce(np.where(fits, kb[..., 0], 0), axis=0)
             # ground: the key bits of the candidates of classes <= q; a c2
             # that holds none of them is a base cell
-            best, ground = MINF, 0
+            best, ground = np.full(layer.c2.shape, minf, dtype=self.dtype), 0
             for q in range(nc):
                 if q:
-                    best = np.where(best >= d[q - 1], best, MINF)
+                    best = np.where(best >= d[q - 1], best, minf)
                 k = layer.slot[q]
                 if k >= 0:
                     best = np.maximum(by_class[:, :, k], best)
@@ -511,27 +387,87 @@ class _LossBatch:
                 cell = np.where(layer.c2 & ground == 0, self.base[q], best)
                 table[:, layer.cells, q] = cell
                 if q == last:
-                    found |= (cell >= d[last]).any(axis=(-2, -1))
-        return found
+                    found |= (cell >= need).any(axis=(-2, -1))
+        return found, table
+
+    def solve_one(self, idx: DerivedIndex, coloring: LossColoring):
+        """(found, anchored set or None) of one coloring: its table is filled
+        as one row, whose candidates are the coloring's ``candidate_tuples``,
+        and the witness is read back from it."""
+        full = (1 << self.bits) - 1
+        pmask = np.full(len(self.cls), self.too_wide)
+        kbit = np.zeros_like(pmask)
+        shift = self.cls.copy()  # a non-candidate's child is never read
+        cands = []  # (class, length, path colors, sibling key color, tuple)
+        for x, v, e, path in candidate_tuples(idx.instance.tree, coloring, idx,
+                                              self.nc - 1, self.tuples):
+            j = self.index_of.get((x, v, e))
+            pm, kb = coloring.path_mask(path), coloring.key_bit(e)
+            if j is None or (pm | kb) > full:
+                continue  # a path above the loss or a color off the palette fits no cell
+            pmask[j], kbit[j] = pm, kb
+            shift[j] += (self.t3[pm] - 2 * self.t3[kb]) * self.nc
+            cands.append((idx.class_of[x], idx.instance.length(x), pm, kb, (x, v, e)))
+        found, table = self._fill(pmask[None], kbit[None], shift[None])
+        if not found[0]:
+            return False, None
+        return True, self._extract(table[0], cands, *self._accept(table[0]))
+
+    def _accept(self, table):
+        """The first cell (c1, c2) whose last class meets the last deficit:
+        c1 by popcount and then by position, c2 downwards over the subsets
+        of its complement."""
+        need = max(self.deficits[-1], 0)
+        for layer in self.layers:
+            hits = np.flatnonzero(table[layer.cells[:, ::-1], -1] >= need)
+            if hits.size:
+                i, j = divmod(int(hits[0]), layer.c2.shape[1])
+                return int(~layer.not_c1[i, 0]), int(layer.c2[i, -1 - j])
+        raise RescuePDError("loss table has no accepting cell")  # pragma: no cover
+
+    def _extract(self, table, cands, c1, c2):
+        """Backtrack one qualifying cell into an anchored taxa set: at each
+        cell, the first candidate in anchored order whose child is reached
+        and gives the cell's value under the deficit rule."""
+        anchored = []
+        q = self.nc - 1
+        while True:
+            val = table[self._cell(c1, c2), q]
+            fit = [t for t in cands if t[2] & ~c1 == 0 and t[0] <= q and t[3] & c2]
+            if not fit:
+                if val != 0:  # pragma: no cover
+                    raise RescuePDError("loss table backtrack hit a bad base")
+                return anchored
+            for cls_t, ell_t, pmask, kbit, tup in fit:
+                child = table[self._cell(c1 & ~pmask, (c2 | pmask) & ~kbit), cls_t]
+                if child >= 0 and child + ell_t == val and (
+                        cls_t == q or val >= max(self.deficits[cls_t:q])):
+                    break
+            else:  # pragma: no cover
+                raise RescuePDError("loss table backtrack failed")
+            anchored.append(tup)
+            c1, c2, q = c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t
+
+
+def _check_binary(tree: PhyloTree):
+    if not tree.is_binary():
+        raise NonBinaryTree("the loss-parameterized solver needs a binary tree; "
+                            "use the target-diversity or brute-force solver")
 
 
 def loss_dp_solve(instance: Instance, coloring: LossColoring, loss: int,
-                  idx: DerivedIndex = None, plan: LossPlan = None):
+                  idx: DerivedIndex = None, plan: _LossBatch = None):
     """Colored decision: (found, anchored set or None, table entry count).
 
-    ``idx`` and ``plan`` are the request's index and ``loss_plan`` when the
-    caller already has them."""
-    if not instance.tree.is_binary():
-        raise NonBinaryTree("the loss-parameterized solver needs a binary tree; "
-                            "use the target-diversity or brute-force solver")
+    ``idx`` and ``plan`` are the request's index and ``_LossBatch`` when the
+    caller already has them; a new batch refuses a table beyond its guards
+    with LossTooLarge before it builds any array."""
+    _check_binary(instance.tree)
     if idx is None:
         idx = build_derived_index(instance)
-    dp = _LossDP(idx, coloring, loss, plan)
-    dp.run()
-    cell = dp.accept()
-    if cell is None:
-        return False, None, dp.entries
-    return True, dp.extract(*cell), dp.entries
+    batch = plan or _LossBatch(idx, loss)
+    found, anchored = batch.solve_one(idx, coloring)
+    return found, anchored, batch.entries
 
 
 def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
@@ -550,9 +486,7 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     out = trivial_outcome(idx, "fpt-dbar", trials=0, seed=seed)
     if out is not None:
         return out
-    if not instance.tree.is_binary():
-        raise NonBinaryTree("the loss-parameterized solver needs a binary tree; "
-                            "use the target-diversity or brute-force solver")
+    _check_binary(instance.tree)
     loss = idx.loss_budget
     if loss == 0:
         if collaborative_feasible(idx, instance.tree.taxa):
@@ -562,26 +496,15 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
                                trials=0, seed=seed)
         return SolveOutcome(False, "fpt-dbar", trials=0, seed=seed,
                             diagnostics={"deterministic": "zero loss budget"})
-    if loss > LOSS_LIMIT:
-        raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
     tree = instance.tree
-    positions, width = _color_positions(tree, loss)
+    batch = _LossBatch(idx, loss)
     n_trials = trial_count(2 * loss, delta)
-    plan = loss_plan(tree, loss)
-    batch = None
-    batched = sum(instance.length(x) for x in tree.taxa) < 2**62  # int64 cells
-    entries = loss_table_entry_count(loss, idx.n_classes)
     for first, count in trial_blocks(n_trials, DRAW_ROWS):
-        draws = trial_draws(seed, first, count, 2 * loss, width)
-        if first == 1 or not batched:
-            hits = range(count)
-        else:
-            batch = batch or _LossBatch(idx, loss, plan, positions)
-            hits = np.flatnonzero(batch.decide(draws)).tolist()
-        for h in hits:
-            # the plain table decides the rows no batch did, and gives the witness
-            coloring = _row_coloring(tree, loss, positions, draws[h].tolist())
-            found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
+        draws = trial_draws(seed, first, count, 2 * loss, batch.width)
+        for h in np.flatnonzero(batch.decide(draws)).tolist():
+            # the lowest trial that succeeds fills its table again for the witness
+            coloring = _row_coloring(tree, loss, batch.positions, draws[h].tolist())
+            found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, batch)
             if found:
                 sacrificed = {x for x, _, _ in anchored}
                 saved = canon(set(tree.taxa) - sacrificed)
@@ -592,4 +515,4 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
                                                 "table_entries": entries})
     return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta,
-                                     "table_entries": entries})
+                                     "table_entries": batch.entries})

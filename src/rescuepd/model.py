@@ -29,6 +29,11 @@ STRICT = "strict"
 MODES = (COLLABORATIVE, STRICT)
 
 
+def _integer(value) -> bool:
+    """Is value an int that is not a bool?"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TaxonInfo:
     """Per-taxon rescue data: person-hours needed and last usable timeslot."""
@@ -86,8 +91,7 @@ class PhyloTree:
             if v in weight:
                 raise InvalidInstance(f"edge into {v!r} listed twice")
             weight[v] = w
-        roots = [v for v in children
-                 if not any(v in cs for cs in children.values())]
+        roots = [v for v in children if v not in weight]  # every child has a weight
         if len(roots) != 1:
             raise InvalidInstance(f"expected one root, found {sorted(roots)}")
         return cls(roots[0], {v: tuple(cs) for v, cs in children.items()}, weight)
@@ -118,7 +122,7 @@ class PhyloTree:
                 raise InvalidInstance("root has out-degree 1")
             if v != self.root:
                 w = self.weight.get(v)
-                if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                if not _integer(w) or w < 1:
                     raise InvalidInstance(f"edge into {v!r} has weight {w!r}; "
                                           "weights must be integers >= 1")
         if self.root in self.weight:
@@ -182,14 +186,26 @@ class Instance:
         if not self.teams:
             raise InvalidInstance("at least one team is required")
         for i, t in enumerate(self.teams):
+            if not isinstance(t, TeamWindow):
+                raise InvalidInstance(f"team {i} must be a TeamWindow, got {t!r}")
+            if not (_integer(t.start) and _integer(t.end)):
+                raise InvalidInstance(f"team {i} window ({t.start!r}, {t.end!r}) "
+                                      "needs integer ends")
             if not (0 <= t.start < t.end):
                 raise InvalidInstance(f"team {i} window ({t.start}, {t.end}) "
                                       "needs 0 <= start < end")
         for x, info in self.taxa.items():
+            if not isinstance(info, TaxonInfo):
+                raise InvalidInstance(f"taxon {x!r} must have a TaxonInfo, got {info!r}")
+            if not (_integer(info.rescue_length) and _integer(info.extinction_time)):
+                raise InvalidInstance(f"taxon {x!r} needs an integer rescue length and "
+                                      f"extinction time, got {info!r}")
             if info.rescue_length < 1:
                 raise InvalidInstance(f"taxon {x!r} has rescue length < 1")
             if info.extinction_time < 1:
                 raise InvalidInstance(f"taxon {x!r} has extinction time < 1")
+        if not _integer(self.target):
+            raise InvalidInstance(f"target diversity must be an integer, got {self.target!r}")
         if self.target < 0:
             raise InvalidInstance("target diversity must be >= 0")
 

@@ -6,7 +6,12 @@ at the first success.  The library's batched loop must return the same
 outcome, field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
 with one generator and one plain-Python table per trial, the oracle of the
 loss solver's block draws and batched tables; ``loss_coloring_from_draws``
-reads one trial's coloring from its draws.
+reads one trial's coloring from its draws.  That table, ``_LossDP``, is the
+library's first loss table, kept unchanged: a dict over (path colors,
+sibling colors, class) filled one c1 at a time, with the scan of
+``accept`` and the backtrack of ``extract`` that fix the witness.
+``reference_loss_dp_solve`` runs it on one coloring, the oracle of
+``loss_dp_solve``.
 ``collaborative_schedule_from_pairs`` builds the greedy collaborative
 schedule from the full list of (team, slot) pairs, which the library now
 merges lazily from the team windows.
@@ -40,7 +45,8 @@ import numpy as np
 
 from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
                                 team_vectors)
-from rescuepd.color_loss import (LOSS_LIMIT, loss_dp_solve, loss_plan,
+from rescuepd.color_loss import (LOSS_LIMIT, LossColoring, _masks_of_popcount,
+                                 anchored_tuples, candidate_tuples,
                                  make_loss_coloring)
 from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    _singleton_shortcut, _strict_witness,
@@ -59,6 +65,7 @@ from rescuepd.outcome import SolveOutcome, trivial_outcome
 from rescuepd.structured import BOUND_GUARD, count_matrices
 
 NEG = -(2**62)
+MINF = -INF
 
 
 def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
@@ -88,6 +95,168 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
                                 seed=seed, diagnostics={"planned_trials": n_trials})
     return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
+
+
+@dataclass(frozen=True)
+class LossPlan:
+    """What every trial of one request shares: the anchored tuples of the
+    tree and the order in which the table visits path-color sets c1 (by
+    popcount up to the loss, then lexicographic positions)."""
+
+    tuples: tuple
+    c1_order: tuple
+
+
+def loss_plan(tree: PhyloTree, loss: int) -> LossPlan:
+    return LossPlan(tuple(anchored_tuples(tree)),
+                    tuple(c1 for pc in range(loss + 1)
+                          for c1 in _masks_of_popcount(2 * loss, pc)))
+
+
+class _LossDP:
+    """Full-table dynamic program over (path colors, sibling colors, class)."""
+
+    def __init__(self, idx: DerivedIndex, coloring: LossColoring, loss: int,
+                 plan: LossPlan = None):
+        tree = idx.instance.tree
+        plan = plan or loss_plan(tree, loss)
+        self.idx = idx
+        self.coloring = coloring
+        self.loss = loss
+        self.bits = 2 * loss
+        self.full = (1 << self.bits) - 1
+        self.nc = idx.n_classes
+        self.c1_order = plan.c1_order
+        self.tuples = []
+        for x, v, e, path in candidate_tuples(tree, coloring, idx, self.nc - 1,
+                                              plan.tuples):
+            self.tuples.append((idx.class_of[x], idx.instance.length(x),
+                                coloring.path_mask(path), coloring.key_bit(e),
+                                (x, v, e)))
+        d = idx.deficits
+        self.segmax = [[max(d[a:b + 1]) if a <= b else MINF
+                        for b in range(self.nc)] for a in range(self.nc)]
+        self.table = {}
+        self.entries = 0
+
+    def _key(self, c1, c2, q):
+        return ((c1 << self.bits) | c2) * 16 + q
+
+    def run(self):
+        for c1 in self.c1_order:
+            self._fill_c1(c1)
+
+    def _fill_c1(self, c1):
+        nc = self.nc
+        defs = self.idx.deficits
+        cand = [t for t in self.tuples if t[2] & ~c1 == 0]
+        base = []
+        ok = True
+        for q in range(nc):
+            if q > 0 and defs[q - 1] > 0:
+                ok = False
+            base.append(0 if ok else MINF)
+        per_class: list[list] = [[] for _ in range(nc)]
+        for t in cand:
+            per_class[t[0]].append(t)
+        ground_keys = []   # per q: OR of sibling key bits over classes <= q
+        by_class = []      # per q: candidates over classes <= q
+        running, acc = 0, []
+        for q in range(nc):
+            for t in per_class[q]:
+                running |= t[3]
+            acc = acc + per_class[q]
+            ground_keys.append(running)
+            by_class.append(acc)
+        comp = self.full ^ c1
+        table, bits = self.table, self.bits
+        high = c1 << bits
+        for q in range(nc):
+            gk = ground_keys[q]
+            bq = base[q]
+            cands = by_class[q]
+            seg = self.segmax
+            c2 = comp
+            while True:
+                if c2 & gk == 0:
+                    table[(high | c2) * 16 + q] = bq
+                else:
+                    best = MINF
+                    for cls_t, ell_t, pmask, kbit, _ in cands:
+                        if not kbit & c2:
+                            continue
+                        child = table[(((c1 & ~pmask) << bits)
+                                       | ((c2 | pmask) & ~kbit)) * 16 + cls_t]
+                        if child == MINF:
+                            continue
+                        val = child + ell_t
+                        if val > best and (cls_t > q - 1 or val >= seg[cls_t][q - 1]):
+                            best = val
+                    table[(high | c2) * 16 + q] = best
+                self.entries += 1
+                if c2 == 0:
+                    break
+                c2 = (c2 - 1) & comp
+
+    def accept(self):
+        """First (c1, c2) cell meeting the final deficit, scan order fixed."""
+        last = self.nc - 1
+        threshold = self.idx.deficits[last]
+        for c1 in self.c1_order:
+            comp = self.full ^ c1
+            c2 = comp
+            while True:
+                if self.table[self._key(c1, c2, last)] >= threshold:
+                    return c1, c2
+                if c2 == 0:
+                    break
+                c2 = (c2 - 1) & comp
+        return None
+
+    def extract(self, c1, c2):
+        """Backtrack one qualifying cell into an anchored taxa set."""
+        anchored = []
+        q = self.nc - 1
+        while True:
+            val = self.table[self._key(c1, c2, q)]
+            cand = [t for t in self.tuples
+                    if t[2] & ~c1 == 0 and t[0] <= q and t[3] & c2]
+            gk = 0
+            for t in cand:
+                gk |= t[3]
+            if c2 & gk == 0:
+                if val != 0:  # pragma: no cover
+                    raise RescuePDError("loss table backtrack hit a bad base")
+                return anchored
+            step = None
+            for cls_t, ell_t, pmask, kbit, tup in cand:
+                child = self.table[self._key(c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t)]
+                if child == MINF or child + ell_t != val:
+                    continue
+                if cls_t <= q - 1 and val < self.segmax[cls_t][q - 1]:
+                    continue
+                step = (cls_t, pmask, kbit, tup)
+                break
+            if step is None:  # pragma: no cover
+                raise RescuePDError("loss table backtrack failed")
+            cls_t, pmask, kbit, tup = step
+            anchored.append(tup)
+            c1, c2, q = c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t
+
+
+def reference_loss_dp_solve(instance, coloring, loss, idx=None, plan=None):
+    """The colored decision of ``loss_dp_solve`` from the scalar table:
+    (found, anchored set or None, table entry count)."""
+    if not instance.tree.is_binary():
+        raise NonBinaryTree("the loss-parameterized solver needs a binary tree")
+    if idx is None:
+        idx = build_derived_index(instance)
+    dp = _LossDP(idx, coloring, loss, plan)
+    dp.run()
+    cell = dp.accept()
+    if cell is None:
+        return False, None, dp.entries
+    return True, dp.extract(*cell), dp.entries
 
 
 def loss_draw_width(tree, loss):
@@ -145,7 +314,8 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
     for trial in range(1, n_trials + 1):
         f = _trial_rng(seed, trial).integers(1, 2 * loss + 1, size=width + 1)
         coloring = loss_coloring_from_draws(tree, loss, f)
-        found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, plan)
+        found, anchored, entries = reference_loss_dp_solve(instance, coloring, loss,
+                                                           idx, plan)
         if found:
             sacrificed = {x for x, _, _ in anchored}
             saved, sched = _collaborative_witness(

@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,9 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       loss_table_entry_count, make_loss_coloring,
                       pd_of_subset, solve_time_pd_by_loss,
                       solve_time_pd_by_target, trial_count, verify_schedule)
-from rescuepd.color_loss import (_color_positions, _LossBatch, candidate_tuples,
-                                 loss_plan)
+from rescuepd.color_loss import TABLE_GUARD, _LossBatch, candidate_tuples
 from rescuepd.color_target import trial_draws
-from rescuepd.driver import solve_auto
+from rescuepd.driver import LOSS_WORK_CAP, solve_auto
 from rescuepd.errors import LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import MAX_HOURS
@@ -23,8 +24,9 @@ from conftest import color_mask
 from lemmas import (anchored_set_for_sacrifice, check_color_respectful,
                     find_valid_ordering, injective_coloring, is_good,
                     is_q_grounding, path_between)
-from reference import (loss_coloring_from_draws, loss_draw_width, offspring,
-                       prefix, solve_by_loss_trial_by_trial)
+from reference import (_LossDP, loss_coloring_from_draws, loss_draw_width,
+                       offspring, prefix, reference_loss_dp_solve,
+                       solve_by_loss_trial_by_trial)
 
 
 def deadline_of(instance):
@@ -221,7 +223,7 @@ def test_dp_entry_count_matches_formula():
 
 def test_table_order_invariance():
     """Any enumeration respecting |C1| produces the identical table."""
-    from rescuepd.color_loss import _LossDP, _masks_of_popcount
+    from rescuepd.color_loss import _masks_of_popcount
 
     class ReversedOrder(_LossDP):
         def run(self):
@@ -301,9 +303,7 @@ BLOCK_STARTS = (2, 6, 22, 86, 342)
 
 
 def batch_for(instance, loss):
-    positions, _ = _color_positions(instance.tree, loss)
-    return _LossBatch(build_derived_index(instance), loss,
-                      loss_plan(instance.tree, loss), positions)
+    return _LossBatch(build_derived_index(instance), loss)
 
 
 @settings(deadline=None, max_examples=120)
@@ -330,23 +330,23 @@ def test_batched_decisions_match_the_scalar_table(data):
     seed = data.draw(st.integers(0, 2**32), label="seed")
     draws = trial_draws(seed, first, count, 2 * loss, loss_draw_width(inst.tree, loss))
     got = batch_for(inst, loss).decide(draws).tolist()
-    want = [loss_dp_solve(inst, loss_coloring_from_draws(inst.tree, loss, row), loss)[0]
-            for row in draws]
+    want = [reference_loss_dp_solve(
+        inst, loss_coloring_from_draws(inst.tree, loss, row), loss)[0] for row in draws]
     assert got == want
 
 
-@pytest.mark.parametrize("length, batched", [(2**60 - 1, True), (2**60, False)])
-def test_lengths_near_the_int64_bound(monkeypatch, length, batched):
+@pytest.mark.parametrize("length, int64_cells", [(2**60 - 1, True), (2**60, False)])
+def test_lengths_near_the_int64_bound(monkeypatch, length, int64_cells):
     """Four taxa of one length: saving three of them needs 3 * length hours,
     one less is given, and only a weight-1 leaf may be lost.  The lengths
-    sum to just under 2^62, where blocks run the int64 batch, or to 2^62,
-    where every trial runs the plain table; both run every planned trial
-    as the trial-by-trial loop does.  (A yes would list every hour of its
-    schedule.)"""
-    decides = []
+    sum to just under 2^62, where the batch keeps int64 cells, or to 2^62,
+    where it keeps Python ints in object cells; both run every planned
+    trial as the trial-by-trial loop does.  (A yes would list every hour of
+    its schedule.)"""
+    dtypes = []
     monkeypatch.setattr(_LossBatch, "decide",
                         lambda self, draws, run=_LossBatch.decide:
-                        decides.append(len(draws)) or run(self, draws))
+                        dtypes.append(self.dtype) or run(self, draws))
     tree = parse_newick("((a:1,b:2):1,(c:2,d:1):1);")
     hours = 3 * length - 1
     one_class = {x: TaxonInfo(length, hours) for x in tree.taxa}
@@ -361,4 +361,128 @@ def test_lengths_near_the_int64_bound(monkeypatch, length, batched):
             assert not out.decision and out.trials == trial_count(2, 1e-3)
             assert outcome_fields(out) == outcome_fields(
                 solve_by_loss_trial_by_trial(inst, 1e-3, seed))
-    assert bool(decides) == batched
+    assert set(dtypes) == {np.int64 if int64_cells else object}
+
+
+def test_loss_table_guard_refuses_before_building():
+    """Loss 8 over two deadline classes needs 81.8 M table entries, above
+    the guard: the solver and loss_dp_solve refuse it before they build
+    any table."""
+    tree = parse_newick("((a:4,b:4):1,c:4);")
+    taxa = {"a": TaxonInfo(1, 1), "b": TaxonInfo(1, 2), "c": TaxonInfo(1, 2)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 1),), tree.total_weight() - 8)
+    idx = build_derived_index(inst)
+    assert idx.loss_budget == 8
+    assert loss_table_entry_count(8, idx.n_classes) > TABLE_GUARD >= LOSS_WORK_CAP
+    coloring = make_loss_coloring(tree, 8, {e: 1 for e in tree.edge_order}, {})
+    t0 = time.perf_counter()
+    with pytest.raises(LossTooLarge):
+        solve_time_pd_by_loss(inst)
+    with pytest.raises(LossTooLarge):
+        loss_dp_solve(inst, coloring, 8)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def drawn_instance(data, loss, huge):
+    """A random binary instance that may lose ``loss``.  With ``huge``, its
+    lengths, deadlines and team windows are scaled by one factor that keeps
+    the hours within 2^63 - 1: decisions stay, and the lengths may sum past
+    2^62."""
+    n_classes = data.draw(st.integers(1, 6), label="classes")
+    base = gen_random_instance(
+        n=data.draw(st.integers(2, 7), label="n"),
+        n_teams=data.draw(st.integers(1, 3), label="teams"), max_ex=2 * n_classes,
+        max_len=data.draw(st.integers(1, 3), label="max length"), max_weight=3,
+        tree_shape=data.draw(st.sampled_from(("caterpillar", "random-binary")),
+                             label="shape"),
+        seed=data.draw(st.integers(0, 10**6), label="instance"))
+    deadline = st.sampled_from([2 * c for c in range(1, n_classes + 1)])
+    taxa = {x: TaxonInfo(base.length(x), data.draw(deadline, label="deadline"))
+            for x in base.tree.taxa}
+    inst = Instance(base.tree, taxa, base.teams,
+                    max(0, base.tree.total_weight() - loss))
+    if not huge:
+        return inst
+    f = MAX_HOURS // max(1, build_derived_index(inst).hours[-1])
+    return Instance(inst.tree,
+                    {x: TaxonInfo(i.rescue_length * f, i.extinction_time * f)
+                     for x, i in taxa.items()},
+                    tuple(TeamWindow(t.start * f, t.end * f) for t in inst.teams),
+                    inst.target)
+
+
+def drawn_coloring(data, tree, loss):
+    """A trial's coloring, a coloring whose ill-formed edges are demoted, or
+    the injective coloring, whose colors may lie off the palette."""
+    kind = data.draw(st.sampled_from(("trial", "demoted", "injective")), label="kind")
+    if kind == "trial":
+        row = trial_draws(data.draw(st.integers(0, 2**32), label="seed"),
+                          data.draw(st.integers(1, 400), label="trial"), 1,
+                          2 * loss, loss_draw_width(tree, loss))[0]
+        return loss_coloring_from_draws(tree, loss, row)
+    if kind == "injective":
+        return injective_coloring(tree)
+    palette = st.integers(1, 2 * loss)
+    key, extras = {}, {}
+    for e in tree.edge_order:
+        key[e] = data.draw(palette, label="key")
+        colors = data.draw(st.one_of(
+            st.sets(palette, min_size=tree.weight[e] - 1, max_size=tree.weight[e] - 1),
+            st.sets(palette)), label="extras")
+        extras[e] = color_mask(*colors)
+    return make_loss_coloring(tree, loss, key, extras)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_one_row_equals_the_scalar_table(data):
+    """loss_dp_solve, one row of the batched table, gives the scalar
+    table's decision, witness and entry count on every coloring."""
+    loss = data.draw(st.integers(1, 3), label="loss")
+    inst = drawn_instance(data, loss, data.draw(st.booleans(), label="huge"))
+    coloring = drawn_coloring(data, inst.tree, loss)
+    assert loss_dp_solve(inst, coloring, loss) == \
+        reference_loss_dp_solve(inst, coloring, loss)
+
+
+@pytest.mark.parametrize("length", [2**62, MAX_HOURS])
+def test_cells_beyond_the_int64_bound(length):
+    """Taxon a is too long for the one team, so a yes sacrifices it, and
+    its cells hold at least 2^62: loss_dp_solve, which builds no schedule,
+    finds them as the scalar table does.  With d as long too, both must
+    be sacrificed, which the loss forbids: the solver says no in every
+    planned trial, as the trial-by-trial loop does."""
+    tree = parse_newick("((a:1,b:2):1,(c:2,d:1):1);")
+    taxa = dict({x: TaxonInfo(1, 4) for x in tree.taxa}, a=TaxonInfo(length, 2))
+    inst = Instance(tree, taxa, (TeamWindow(0, 4),), tree.total_weight() - 1)
+    idx = build_derived_index(inst)
+    batch = _LossBatch(idx, 1)
+    assert batch.dtype is object
+    width = loss_draw_width(tree, 1)
+    found = []
+    for row in trial_draws(5, 1, 8, 2, width):
+        coloring = loss_coloring_from_draws(tree, 1, row)
+        got = loss_dp_solve(inst, coloring, 1, idx, batch)
+        assert got == reference_loss_dp_solve(inst, coloring, 1, idx)
+        found.append(got[0])
+    assert any(found) and not all(found)
+    no = Instance(tree, dict(taxa, d=TaxonInfo(length, 2)), inst.teams, inst.target)
+    for seed in range(2):
+        out = solve_time_pd_by_loss(no, 1e-3, seed)
+        assert not out.decision and out.trials == trial_count(2, 1e-3)
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(no, 1e-3, seed))
+
+
+def test_witness_follows_the_scan_order():
+    """Sacrificing x1 alone or x3 alone both meet the deficits under this
+    coloring.  The accepting cell is the first in the scan order (c1 by
+    popcount and position, c2 downwards), and its backtrack gives x3; a
+    scan with c2 upwards would give x1."""
+    tree = parse_newick("(x1:1,(x2:2,x3:1)v1:1)root;")
+    taxa = {"x1": TaxonInfo(1, 4), "x2": TaxonInfo(2, 4), "x3": TaxonInfo(2, 2)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 4),), 3)
+    coloring = loss_coloring_from_draws(tree, 2, [2, 4, 2, 3, 4, 2])
+    got = loss_dp_solve(inst, coloring, 2)
+    assert got == reference_loss_dp_solve(inst, coloring, 2)
+    assert got[:2] == (True, [("x3", "v1", "x2")])

@@ -57,6 +57,9 @@ def test_every_cap_within_its_solver_guard():
         for algorithm, _, cap, _ in rows:
             guard = BRUTE_GUARDS[mode] if algorithm == "brute" else GUARDS[algorithm]
             assert cap <= guard, (mode, algorithm)
+    # fpt-dbar also guards its table entries, which auto admits only within
+    # the planned work of at least one trial
+    assert driver.LOSS_WORK_CAP <= color_loss.TABLE_GUARD
 
 
 def one_team_tree(deadline, end):

@@ -129,6 +129,33 @@ def test_instance_validation_errors():
                  (TeamWindow(0, 1),), 0)
 
 
+def two_leaves(target=2, a=TaxonInfo(1, 2), team=TeamWindow(0, 2)):
+    """Two unit leaves under one root and one team, with one field swapped."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    return Instance(tree, {"a": a, "b": TaxonInfo(1, 2)}, (team,), target)
+
+
+@pytest.mark.parametrize("fields", [
+    {"target": 2.0},
+    {"target": True},
+    {"a": TaxonInfo(1.0, 2)},
+    {"a": TaxonInfo(1, "2")},
+    {"a": TaxonInfo(1, 2.5)},
+    {"a": (1, 2)},
+    {"team": TeamWindow(0, 2.0)},
+    {"team": TeamWindow(0.0, 2)},
+    {"team": (0, 5)},
+], ids=["float target", "bool target", "float length", "string deadline",
+        "float deadline", "tuple taxon", "float window end", "float window start",
+        "tuple team"])
+def test_non_integer_fields_are_invalid(fields):
+    # each once leaked a bare TypeError or AttributeError, from the
+    # constructor or from a solver, or got an answer
+    with pytest.raises(InvalidInstance):
+        two_leaves(**fields)
+    assert two_leaves().target == 2
+
+
 def test_capacity_overflow_rejected():
     tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
     huge = 2**63
