@@ -23,11 +23,16 @@ false-no rate by delta.  Yes answers are re-verified before return.
 One table decides every trial.  Trials come in blocks of 1, 4, 16, 64 and
 256 colorings, and ``_LossBatch`` fills the table of a whole block in
 numpy, one popcount layer of path-color sets at a time for every trial at
-once.  The lowest trial that succeeds fills its table again as one row,
-from the candidate tuples of its coloring (``loss_dp_solve``), and the
-witness is read back from that row, so the outcome is the one a
-trial-by-trial loop gives.  Cells are int64 while the rescue lengths sum
-to less than 2^62, and Python ints from there on.
+once.  It first screens the block: a coloring is a no when, for some
+deadline class q with a positive deficit, the taxa due by q that have a
+candidate tuple are too short together to pay it.  That is exact, since a
+colored yes sacrifices distinct taxa, each through one candidate, whose
+lengths pay every positive deficit.  The lowest trial that succeeds
+fills its table again as one row, from the candidate tuples of its
+coloring (``loss_dp_solve``), and the witness is read back from that row,
+so the outcome is the one a trial-by-trial loop gives.  Cells are int64
+while the rescue lengths sum to less than 2^62, and Python ints from there
+on.
 
 The dynamic program requires a binary tree, which makes the sibling edge of
 an anchor unique.
@@ -53,6 +58,7 @@ MINF = -INF
 LOSS_LIMIT = 14  # 2 * loss color bits; keeps the cell numbers 3^(2 loss) in int64
 TABLE_GUARD = 5 * 10**7  # table entries of one coloring; no lower than auto admits
 DRAW_ROWS = 256  # most colorings drawn per block; bounds the draws' memory
+GATHER_CELLS = 2**16  # most (member, c1, class, c2) cells a row gathers at once
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,9 @@ def _row_coloring(tree: PhyloTree, loss: int, positions: dict, f) -> LossColorin
 
 @dataclass(frozen=True)
 class _Layer:
-    """The cells whose path-color set c1 has one popcount p: ``cells[l, s]``
-    numbers (c1_l, c2_ls) for the subsets c2_ls of c1_l's complement.
+    """The cells of a run of path-color sets c1 of one popcount p (a whole
+    layer, or a chunk of one): ``cells[l, s]`` numbers (c1_l, c2_ls) for the
+    subsets c2_ls of c1_l's complement.
     ``tuples[m, j]`` is the m-th anchored tuple whose path weighs at most p
     in the j-th class that has one, or the padding tuple, which is never a
     candidate; ``slot[q]`` is the j of class q, or -1."""
@@ -238,16 +245,19 @@ class _LossBatch:
     2 T3(kbit) cells from its parent, for every (c1, c2) it counts in.  A
     child has a smaller c1 popcount, so the table is filled one popcount
     layer at a time for every (trial, c1, c2) at once.  Layer 0 holds the
-    base cells (c1 empty), where no candidate fits.
+    base cells (c1 empty), where no candidate fits.  A layer whose gathered
+    (tuple, c1, c2) children of one trial exceed GATHER_CELLS is split into
+    chunks of c1 that stay within it; the cells of one layer depend only on
+    lower layers, so its chunks are filled one after another.
 
     A cell keeps the most rescue length that a sacrifice of its candidates
     reaches.  Within a cell, every candidate of class c reaches the same
     child class, so its best value M_c is a max over the class.  A class
     c < q value v is kept at q when v meets every deficit of classes c ..
     q - 1; the best kept value at q therefore is best[q] = max(M_q,
-    best[q - 1] if best[q - 1] >= deficit[q - 1]).  A pass decides as many
-    trials as keep their tables, and the gathered (tuple, c1, c2) children
-    of a layer, within BATCH_CELLS cells.
+    best[q - 1] if best[q - 1] >= deficit[q - 1]).  A pass decides at least
+    one trial, and as many as keep their tables, and the gathered children
+    of a chunk, within BATCH_CELLS cells.
 
     Cells are int64 while the rescue lengths sum to less than 2^62, and
     Python ints (object cells) from there on.  An unreached cell holds
@@ -275,13 +285,23 @@ class _LossBatch:
         total = sum(idx.instance.length(x) for x in tree.taxa)
         self.dtype, self.minf = (np.int64, MINF) if total < 2**62 else (object, MINF - total)
         # (class, length, path weight, path draw positions, sibling key position)
-        within, self.index_of = [], {}
+        within, self.index_of, owners = [], {}, []
         for x, v, e, path in self.tuples:
             if sum(tree.weight[edge] for edge in path) <= loss:
                 self.index_of[x, v, e] = len(within)
                 draws = [p for edge in path for p in self.positions[edge]]
                 within.append((idx.class_of[x], idx.instance.length(x),
                                len(draws), draws, self.positions[e][0]))
+                owners.append(x)
+        # the screen: a taxon's tuples are consecutive, and pay[g, j] is the
+        # length of the g-th taxon if it is due by the j-th class with a
+        # positive deficit (owed[j]), else 0
+        starts = [t for t, x in enumerate(owners) if t == 0 or x != owners[t - 1]]
+        owed = [q for q, d in enumerate(self.deficits) if d > 0]
+        self.taxon_starts = np.array(starts, dtype=np.intp)
+        self.owed = np.array([self.deficits[q] for q in owed], dtype=self.dtype)
+        self.pay = np.array([[within[t][1] if within[t][0] <= q else 0 for q in owed]
+                             for t in starts], dtype=self.dtype).reshape(len(starts), len(owed))
         # the padding tuple: two draws at the unused position 0 give one
         # color for a weight above the loss, so it is never a candidate
         pad = len(within)
@@ -303,7 +323,7 @@ class _LossBatch:
             ok = ok and (q == 0 or self.deficits[q - 1] <= 0)
             self.base.append(0 if ok else self.minf)
         self.layers = []
-        gather = 0
+        gather = 0  # the most gathered cells of one row in one layer chunk
         for p in range(loss + 1):
             c1 = np.array(list(_masks_of_popcount(bits, p)), dtype=np.int64)
             comp = np.array([[b for b in range(bits) if not m >> b & 1]
@@ -321,10 +341,12 @@ class _LossBatch:
                 tuples[:len(ts), j] = ts
             slot = tuple(list(members).index(q) if q in members else -1
                          for q in range(nc))
-            self.layers.append(_Layer(~c1[:, None], c2,
-                                      self.t3[c1][:, None] + 2 * self.t3[c2],
-                                      tuples, slot))
-            gather = max(gather, c2.size * tuples.size)
+            cells = self.t3[c1][:, None] + 2 * self.t3[c2]
+            step = max(1, GATHER_CELLS // (c2.shape[1] * tuples.size))
+            for lo in range(0, len(c1), step):
+                self.layers.append(_Layer(~c1[lo:lo + step, None], c2[lo:lo + step],
+                                          cells[lo:lo + step], tuples, slot))
+            gather = max(gather, min(step, len(c1)) * c2.shape[1] * tuples.size)
         self.rows = max(1, BATCH_CELLS // max(gather, self.n_cells * nc))
 
     def _cell(self, c1: int, c2: int) -> int:
@@ -332,19 +354,36 @@ class _LossBatch:
         return int(self.t3[c1] + 2 * self.t3[c2])
 
     def decide(self, draws: np.ndarray) -> np.ndarray:
-        """Colored decision of every trial whose draws are a row of draws."""
+        """Colored decision of every trial whose draws are a row of draws.
+
+        A screen first says no to every coloring under which, for some
+        class q with a positive deficit, the taxa due by q that have a
+        candidate tuple are too short together to pay that deficit.  The
+        screen is exact: a yes sacrifices a set of such taxa, one tuple
+        each, whose lengths due by q pay every positive deficit d_q, as
+        saving all the other taxa needs.  Each taxon counts once, so the
+        sums stay below the total length.  The rows that pass fill the
+        tables, ``rows`` per pass.
+        """
         bits = np.left_shift(1, draws - 1)
         pmask = np.bitwise_or.reduceat(bits[:, self.path_draws], self.path_starts,
                                        axis=1)
         kbit = bits[:, self.sibling_draw]
         pmask[np.bitwise_count(pmask) != self.weight] = self.too_wide
-        pow3 = self.pow3[draws]
+        # a candidate: path draws pairwise distinct, sibling key off the path;
+        # the padding tuple, last in the last taxon's run, never is one
+        candidate = (pmask != self.too_wide) & (pmask & kbit == 0)
+        sacrificable = np.logical_or.reduceat(candidate, self.taxon_starts, axis=1)
+        live = np.flatnonzero(
+            (sacrificable.astype(self.dtype) @ self.pay >= self.owed).all(axis=1))
+        pow3 = self.pow3[draws[live]]
         shift = (np.add.reduceat(pow3[:, self.path_draws], self.path_starts, axis=1)
                  - 2 * pow3[:, self.sibling_draw]) * self.nc + self.cls
-        return np.concatenate([
-            self._fill(pmask[lo:lo + self.rows], kbit[lo:lo + self.rows],
-                       shift[lo:lo + self.rows])[0]
-            for lo in range(0, len(draws), self.rows)])
+        found = np.zeros(len(draws), dtype=bool)
+        for lo in range(0, len(live), self.rows):
+            part = live[lo:lo + self.rows]
+            found[part] = self._fill(pmask[part], kbit[part], shift[lo:lo + self.rows])[0]
+        return found
 
     def _fill(self, pmask, kbit, shift):
         """Fill the tables of a pass of rows, one row per trial: per tuple its

@@ -32,12 +32,14 @@ this for the installed numpy.
 The solver decides trial 1 with the one-coloring kernel
 (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
 cheap yes-instances cheap, and the later trials in blocks of 4, 16, 64,
-... colorings, at least 16 from there on, decided up to 2^14 table cells
-per numpy pass; a pass runs the same recurrence in numpy over (trials x
-color sets).  The reported trial
-is the lowest successful index.  The kernel re-runs that coloring and
-reads the witness back from the cells each taxon improved, so the outcome
-is the one a trial-by-trial loop gives.
+... colorings, at least 16 from there on.  A block is screened first: a
+coloring under which the taxa that fit some capacity row do not cover the
+palette between them is a no, exactly, since a table adds no other taxon.
+The colorings that pass are decided up to 2^14 table cells per numpy
+pass; a pass runs the same recurrence in numpy over (trials x color
+sets).  The reported trial is the lowest successful index.  The kernel
+re-runs that coloring and reads the witness back from the cells each
+taxon improved, so the outcome is the one a trial-by-trial loop gives.
 """
 
 from __future__ import annotations
@@ -409,9 +411,9 @@ def trial_draws(seed: int, first: int, count: int, n_colors: int,
 
 class _TrialPlan:
     """What every batch of one request shares: each edge's slice of the draw
-    positions, each taxon's root-path edges, and per capacity row (the
-    prefix hours, or each team's) the room cap - length left by each taxon;
-    taxa are in deadline order."""
+    positions, each taxon's root-path edges, per capacity row (the prefix
+    hours, or each team's) the room cap - length left by each taxon, and the
+    taxa that fit at least one row; taxa are in deadline order."""
 
     def __init__(self, idx: DerivedIndex, n_colors: int, caps):
         tree = idx.instance.tree
@@ -424,20 +426,35 @@ class _TrialPlan:
         self.ell = [idx.instance.length(x) for x in idx.order]
         self.room = [[cap[idx.class_of[x]] - ell for x, ell in zip(idx.order, self.ell)]
                      for cap in caps]
+        self.fitting = np.array([t for t in range(len(self.ell))
+                                 if any(room[t] >= 0 for room in self.room)], dtype=np.intp)
         self.n_colors = n_colors
 
     def decide(self, draws: np.ndarray) -> np.ndarray:
-        """Colored decision of every trial whose draws are a row of draws,
-        BATCH_CELLS table cells per numpy pass."""
-        rows = max(1, BATCH_CELLS >> self.n_colors)
-        return np.concatenate([self._decide_rows(draws[lo:lo + rows])
-                               for lo in range(0, len(draws), rows)])
+        """Colored decision of every trial whose draws are a row of draws.
 
-    def _decide_rows(self, draws: np.ndarray) -> np.ndarray:
+        A screen first says no to every coloring under which the taxa that
+        fit some capacity row (room >= 0) do not cover the whole palette
+        between them.  The screen is exact: a set that covers the palette
+        in a table, or in the teams' cover product, is made of taxa that
+        fit a row, since the table of a row skips every other taxon.  The
+        rows that pass fill the tables, BATCH_CELLS table cells per numpy
+        pass.
+        """
         bits = np.left_shift(1, draws[:, 1:] - 1)
         edge_masks = np.bitwise_or.reduceat(bits, self.edge_starts, axis=1)
         masks = np.bitwise_or.reduceat(edge_masks[:, self.path_edges],
                                        self.path_starts, axis=1)
+        covered = np.bitwise_or.reduce(masks[:, self.fitting], axis=1)
+        live = np.flatnonzero(covered == (1 << self.n_colors) - 1)
+        found = np.zeros(len(draws), dtype=bool)
+        rows = max(1, BATCH_CELLS >> self.n_colors)
+        for lo in range(0, len(live), rows):
+            part = live[lo:lo + rows]
+            found[part] = self._decide_rows(masks[part])
+        return found
+
+    def _decide_rows(self, masks: np.ndarray) -> np.ndarray:
         tables = [self._reachable(masks, room) for room in self.room]
         acc = tables[0]
         if len(tables) == 1:

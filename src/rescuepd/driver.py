@@ -29,7 +29,7 @@ from .brute import brute_force
 from .color_loss import planned_work, solve_time_pd_by_loss
 from .color_target import (checked_seed, solve_s_time_pd_by_target,
                            solve_time_pd_by_target)
-from .errors import RescuePDError
+from .errors import BadParams, RescuePDError
 from .feasibility import verify_schedule
 from .files import instance_to_dict
 from .model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
@@ -202,13 +202,17 @@ def run_bench(items, delta: float = 1e-3, seed: int = 0, jobs: int = 1):
     """Run a sweep; returns (rows, disagreements, false_neg, randomized_runs).
 
     Results are merged by instance index, so the outcome is independent of
-    worker scheduling.  A bad seed or delta is rejected before any solve.
+    worker scheduling.  At most one worker process per instance is started.
+    A bad seed or delta, or fewer than one job, is rejected before any solve.
     """
     seed = checked_seed(seed, delta)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise BadParams(f"jobs must be an integer of at least 1, got {jobs!r}")
+    workers = min(jobs, len(items))
     results = {}
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(run_bench_instance, item, delta, seed): item[0]
                        for item in items}
             for future, instance_id in futures.items():

@@ -134,20 +134,23 @@ TINY = {"count": 1, "n": 4, "n_teams": 1, "max_ex": 4, "max_len": 3,
     ["bench", {"families": [TINY], "delta": "x"}],
     ["bench", {"families": [TINY], "seed": "x"}],
     ["bench", {"families": [TINY], "dleta": 0.5}],
+    ["bench", {"families": [TINY]}, "--jobs", "0"],
+    ["bench", {"families": [TINY]}, "--jobs", "-2"],
     ["gen", "--kind", "subset-sum", "--k", "1", "--goal", "3"],
     ["gen", "--kind", "subset-sum", "--values", "1,2", "--goal", "3"],
     ["gen", "--kind", "subset-sum", "--values", "1,2", "--k", "1"],
     ["gen", "--kind", "subset-sum", "--values", "1,x", "--k", "1", "--goal", "3"],
 ], ids=["sweep-empty-object", "sweep-list", "family-without-count",
         "unknown-generator-key", "n-as-string", "count-as-bool",
-        "delta-as-string", "seed-as-string", "unknown-spec-key", "no-values",
+        "delta-as-string", "seed-as-string", "unknown-spec-key", "zero-jobs",
+        "negative-jobs", "no-values",
         "no-k", "no-goal", "values-not-integers"])
 def test_bad_cli_input_is_a_clean_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     if command[0] == "bench":
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(command[1]))
-        command = ["bench", "--sweep", str(sweep)]
+        command = ["bench", "--sweep", str(sweep)] + command[2:]
     assert main(command + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -203,6 +206,43 @@ def test_bench_jobs_deterministic(tmp_path):
                            r.trials) for r in rows]
     assert strip(rows1) == strip(rows2)
     assert (dis1, fn1, rr1) == (dis2, fn2, rr2)
+
+
+def test_bench_starts_at_most_one_worker_per_instance(monkeypatch):
+    """A stand-in pool records its size and runs each call inline, so no
+    process starts: --jobs 64 on two instances sizes the pool at 2, and a
+    single instance or a single job runs without a pool."""
+    import concurrent.futures
+    from rescuepd.driver import run_bench
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    items = [(i, "tiny", gen_random_instance(n=4, n_teams=1, max_ex=4, max_len=3,
+                                             max_weight=2, seed=400 + i))
+             for i in range(2)]
+    strip = lambda rows: [(r.instance_id, r.algorithm, r.decision, r.value,
+                           r.trials) for r in rows]
+    serial = run_bench(items, 1e-3, seed=0, jobs=1)
+    pooled = run_bench(items, 1e-3, seed=0, jobs=64)
+    assert sizes == [2]
+    assert strip(pooled[0]) == strip(serial[0]) and pooled[1:] == serial[1:]
+    run_bench(items[:1], 1e-3, seed=0, jobs=8)
+    assert sizes == [2]
 
 
 def test_all_guards_exceeded_exit_2(tmp_path):

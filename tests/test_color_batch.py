@@ -20,7 +20,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
 from rescuepd import color_target
-from rescuepd.color_target import _TrialPlan, _trial_rng, trial_draws
+from rescuepd.color_target import _TrialPlan, _trial_rng, trial_blocks, trial_draws
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
 
@@ -29,6 +29,21 @@ from test_color_target import colored_brute
 
 # first trials of the solver's batches of 4, 16, 64 and 256 colorings
 BATCH_STARTS = (2, 6, 22, 86, 342)
+
+
+@given(st.integers(0, 3000), st.integers(1, 300))
+def test_trial_blocks_cover_the_trials_in_order(n_trials, most):
+    """Blocks of 1, 4, 16, ... trials, each capped at ``most``, the last cut
+    at n_trials: none is empty, and they cover trials 1 .. n_trials."""
+    blocks = list(trial_blocks(n_trials, most))
+    covered = [t for first, count in blocks for t in range(first, first + count)]
+    assert covered == list(range(1, n_trials + 1))
+    assert all(count > 0 for _, count in blocks)
+    for i, (_, count) in enumerate(blocks):
+        if i < len(blocks) - 1:
+            assert count == min(4**i, most)
+        else:
+            assert count <= min(4**i, most)
 
 
 def plan_for(idx, strict):
@@ -51,7 +66,8 @@ def test_batched_decisions_match_the_scalar_kernel(data):
         n=data.draw(st.integers(2, 7), label="n"),
         n_teams=data.draw(st.integers(1, 3), label="teams"),
         max_ex=8, max_len=data.draw(st.integers(1, 3), label="max length"),
-        max_weight=3, savable_frac=1.0,
+        max_weight=3,
+        savable_frac=data.draw(st.sampled_from((0.2, 0.5, 1.0)), label="savable"),
         tree_shape=data.draw(st.sampled_from(TREE_SHAPES), label="shape"),
         seed=data.draw(st.integers(0, 10**6), label="instance"),
         target=k, mode=STRICT if strict else COLLABORATIVE)
@@ -78,6 +94,71 @@ def test_batched_decisions_on_a_wide_palette():
         draws = trial_draws(seed, 2, 6, 9, inst.tree.total_weight())
         got = plan_for(idx, True).decide(draws).tolist()
         assert got == kernel_decisions(idx, draws, True)
+
+
+def spy_rows(monkeypatch):
+    """The number of rows of each table pass the batches run."""
+    rows = []
+    fill = _TrialPlan._decide_rows
+    monkeypatch.setattr(_TrialPlan, "_decide_rows",
+                        lambda self, masks: rows.append(len(masks)) or fill(self, masks))
+    return rows
+
+
+def test_screened_rows_keep_their_decisions(monkeypatch):
+    """Over instances where some taxa cannot be saved, the screen removes
+    rows before the tables and yet every row's decision is the kernel's;
+    rows of both answers pass it."""
+    passed = spy_rows(monkeypatch)
+    total = yes = 0
+    for case in range(48):
+        strict = case % 2 == 1
+        k = 3 + case % 4
+        inst = gen_random_instance(n=6, n_teams=1 + case % 3, max_ex=6, max_len=3,
+                                   max_weight=2, savable_frac=(0.3, 0.6)[case // 4 % 2],
+                                   tree_shape=TREE_SHAPES[case % len(TREE_SHAPES)],
+                                   seed=900 + case, target=k,
+                                   mode=STRICT if strict else COLLABORATIVE)
+        idx = build_derived_index(inst)
+        draws = trial_draws(case, 2, 64, k, inst.tree.total_weight())
+        got = plan_for(idx, strict).decide(draws).tolist()
+        assert got == kernel_decisions(idx, draws, strict), case
+        total += len(draws)
+        yes += sum(got)
+    screened = total - sum(passed)
+    assert 0 < screened < total and 0 < yes < total - screened, (screened, yes, total)
+
+
+def test_a_taxon_with_no_room_left_counts_in_the_screen():
+    """a takes all the hours of its deadline (room 0), and a cover needs
+    its color: the screen keeps the coloring, and the table says yes."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, 1), "b": TaxonInfo(1, 2)}
+    for mode in (COLLABORATIVE, STRICT):
+        inst = Instance(tree, taxa, (TeamWindow(0, 2),), 2, mode)
+        idx = build_derived_index(inst)
+        draws = np.array([[1, 1, 2], [1, 2, 1], [1, 1, 1]])
+        got = plan_for(idx, mode == STRICT).decide(draws).tolist()
+        assert got == kernel_decisions(idx, draws, mode == STRICT) == [True, True, False]
+
+
+def test_hopeless_instances_fill_no_table(monkeypatch):
+    """Only a can be saved, and its root path has 2 < 4 colors: every
+    coloring is screened out, no table is filled, and the outcome is the
+    trial-by-trial loop's, in both modes."""
+    passed = spy_rows(monkeypatch)
+    tree = PhyloTree.from_edges([("r", "u", 1), ("u", "a", 1), ("u", "b", 2),
+                                 ("r", "c", 2)])
+    taxa = {"a": TaxonInfo(1, 3), "b": TaxonInfo(6, 3), "c": TaxonInfo(6, 3)}
+    teams = (TeamWindow(0, 3), TeamWindow(1, 3))
+    for mode in (COLLABORATIVE, STRICT):
+        inst = Instance(tree, taxa, teams, 4, mode)
+        solve = solve_s_time_pd_by_target if mode == STRICT else solve_time_pd_by_target
+        for seed in range(2):
+            got = solve(inst, 0.1, seed)
+            assert not got.decision and got.trials == got.diagnostics["planned_trials"]
+            assert got == solve_by_target_trial_by_trial(inst, 0.1, seed, mode == STRICT)
+    assert passed == []
 
 
 def colored_brute_by_partition(instance, coloring):

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def test_batched_decisions_match_the_scalar_table(data):
     base = gen_random_instance(
         n=data.draw(st.integers(2, 7), label="n"),
         n_teams=data.draw(st.integers(1, 2), label="teams"), max_ex=2 * n_classes,
-        max_len=3, max_weight=3,
+        max_len=data.draw(st.integers(1, 4), label="max length"), max_weight=3,
         tree_shape=data.draw(st.sampled_from(("caterpillar", "random-binary")),
                              label="shape"),
         seed=data.draw(st.integers(0, 10**6), label="instance"))
@@ -333,6 +334,112 @@ def test_batched_decisions_match_the_scalar_table(data):
     want = [reference_loss_dp_solve(
         inst, loss_coloring_from_draws(inst.tree, loss, row), loss)[0] for row in draws]
     assert got == want
+
+
+def spy_fill(monkeypatch):
+    """The number of rows of each table pass the batches run."""
+    rows = []
+    fill = _LossBatch._fill
+    monkeypatch.setattr(_LossBatch, "_fill", lambda self, pmask, kbit, shift:
+                        rows.append(len(pmask)) or fill(self, pmask, kbit, shift))
+    return rows
+
+
+def reference_decisions(inst, loss, draws):
+    return [reference_loss_dp_solve(
+        inst, loss_coloring_from_draws(inst.tree, loss, row), loss)[0] for row in draws]
+
+
+def test_screened_rows_keep_their_decisions(monkeypatch):
+    """Over instances whose deficits some colorings cannot pay, the screen
+    removes rows before the table and yet every row's decision is the
+    scalar table's; rows of both answers pass it."""
+    passed = spy_fill(monkeypatch)
+    total = yes = 0
+    for case in range(40):
+        loss = 1 + case % 3
+        n_classes = 1 + case % 3
+        base = gen_random_instance(n=4 + case % 3, n_teams=1 + case % 2,
+                                   max_ex=2 * n_classes, max_len=1 + case % 2,
+                                   max_weight=2, tree_shape="random-binary",
+                                   seed=700 + case)
+        taxa = {x: TaxonInfo(base.length(x), 2 + 2 * (i % n_classes))
+                for i, x in enumerate(base.tree.taxa)}
+        inst = Instance(base.tree, taxa, base.teams, base.tree.total_weight() - loss)
+        draws = trial_draws(case, 2, 16, 2 * loss, loss_draw_width(inst.tree, loss))
+        got = batch_for(inst, loss).decide(draws).tolist()
+        assert got == reference_decisions(inst, loss, draws), case
+        total += len(draws)
+        yes += sum(got)
+    screened = total - sum(passed)
+    assert 0 < screened < total and 0 < yes < total - screened, (screened, yes, total)
+
+
+def test_a_deficit_paid_exactly_passes_the_screen():
+    """Only a can be sacrificed, and its length is the deficit: a coloring
+    under which a's tuple is a candidate is a yes."""
+    tree = parse_newick("((a:1,b:2):1,c:2);")
+    taxa = {"a": TaxonInfo(2, 2), "b": TaxonInfo(1, 2), "c": TaxonInfo(1, 2)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 2),), tree.total_weight() - 1)
+    assert build_derived_index(inst).deficits == (2,)
+    draws = trial_draws(3, 2, 16, 2, loss_draw_width(tree, 1))
+    got = batch_for(inst, 1).decide(draws).tolist()
+    assert got == reference_decisions(inst, 1, draws)
+    assert any(got) and not all(got)
+    for seed in range(3):
+        assert outcome_fields(solve_time_pd_by_loss(inst, 1e-3, seed)) == \
+            outcome_fields(solve_by_loss_trial_by_trial(inst, 1e-3, seed))
+
+
+def test_the_screen_counts_each_taxon_once():
+    """a and b are 2^61 - 2 long, and each has three tuples within the
+    loss.  The lengths sum to below 2^62, so the cells are int64, but five
+    candidate tuples of a and b would sum to 2^63 or more: a screen that
+    counted tuples would wrap round in int64 and lose yes rows."""
+    length = 2**61 - 2
+    tree = parse_newick("(((a:1,b:1):1,c:1):1,d:1);")
+    hours = 2**61
+    taxa = dict({x: TaxonInfo(1, hours) for x in tree.taxa},
+                a=TaxonInfo(length, hours), b=TaxonInfo(length, hours))
+    inst = Instance(tree, taxa, (TeamWindow(0, hours),), tree.total_weight() - 3)
+    idx = build_derived_index(inst)
+    assert idx.deficits == (length,)
+    batch = batch_for(inst, 3)
+    assert batch.dtype is np.int64
+    draws = trial_draws(11, 2, 64, 6, loss_draw_width(tree, 3))
+    got = batch.decide(draws).tolist()
+    assert got == reference_decisions(inst, 3, draws)
+    wrapping = []
+    for row, found in zip(draws, got):
+        cands = candidate_tuples(tree, loss_coloring_from_draws(tree, 3, row), idx, 0)
+        by_tuple = sum(inst.length(x) for x, _, _, path in cands
+                       if sum(tree.weight[e] for e in path) <= 3)
+        wrapping.append(found and by_tuple >= 2**63)
+    assert any(wrapping)
+
+
+@pytest.mark.parametrize("owing", [0, 1, 2])
+def test_hopeless_instances_fill_no_table(monkeypatch, owing):
+    """Three deadline classes, and only s, due in the last, can be lost.
+    The deficit of class ``owing`` is positive and more than the taxa due
+    by then that can be lost are long; the others are not positive.  Every
+    coloring is screened out, no table is filled, and the outcome is the
+    trial-by-trial loop's."""
+    passed = spy_fill(monkeypatch)
+    tree = parse_newick("((x0:2,x1:2):1,(x2:2,s:1):1);")
+    lengths = {0: (2, 1, 1, 1), 1: (1, 5, 1, 1), 2: (1, 1, 5, 1)}[owing]
+    deadlines = {0: (1, 10, 20, 20), 1: (1, 3, 20, 20), 2: (1, 2, 3, 3)}[owing]
+    taxa = {x: TaxonInfo(ell, ex)
+            for x, ell, ex in zip(("x0", "x1", "x2", "s"), lengths, deadlines)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 20),), tree.total_weight() - 1)
+    deficits = build_derived_index(inst).deficits
+    assert [q for q, d in enumerate(deficits) if d > 0] == [owing]
+    for seed in range(2):
+        out = solve_time_pd_by_loss(inst, 1e-3, seed)
+        assert not out.decision and out.trials == trial_count(2, 1e-3)
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 1e-3, seed))
+    assert passed == []
 
 
 @pytest.mark.parametrize("length, int64_cells", [(2**60 - 1, True), (2**60, False)])
@@ -381,6 +488,36 @@ def test_loss_table_guard_refuses_before_building():
     with pytest.raises(LossTooLarge):
         loss_dp_solve(inst, coloring, 8)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_layer_chunks_bound_the_fill_memory():
+    """One class and loss 6: a whole layer's gathered children would be
+    1.5 M cells, some 60 MiB of working memory, for a table of 4.1 MiB.
+    Filled in chunks of c1, loss_dp_solve peaks below 16 MiB, its layers
+    and table included, with the scalar table's outcome.  Layers of loss 3
+    or less, as the benchmark streams have, stay whole."""
+    tree = parse_newick("(((((a:1,b:1):1,c:1):1,d:1):1,e:1):1,f:1);")
+    inst = Instance(tree, {x: TaxonInfo(2, 5) for x in tree.taxa},
+                    (TeamWindow(0, 5),), tree.total_weight() - 6)
+    row = trial_draws(0, 1, 1, 12, loss_draw_width(tree, 6))[0]
+    coloring = loss_coloring_from_draws(tree, 6, row)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = loss_dp_solve(inst, coloring, 6)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+    assert got[0] and got == reference_loss_dp_solve(inst, coloring, 6)
+    # up to loss 3, seven taxa in seven classes fill each layer in one pass
+    wide = parse_newick("((((((a:1,b:1):1,c:1):1,d:1):1,e:1):1,f:1):1,g:1);")
+    taxa = {x: TaxonInfo(1, i + 1) for i, x in enumerate(sorted(wide.taxa))}
+    for loss in (1, 2, 3):
+        batch = batch_for(Instance(wide, taxa, (TeamWindow(0, 3),),
+                                   wide.total_weight() - loss), loss)
+        assert batch.nc == 7 and len(batch.layers) == loss + 1
 
 
 def drawn_instance(data, loss, huge):

@@ -32,3 +32,19 @@ def test_outcome_digest_on_20_requests(workload, tmp_path):
         assert all(re.fullmatch("[0-9a-f]{16}", digest) for digest in row[2:])
     assert rows == [[str(field) for field in row]
                     for row in load_tool().digests(workload, 1, 20)]
+
+
+def test_summary_of_every_workload(tmp_path):
+    """``all --summary`` prints one line per workload: its request count and
+    the digests of its contract and witness digest columns."""
+    done = subprocess.run([sys.executable, str(TOOL), "all", "1", "--requests", "20",
+                           "--summary"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    tool = load_tool()
+    want = []
+    for workload in WORKLOADS:
+        rows = list(tool.digests(workload, 1, 20))
+        want.append([workload, "1", "20", tool._digest([row[2] for row in rows]),
+                     tool._digest([row[3] for row in rows])])
+    assert [line.split() for line in done.stdout.splitlines()] == want

@@ -1,6 +1,7 @@
 """Digests of the outcomes that a benchmark workload's requests get.
 
     python3 tools/outcome_digest.py color-coding 1 --requests 150
+    python3 tools/outcome_digest.py all 1 2027 --summary
 
 Builds the seeded request stream of one workload in
 ``perfbench/workloads.py``, solves each request as the workload does, and
@@ -10,6 +11,12 @@ per solver call on crossval-sweep):
 
 - contract: decision, algorithm, trials, seed and diagnostics;
 - witness: saved set, value and schedule.
+
+With ``all`` in place of a workload, and with several seeds, the streams
+follow one another, workloads in name order and each at every seed in
+turn.  ``--summary`` prints one line per (workload, seed) instead: the
+workload, the seed, the request count, a digest of all its contract
+digests and a digest of all its witness digests.
 
 Run it in two checkouts and compare the output.  Equal contract digests
 mean the same decisions, routes and trial indices; a witness digest may
@@ -60,15 +67,31 @@ def digests(workload: str, seed: int, requests: int = None):
         yield request.index, request.klass, _digest(contract), _digest(witness)
 
 
+def summary(workload: str, seed: int, requests: int = None):
+    """(workload, seed, request count, digest of the contract digests,
+    digest of the witness digests) of one stream."""
+    rows = list(digests(workload, seed, requests))
+    return (workload, seed, len(rows), _digest([row[2] for row in rows]),
+            _digest([row[3] for row in rows]))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("seed", type=int)
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS) + ["all"])
+    parser.add_argument("seeds", type=int, nargs="+", metavar="seed")
     parser.add_argument("--requests", type=int, default=None,
-                        help="digest only the first N requests")
+                        help="digest only the first N requests of each stream")
+    parser.add_argument("--summary", action="store_true",
+                        help="print one line per (workload, seed)")
     args = parser.parse_args(argv)
-    for row in digests(args.workload, args.seed, args.requests):
-        print(*row)
+    names = sorted(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        for seed in args.seeds:
+            if args.summary:
+                print(*summary(name, seed, args.requests))
+            else:
+                for row in digests(name, seed, args.requests):
+                    print(*row)
 
 
 if __name__ == "__main__":
