@@ -80,5 +80,5 @@ def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
 def brute_force(instance: Instance, guard: int = None) -> SolveOutcome:
     """Mode dispatch for the two oracles."""
     if instance.mode == STRICT:
-        return brute_force_s_time_pd(instance, guard if guard else 8)
-    return brute_force_time_pd(instance, guard if guard else 20)
+        return brute_force_s_time_pd(instance, 8 if guard is None else guard)
+    return brute_force_time_pd(instance, 20 if guard is None else guard)

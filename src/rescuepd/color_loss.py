@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color_target import (BATCH_CELLS, INF, checked_seed, trial_blocks,
-                           trial_count, trial_draws)
+from .color_target import BATCH_CELLS, INF, checked_seed, first_success, trial_count
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
@@ -538,20 +537,17 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     tree = instance.tree
     batch = _LossBatch(idx, loss)
     n_trials = trial_count(2 * loss, delta)
-    for first, count in trial_blocks(n_trials, DRAW_ROWS):
-        draws = trial_draws(seed, first, count, 2 * loss, batch.width)
-        for h in np.flatnonzero(batch.decide(draws)).tolist():
-            # the lowest trial that succeeds fills its table again for the witness
-            coloring = _row_coloring(tree, loss, batch.positions, draws[h].tolist())
-            found, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, batch)
-            if found:
-                sacrificed = {x for x, _, _ in anchored}
-                saved = canon(set(tree.taxa) - sacrificed)
-                return checked_yes(idx, "fpt-dbar", saved,
-                                   build_collaborative_schedule(idx, saved),
-                                   trials=first + h, seed=seed,
-                                   diagnostics={"planned_trials": n_trials,
-                                                "table_entries": entries})
-    return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
-                        diagnostics={"planned_trials": n_trials, "delta": delta,
-                                     "table_entries": batch.entries})
+    hit = first_success(seed, n_trials, DRAW_ROWS, 2 * loss, batch.width, batch.decide)
+    if hit is None:
+        return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
+                            diagnostics={"planned_trials": n_trials, "delta": delta,
+                                         "table_entries": batch.entries})
+    # the first success fills its table again for the witness
+    trial, row = hit
+    coloring = _row_coloring(tree, loss, batch.positions, row.tolist())
+    _, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, batch)
+    sacrificed = {x for x, _, _ in anchored}
+    saved = canon(set(tree.taxa) - sacrificed)
+    return checked_yes(idx, "fpt-dbar", saved, build_collaborative_schedule(idx, saved),
+                       trials=trial, seed=seed,
+                       diagnostics={"planned_trials": n_trials, "table_entries": entries})

@@ -29,17 +29,17 @@ Its rows are bit-identical to the per-trial generator, which redraws the
 rare row that hits Lemire's rejection; ``tests/test_trial_draws.py`` pins
 this for the installed numpy.
 
-The solver decides trial 1 with the one-coloring kernel
-(``solve_colored_time_pd`` / ``solve_colored_s_time_pd``), which keeps
-cheap yes-instances cheap, and the later trials in blocks of 4, 16, 64,
-... colorings, at least 16 from there on.  A block is screened first: a
-coloring under which the taxa that fit some capacity row do not cover the
-palette between them is a no, exactly, since a table adds no other taxon.
-The colorings that pass are decided up to 2^14 table cells per numpy
-pass; a pass runs the same recurrence in numpy over (trials x color
-sets).  The reported trial is the lowest successful index.  The kernel
-re-runs that coloring and reads the witness back from the cells each
-taxon improved, so the outcome is the one a trial-by-trial loop gives.
+The request's ``_TrialPlan`` decides every trial, in blocks of 1, 4, 16,
+... colorings of at most max(16, 2^14 / 2^k) rows, and screens each block
+first: a coloring under which the taxa that fit some capacity row do not
+cover the palette between them is a no, exactly, since a table adds no
+other taxon.  The rest are decided 2^14 table cells per numpy pass over
+(trials x color sets).  ``first_success``, which both color-coding solvers
+use, returns the lowest successful trial.  The one-coloring kernel
+(``solve_colored_time_pd`` / ``solve_colored_s_time_pd``) runs the same
+recurrence on that coloring alone and reads the witness back from the
+cells each taxon improved, so the outcome is the one a trial-by-trial
+loop gives.
 """
 
 from __future__ import annotations
@@ -74,12 +74,16 @@ class TargetColoring:
     edge_colors: dict  # edge (child vertex) -> bitmask
 
     def taxon_masks(self, tree: PhyloTree) -> dict:
-        """Union of edge colors along each root-to-leaf path."""
+        """Union of edge colors along each root-to-leaf path.  Every edge
+        of the tree needs a color set within the palette, else BadParams."""
         masks = {}
         for x in tree.taxa:
             m = 0
             for e in tree.root_path(x):
-                m |= self.edge_colors[e]
+                c = self.edge_colors.get(e)
+                if not isinstance(c, numbers.Integral) or not 0 <= c < 1 << self.n_colors:
+                    raise BadParams(f"edge {e!r} has no colors within [1, {self.n_colors}]: {c!r}")
+                m |= c
             masks[x] = m
         return masks
 
@@ -99,9 +103,12 @@ def color_edges_from_hash(tree: PhyloTree, n_colors: int, f) -> TargetColoring:
         m = 0
         for _ in range(tree.weight[e]):
             pos += 1
-            c = pick(pos)
-            if not 1 <= c <= n_colors:
-                raise BadParams(f"color {c} outside palette [1, {n_colors}]")
+            try:
+                c = pick(pos)
+            except (IndexError, KeyError):
+                raise BadParams(f"f has no color at position {pos}") from None
+            if not isinstance(c, numbers.Integral) or not 1 <= c <= n_colors:
+                raise BadParams(f"color {c!r} outside palette [1, {n_colors}]")
             m |= 1 << (c - 1)
         edge_colors[e] = m
     return TargetColoring(n_colors, edge_colors)
@@ -132,6 +139,17 @@ def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
     return g, improved
 
 
+def _palette(n_colors) -> int:
+    """The full color set of a palette of n_colors, checked before any table
+    is sized: BadParams for a size that is not an integer >= 0, and
+    TargetTooLarge above MASK_LIMIT."""
+    if not isinstance(n_colors, numbers.Integral) or n_colors < 0:
+        raise BadParams(f"the palette size must be an integer >= 0, got {n_colors!r}")
+    if n_colors > MASK_LIMIT:
+        raise TargetTooLarge(f"{n_colors} colors exceed the mask-width limit {MASK_LIMIT}")
+    return (1 << n_colors) - 1
+
+
 def _read_back(idx: DerivedIndex, masks: dict, improved, cell: int) -> list:
     """A set whose length is g[cell]: walking the taxa backwards, the last
     taxon that improved the cell joins it, and the cell loses its colors."""
@@ -149,7 +167,7 @@ def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     Returns (True, saved set) when some feasible set covers the palette,
     else (False, None).  The capacity row is the prefix hours of all teams.
     """
-    full = (1 << coloring.n_colors) - 1
+    full = _palette(coloring.n_colors)
     masks = coloring.taxon_masks(idx.instance.tree)
     g, improved = _colored_table(idx, masks, idx.hours, full)
     if g[full] >= INF:
@@ -164,7 +182,7 @@ def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
     and the teams are merged by the boolean cover product.  Returns (True,
     per-team parts), which are disjoint, or (False, None).
     """
-    full = (1 << coloring.n_colors) - 1
+    full = _palette(coloring.n_colors)
     masks = coloring.taxon_masks(idx.instance.tree)
     tables = [_colored_table(idx, masks, cap, full) for cap in idx.team_hours]
     bits = [[v < INF for v in g] for g, _ in tables]
@@ -504,11 +522,25 @@ def _singleton_shortcut(instance, idx, algorithm):
                        diagnostics={"shortcut": "single taxon"})
 
 
+def first_success(seed: int, n_trials: int, most: int, n_colors: int,
+                  width: int, decide):
+    """(trial, draws row) of the lowest of trials 1 .. n_trials whose row
+    ``decide`` accepts, or None; trials are drawn in the blocks of
+    ``trial_blocks(n_trials, most)``.  ``decide`` is exact, so its first yes
+    is the first success."""
+    for first, count in trial_blocks(n_trials, most):
+        draws = trial_draws(seed, first, count, n_colors, width)
+        hits = np.flatnonzero(decide(draws))
+        if hits.size:
+            return first + int(hits[0]), draws[hits[0]]
+    return None
+
+
 def _solve_by_target(instance, delta, seed, kernel, witness, mode):
-    """The trial loop of both modes: ``kernel`` decides one coloring, and
-    ``witness`` turns its finding into a (saved set, schedule).  The batched
-    trials check each team's hours in strict mode, else the prefix hours of
-    all teams, as the kernel does."""
+    """The trial loop of both modes: the request's ``_TrialPlan`` decides
+    every trial against each team's hours in strict mode, else the prefix
+    hours of all teams, as ``kernel`` does; ``kernel`` and ``witness`` turn
+    the first success into a (saved set, schedule)."""
     seed = checked_seed(seed, delta)
     check_mode(instance, mode, "fpt-d")
     idx = build_derived_index(instance)
@@ -517,31 +549,21 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
     if out is not None:
         out.seed = seed
         return out
-    k = instance.target
-    if k > MASK_LIMIT:
-        raise TargetTooLarge(f"target {k} exceeds the mask-width limit {MASK_LIMIT}")
-    tree = instance.tree
-    width = tree.total_weight()
+    k, tree = instance.target, instance.tree
+    _palette(k)  # TargetTooLarge before any table is sized
+    plan = _TrialPlan(idx, k, idx.team_hours if mode == STRICT else (idx.hours,))
     n_trials = trial_count(k, delta)
-    plan = None
     # blocks of 16 rows or more take the block draw at any target
-    for first, count in trial_blocks(n_trials, max(_BLOCK_ROWS, BATCH_CELLS >> k)):
-        draws = trial_draws(seed, first, count, k, width)
-        if first == 1:
-            hits = [0]
-        else:
-            plan = plan or _TrialPlan(
-                idx, k, idx.team_hours if mode == STRICT else (idx.hours,))
-            hits = np.flatnonzero(plan.decide(draws)).tolist()
-        for h in hits:
-            # the kernel confirms each hit and extracts its witness
-            ok, found = kernel(idx, color_edges_from_hash(tree, k, draws[h]))
-            if ok:
-                saved, sched = witness(instance, idx, found)
-                return checked_yes(idx, "fpt-d", saved, sched, trials=first + h,
-                                   seed=seed, diagnostics={"planned_trials": n_trials})
-    return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
-                        diagnostics={"planned_trials": n_trials, "delta": delta})
+    hit = first_success(seed, n_trials, max(_BLOCK_ROWS, BATCH_CELLS >> k), k,
+                        tree.total_weight(), plan.decide)
+    if hit is None:
+        return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
+                            diagnostics={"planned_trials": n_trials, "delta": delta})
+    trial, row = hit
+    _, found = kernel(idx, color_edges_from_hash(tree, k, row))
+    saved, sched = witness(instance, idx, found)
+    return checked_yes(idx, "fpt-d", saved, sched, trials=trial, seed=seed,
+                       diagnostics={"planned_trials": n_trials})
 
 
 def _collaborative_witness(instance, idx, saved):

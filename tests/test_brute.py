@@ -112,6 +112,16 @@ def test_guards():
         exhaustive_schedule_search(big, big.tree.taxa, guard=10)
 
 
+@pytest.mark.parametrize("mode", ["collaborative", "strict"])
+def test_mode_dispatch_honours_a_zero_guard(mode):
+    """guard=0 admits no taxon, as each mode's oracle does; only None picks
+    the mode's default guard."""
+    inst = gen_random_instance(n=4, seed=0, mode=mode)
+    with pytest.raises(InstanceTooLarge):
+        brute_force(inst, guard=0)
+    assert brute_force(inst, guard=None) == brute_force(inst, guard=4)
+
+
 def assert_witness(inst, out):
     """A yes ships a verified schedule; a no ships none, and its best set is
     still feasible."""

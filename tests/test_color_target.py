@@ -14,7 +14,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_s_time_pd_by_target, solve_time_pd_by_loss,
                       solve_time_pd_by_target, strict_feasible, trial_count,
                       verify_schedule)
-from rescuepd.color_target import TargetColoring, _TrialPlan
+from rescuepd.color_target import MASK_LIMIT, TargetColoring, _TrialPlan
 from rescuepd.driver import solve_auto
 from rescuepd.errors import BadParams, TargetTooLarge
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
@@ -48,6 +48,12 @@ def test_color_edges_from_hash_examples():
 
     with pytest.raises(BadParams):
         color_edges_from_hash(tree, 2, [None, 1, 3, 1, 1, 1])
+    for short in ([1], [None, 1, 2, 1, 2], {1: 1, 2: 2}):  # positions 1, 5, 3 missing
+        with pytest.raises(BadParams):
+            color_edges_from_hash(tree, 2, short)
+    for odd in ("1", None, 1.5):
+        with pytest.raises(BadParams):
+            color_edges_from_hash(tree, 2, [None, 1, odd, 1, 1, 1])
 
 
 def test_taxon_masks_union():
@@ -268,6 +274,28 @@ def test_kernels_accept_lengths_near_the_hours_bound():
         assert sorted(saved) == ["a", "b"]
         caps = idx.team_hours if mode == "strict" else (idx.hours,)
         assert _TrialPlan(idx, 2, caps).decide(draws).tolist() == [True]
+
+
+def test_bad_colorings_raise_rescuepd_errors():
+    """A coloring that misses an edge, has a color off its palette or a
+    palette size that is not an integer >= 0 is BadParams, and a palette
+    wider than MASK_LIMIT is TargetTooLarge, in both kernels, before any
+    table is built."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)}
+    bad = (TargetColoring(2, {}), TargetColoring(2, {"a": mask(1)}),
+           TargetColoring(2, {"a": mask(1), "b": mask(3)}),
+           TargetColoring(2, {"a": mask(1), "b": -1}),
+           TargetColoring(2, {"a": mask(1), "b": "2"}),
+           TargetColoring(-1, {"a": 0, "b": 0}), TargetColoring(2.0, {"a": 1, "b": 2}))
+    for mode, kernel in ((COLLABORATIVE, solve_colored_time_pd),
+                         (STRICT, solve_colored_s_time_pd)):
+        idx = build_derived_index(Instance(tree, taxa, (TeamWindow(0, 2),), 2, mode))
+        for coloring in bad:
+            with pytest.raises(BadParams):
+                kernel(idx, coloring)
+        with pytest.raises(TargetTooLarge):
+            kernel(idx, TargetColoring(MASK_LIMIT + 1, {"a": mask(1), "b": mask(2)}))
 
 
 def test_trial_count():

@@ -1,15 +1,17 @@
 """The benchmark tracer wraps functions by module attribute name; a renamed
 or removed function would silently read zero there, so every name it
-lists must resolve in the package, and every solver the driver dispatches
-must run through its wrapped name."""
+lists must resolve in the package, every solver the driver dispatches
+must run through its wrapped name, and each color-coding yes must run its
+witness step through the wrapped per-layer names."""
 
 import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from rescuepd import driver
+from rescuepd import Instance, PhyloTree, TaxonInfo, TeamWindow, driver
 from rescuepd.driver import ADMISSION
+from rescuepd.model import COLLABORATIVE, STRICT
 
 from conftest import split_rescue
 
@@ -67,5 +69,37 @@ def test_the_tracer_sees_every_dispatched_solver():
             assert tracer.routes[tracer.request] == rows[0][0]
             fired = solver_spans(lambda: driver.run_bench_instance((0, "tiny", instance)))
             assert fired == Counter(SOLVER_SPAN[row[0]] for row in rows)
+    finally:
+        tracer.uninstall()
+
+
+def test_each_color_coding_yes_fires_its_layers_once():
+    """Two leaves of weight 1 and target 2: fpt-d succeeds at trial 1 with
+    seed 2 and at trial 4 with seed 0.  Either way the witness step makes
+    one coloring and runs the kernel once; a strict yes also merges its two
+    teams' tables by the cover product.  An fpt-dbar yes (loss 1, room for
+    one leaf) fills its loss table once for the witness."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        def fired(instance, algorithm, seed):
+            before = Counter(tracer.calls)
+            out = driver.run_algorithm(instance, algorithm, 1e-3, seed)
+            assert out.decision, (instance.mode, algorithm, seed)
+            return out.trials, Counter(tracer.calls) - before
+
+        for mode in (COLLABORATIVE, STRICT):
+            inst = Instance(tree, {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)},
+                            (TeamWindow(0, 1), TeamWindow(0, 1)), 2, mode)
+            for seed, trial in ((2, 1), (0, 4)):
+                trials, calls = fired(inst, "fpt-d", seed)
+                assert trials == trial
+                assert calls["color_target.kernel"] == calls["color_target.coloring"] == 1
+                assert (calls["cover.combine"] > 0) == (mode == STRICT), mode
+        inst = Instance(tree, {"a": TaxonInfo(1, 1), "b": TaxonInfo(1, 1)},
+                        (TeamWindow(0, 1),), 1)
+        trials, calls = fired(inst, "fpt-dbar", 0)
+        assert trials == 4 and calls["color_loss.dp"] == 1
     finally:
         tracer.uninstall()
