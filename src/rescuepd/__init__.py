@@ -21,7 +21,7 @@ from .cover import boolean_cover_combine
 from .feasibility import (Schedule, VerificationReport,
                           build_collaborative_schedule, collaborative_feasible,
                           schedule_team_parts, strict_feasible,
-                          strict_feasible_given_ordering, verify_schedule)
+                          verify_schedule)
 from .generators import gen_random_instance, reduce_subset_sum
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
                     TaxonInfo, TeamWindow, build_derived_index, canon,

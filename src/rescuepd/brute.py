@@ -12,19 +12,9 @@ import itertools
 
 from .errors import InstanceTooLarge
 from .feasibility import (build_collaborative_schedule, collaborative_feasible,
-                          strict_feasible)
+                          strict_feasible, strict_table)
 from .model import STRICT, Instance, build_derived_index, canon, pd_of_subset
 from .outcome import SolveOutcome
-
-
-def _subsets(taxa):
-    for r in range(len(taxa) + 1):
-        yield from itertools.combinations(taxa, r)
-
-
-def _better(cand, best):
-    """Preference order: max diversity, min total length, smallest set."""
-    return best is None or cand < best
 
 
 def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
@@ -34,15 +24,17 @@ def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
     reports the best set and its diversity.
     """
     idx = build_derived_index(instance)
+    taxa = instance.tree.taxa
     best = None
-    for subset in _subsets(instance.tree.taxa):
-        if not feasible(idx, subset):
-            continue
-        value = pd_of_subset(instance.tree, subset)
-        total = sum(instance.length(x) for x in subset)
-        key = (-value, total, subset)
-        if _better(key, best):
-            best = key
+    for r in range(len(taxa) + 1):
+        for subset in itertools.combinations(taxa, r):
+            if not feasible(idx, subset):
+                continue
+            value = pd_of_subset(instance.tree, subset)
+            total = sum(instance.length(x) for x in subset)
+            key = (-value, total, subset)  # max diversity, min length, smallest set
+            if best is None or key < best:
+                best = key
     value, saved = -best[0], canon(best[2])
     decision = value >= instance.target
     return SolveOutcome(decision=decision, algorithm="brute", saved=saved,
@@ -59,22 +51,17 @@ def brute_force_time_pd(instance: Instance, guard: int = 20) -> SolveOutcome:
     return _search(instance, collaborative_feasible, build_collaborative_schedule)
 
 
-def _strict_schedule(idx, subset):
-    return strict_feasible(idx.instance, subset, guard=None)
-
-
-def _strict_feasible(idx, subset) -> bool:
-    # strict implies collaborative, so the cheap check prunes orderings
-    return (collaborative_feasible(idx, subset)
-            and _strict_schedule(idx, subset) is not None)
-
-
 def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
-    """As above with strict feasibility (all-orderings greedy) per subset."""
+    """As above with strict feasibility, one lookup per subset in the subset
+    table built once over all taxa; the yes witness is strict_feasible's."""
     taxa = instance.tree.taxa
     if len(taxa) > guard:
-        raise InstanceTooLarge(f"{len(taxa)} taxa exceed the 2^n n! guard {guard}")
-    return _search(instance, _strict_feasible, _strict_schedule)
+        raise InstanceTooLarge(f"{len(taxa)} taxa exceed the 2^n guard {guard}")
+    table = strict_table(instance, taxa)
+    bit = {x: 1 << k for k, x in enumerate(taxa)}
+    return _search(instance,
+                   lambda idx, subset: table[sum(bit[x] for x in subset)] is not None,
+                   lambda idx, saved: strict_feasible(instance, saved, guard=None))
 
 
 def brute_force(instance: Instance, guard: int = None) -> SolveOutcome:

@@ -36,7 +36,8 @@ import functools
 import numpy as np
 
 from .errors import RescuePDError, StateSpaceTooLarge
-from .feasibility import Schedule, build_collaborative_schedule
+from .feasibility import (Schedule, build_collaborative_schedule,
+                          schedule_team_parts)
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
                     build_derived_index, canon, capped_product)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
@@ -421,16 +422,14 @@ class _TeamSubsetDP(_BudgetDP):
                     share = [0] * len(self.pairs)
                     for n in run:
                         share[n] = 1
-                    shares.append((share, (i, start)))
+                    shares.append((share, i))
         return self.share_rests(grid, shares)
 
     def witness_schedule(self, saved, details) -> Schedule:
-        assignment = {}
+        parts = [[] for _ in range(self.n_teams)]
         for x in saved:
-            team, start = details[x]
-            for j in range(start + 1, start + self.instance.length(x) + 1):
-                assignment[(team, j)] = x
-        return Schedule(STRICT, assignment, canon(saved))
+            parts[details[x]].append(x)
+        return schedule_team_parts(self.instance, parts)
 
 
 def solve_time_pd_team_vectors(instance: Instance, guard: int = STATE_GUARD) -> SolveOutcome:

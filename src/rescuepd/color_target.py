@@ -74,14 +74,15 @@ class TargetColoring:
     edge_colors: dict  # edge (child vertex) -> bitmask
 
     def taxon_masks(self, tree: PhyloTree) -> dict:
-        """Union of edge colors along each root-to-leaf path.  Every edge
-        of the tree needs a color set within the palette, else BadParams."""
+        """Union of edge colors along each root-to-leaf path.  The palette
+        must pass _palette, and every edge a color set within it."""
+        full = _palette(self.n_colors)
         masks = {}
         for x in tree.taxa:
             m = 0
             for e in tree.root_path(x):
                 c = self.edge_colors.get(e)
-                if not isinstance(c, numbers.Integral) or not 0 <= c < 1 << self.n_colors:
+                if not isinstance(c, numbers.Integral) or not 0 <= c <= full:
                     raise BadParams(f"edge {e!r} has no colors within [1, {self.n_colors}]: {c!r}")
                 m |= c
             masks[x] = m

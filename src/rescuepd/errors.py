@@ -22,7 +22,7 @@ class InfeasibleSet(RescuePDError):
 
 
 class SetTooLarge(RescuePDError):
-    """Factorial enumeration guard exceeded."""
+    """Strict subset-table guard exceeded."""
 
 
 class InstanceTooLarge(RescuePDError):

@@ -7,14 +7,13 @@ constructive direction fills (team, slot) pairs sorted by slot with taxa
 sorted by deadline.
 
 Strict schedules assign each taxon to exactly one team as one consecutive
-run.  Feasibility of a candidate ordering is decided by a greedy pass that
-hands each team the longest prefix it can execute back-to-back; full strict
-feasibility tries every ordering.
+run.  A set is strictly feasible iff it splits into one part per team that
+the team can run earliest deadline first (Jackson 1955).  One DP over the
+subsets of a set (Held and Karp 1962) decides them all at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -98,40 +97,50 @@ def _pack(instance: Instance, i: int, taxa, assignment: dict) -> int:
     return len(taxa)
 
 
-def strict_feasible_given_ordering(instance: Instance, ordering):
-    """Greedily pack prefixes of the ordering onto teams t_1, t_2, ...
-
-    Within a team, taxa run back-to-back from the window start, each run as
-    early as possible; a taxon whose run would end after its deadline (or
-    the window) starts the next team's prefix instead.  Returns a Schedule
-    iff every taxon is placed, else None.
+def strict_table(instance: Instance, members) -> list:
+    """f[S] per bitmask S over members: the least (team, end of its last
+    run, index of the last taxon) after placing S, else None.  Teams are
+    used in index order, each running its taxa back to back from its window
+    start; x goes to the first team, from the current one on, where its run
+    ends by min(window end, x's deadline).  Exact, as a smaller state can
+    follow every continuation of a larger one and every taxon is tried last.
     """
-    ordering = list(ordering)
-    assignment = {}
-    pos = 0
-    for i in range(len(instance.teams)):
-        pos += _pack(instance, i, ordering[pos:], assignment)
-    if pos < len(ordering):
-        return None
-    return Schedule(STRICT, assignment, canon(ordering))
+    teams = instance.teams
+    runs = [(instance.length(x), instance.deadline(x)) for x in members]
+    f = [None] * (1 << len(runs))
+    f[0] = (0, teams[0].start, None)
+    for s in range(1, len(f)):
+        for k, (need, due) in enumerate(runs):
+            if not s >> k & 1 or f[s ^ 1 << k] is None:
+                continue
+            i, cursor, _ = f[s ^ 1 << k]
+            for j in range(i, len(teams)):
+                end = (cursor if j == i else teams[j].start) + need
+                if end <= min(teams[j].end, due):
+                    if f[s] is None or (j, end, k) < f[s]:
+                        f[s] = (j, end, k)
+                    break
+    return f
 
 
 def strict_feasible(instance: Instance, taxa_set, guard: int = 10):
-    """Try every ordering through the greedy; first success wins.
-
-    Orderings are enumerated in lexicographic label order, so the returned
-    schedule is deterministic.  None is a normal outcome.
-    """
+    """A strict schedule that saves taxa_set, or None (a normal outcome):
+    the subset table's backtrack gives one part per team, packed earliest
+    deadline first, which fits wherever the table's order fits.  The guard
+    bounds the 2^|set| states."""
     members = canon(taxa_set)
     if guard is not None and len(members) > guard:
-        raise SetTooLarge(f"{len(members)} taxa exceed the ordering guard {guard}")
-    if not members:
-        return Schedule(STRICT, {}, ())
-    for ordering in itertools.permutations(members):
-        sched = strict_feasible_given_ordering(instance, ordering)
-        if sched is not None:
-            return sched
-    return None
+        raise SetTooLarge(f"{len(members)} taxa exceed the subset guard {guard}")
+    f = strict_table(instance, members)
+    s = len(f) - 1
+    if f[s] is None:
+        return None
+    parts = [[] for _ in instance.teams]
+    while s:
+        team, _, k = f[s]
+        parts[team].append(members[k])
+        s ^= 1 << k
+    return schedule_team_parts(instance, parts)
 
 
 def schedule_team_parts(instance: Instance, parts) -> Schedule:

@@ -20,9 +20,15 @@ The budget DPs' first engine, a top-down memo keyed by budget tuples with
 one recursive call per (share, b1) pair, is kept here unchanged as the
 oracle of the library's dense tables: ``memo_team_vectors``,
 ``memo_hour_vectors``, ``memo_team_subsets`` and ``memo_xp`` must return
-the library solvers' decision, value, saved set and schedule.
-``strict_feasible_by_partition`` is a second strict-feasibility oracle that
-splits a set over the teams directly, each part checked by
+the library solvers' decision, value, saved set and schedule.  Only the
+witness step of ``memo_team_subsets`` follows the library: it packs each
+team's taxa earliest deadline first with ``schedule_team_parts``.
+``strict_feasible_given_ordering`` is the greedy that packs the longest
+prefix of an ordering onto each team in turn, and
+``strict_feasible_by_orderings`` the library's first strict search, which
+tries every ordering through it; they are the oracle of the strict subset
+table.  ``strict_feasible_by_partition`` is a second strict-feasibility
+oracle that splits a set over the teams directly, each part checked by
 ``single_team_feasible``.  ``exhaustive_schedule_search`` decides a set by
 raw search over schedules, with no prefix condition, the independent oracle
 of the feasibility tests.  ``offspring``, ``availability`` and ``prefix``
@@ -56,8 +62,9 @@ from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
 from rescuepd.cover import _ranked_rows
 from rescuepd.errors import (BoundTooLarge, LossTooLarge, NonBinaryTree,
                              RescuePDError, StateSpaceTooLarge, TargetTooLarge)
-from rescuepd.feasibility import (Schedule, build_collaborative_schedule,
-                                  collaborative_feasible, verify_schedule)
+from rescuepd.feasibility import (Schedule, _pack, build_collaborative_schedule,
+                                  collaborative_feasible, schedule_team_parts,
+                                  verify_schedule)
 from rescuepd.model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
                             PhyloTree, TeamWindow, build_derived_index, canon,
                             pd_of_subset)
@@ -377,12 +384,46 @@ def single_team_feasible(team: TeamWindow, taxa_info: dict, taxa_set) -> bool:
     return True
 
 
+def strict_feasible_given_ordering(instance: Instance, ordering):
+    """Greedily pack prefixes of the ordering onto teams t_1, t_2, ...
+
+    Within a team, taxa run back-to-back from the window start, each run as
+    early as possible; a taxon whose run would end after its deadline (or
+    the window) starts the next team's prefix instead.  Returns a Schedule
+    iff every taxon is placed, else None.
+    """
+    ordering = list(ordering)
+    assignment = {}
+    pos = 0
+    for i in range(len(instance.teams)):
+        pos += _pack(instance, i, ordering[pos:], assignment)
+    if pos < len(ordering):
+        return None
+    return Schedule(STRICT, assignment, canon(ordering))
+
+
+def strict_feasible_by_orderings(instance: Instance, taxa_set):
+    """Try every ordering through the greedy; first success wins.
+
+    Orderings are enumerated in lexicographic label order, so the returned
+    schedule is deterministic.  None is a normal outcome.
+    """
+    members = canon(taxa_set)
+    if not members:
+        return Schedule(STRICT, {}, ())
+    for ordering in itertools.permutations(members):
+        sched = strict_feasible_given_ordering(instance, ordering)
+        if sched is not None:
+            return sched
+    return None
+
+
 def strict_feasible_by_partition(instance: Instance, taxa_set):
     """Second oracle: enumerate assignments of taxa to teams directly.
 
-    Used only in tests as a cross-check of the ordering-based search; a set
-    is strictly feasible iff it splits into per-team single-team-feasible
-    parts.
+    Used only in tests as a cross-check of the library's subset table; a
+    set is strictly feasible iff it splits into per-team
+    single-team-feasible parts.
     """
     members = canon(taxa_set)
     if not members:
@@ -959,12 +1000,10 @@ class _TeamSubsetDP(_BudgetDP):
                 itertools.product(*list(reversed(subs)))]
 
     def witness_schedule(self, saved, details) -> Schedule:
-        assignment = {}
+        parts = [[] for _ in range(self.n_teams)]
         for x in saved:
-            team, start = details[x]
-            for j in range(start + 1, start + self.instance.length(x) + 1):
-                assignment[(team, j)] = x
-        return Schedule(STRICT, assignment, canon(saved))
+            parts[details[x][0]].append(x)
+        return schedule_team_parts(self.instance, parts)
 
 
 class _CountMatrixDP(_BudgetDP):

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -175,3 +176,33 @@ def test_no_answer_near_the_hours_bound_stays_small():
     assert not out.decision and out.value == 4 and out.saved == ("b", "d")
     assert out.schedule is None
     assert peak < 2**20
+
+
+def timed_brute(inst):
+    start = time.perf_counter()
+    out = brute_force(inst)
+    return out, time.perf_counter() - start
+
+
+def test_strict_no_with_many_teams_answers_fast():
+    """Eight taxa of length 2 and five teams that fit one each: the strict
+    table has 2^8 states, where the subsets have 109,601 orderings in all."""
+    tree = PhyloTree.from_edges([("r", f"x{k}", 1) for k in range(8)])
+    taxa = {f"x{k}": TaxonInfo(2, 30) for k in range(8)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 3),) * 5, 8, "strict")
+    out, seconds = timed_brute(inst)
+    assert not out.decision and out.value == 5 and out.schedule is None
+    assert seconds < 0.25
+
+
+@pytest.mark.parametrize("scale", [10**4, 10**6])
+def test_strict_no_time_does_not_grow_with_the_hours(scale):
+    """Six taxa of lengths L to 3L need 12L hours of two teams' 8L; deciding
+    subsets writes no timeslot, so L does not enter the time."""
+    lengths = [scale + 2 * scale * k // 5 for k in range(6)]
+    tree = PhyloTree.from_edges([("r", f"x{k}", 1) for k in range(6)])
+    taxa = {f"x{k}": TaxonInfo(ell, 4 * scale) for k, ell in enumerate(lengths)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 4 * scale),) * 2, 6, "strict")
+    out, seconds = timed_brute(inst)
+    assert not out.decision and out.value == 4 and out.schedule is None
+    assert seconds < 0.25

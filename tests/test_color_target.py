@@ -298,6 +298,17 @@ def test_bad_colorings_raise_rescuepd_errors():
             kernel(idx, TargetColoring(MASK_LIMIT + 1, {"a": mask(1), "b": mask(2)}))
 
 
+def test_taxon_masks_checks_the_palette_first():
+    """Called directly, taxon_masks raises BadParams for a palette size that
+    is not an integer >= 0 and TargetTooLarge above MASK_LIMIT."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    for n_colors in (-1, 2.0, "2"):
+        with pytest.raises(BadParams):
+            TargetColoring(n_colors, {"a": 0, "b": 0}).taxon_masks(tree)
+    with pytest.raises(TargetTooLarge):
+        TargetColoring(MASK_LIMIT + 1, {"a": mask(1), "b": mask(2)}).taxon_masks(tree)
+
+
 def test_trial_count():
     assert trial_count(1, 0.5) == 2      # ceil(e * ln 2)
     assert trial_count(5, 1e-3) == 1026  # ceil(e^5 * ln 1000)

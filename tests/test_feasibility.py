@@ -1,19 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, Schedule, TaxonInfo, TeamWindow,
                       build_collaborative_schedule, build_derived_index,
                       collaborative_feasible, schedule_team_parts,
-                      strict_feasible, strict_feasible_given_ordering,
-                      verify_schedule)
+                      strict_feasible, verify_schedule)
 from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
 from rescuepd.generators import gen_random_instance
 
 from conftest import split_rescue
 
 from reference import (availability, exhaustive_schedule_search,
-                       single_team_feasible, strict_feasible_by_partition)
+                       single_team_feasible, strict_feasible_by_orderings,
+                       strict_feasible_by_partition,
+                       strict_feasible_given_ordering)
 
 
 def two_leaf_instance(info_a, info_b, teams, mode="collaborative"):
@@ -118,7 +121,7 @@ def test_strict_feasible_split_and_none():
 
 
 def test_strict_greedy_vs_partition_oracle():
-    """Open cross-check: all-orderings greedy vs direct partition search.
+    """Open cross-check: the subset table vs direct partition search.
 
     Any disagreement here is a finding to investigate, not to paper over.
     """
@@ -131,6 +134,36 @@ def test_strict_greedy_vs_partition_oracle():
                 greedy = strict_feasible(inst, subset) is not None
                 partition = strict_feasible_by_partition(inst, subset)
                 assert greedy == partition, (seed, subset)
+
+
+@st.composite
+def strict_instances(draw):
+    """1-7 taxa of length 1-4 on 1-3 teams whose windows start at 0-5;
+    deadlines fall below and above the window ends."""
+    teams = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, 5))
+        teams.append(TeamWindow(start, start + draw(st.integers(1, 8))))
+    horizon = max(t.end for t in teams)
+    taxa = {f"x{k}": TaxonInfo(draw(st.integers(1, 4)),
+                               draw(st.integers(1, horizon + 2)))
+            for k in range(draw(st.integers(1, 7)))}
+    tree = PhyloTree.from_edges([("r", x, 1) for x in taxa])
+    return Instance(tree, taxa, tuple(teams), 0, "strict")
+
+
+@settings(deadline=None, max_examples=120)
+@given(strict_instances())
+def test_subset_table_matches_the_ordering_greedy(inst):
+    """On every subset, the subset table decides as the greedy over every
+    ordering does, and each schedule it returns saves the set and verifies."""
+    for k in range(len(inst.tree.taxa) + 1):
+        for subset in itertools.combinations(inst.tree.taxa, k):
+            sched = strict_feasible(inst, subset)
+            oracle = strict_feasible_by_orderings(inst, subset)
+            assert (sched is not None) == (oracle is not None), subset
+            if sched is not None:
+                assert sched.saved == subset and verify_schedule(inst, sched).ok
 
 
 def test_strict_implies_collaborative():

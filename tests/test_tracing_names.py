@@ -1,8 +1,9 @@
 """The benchmark tracer wraps functions by module attribute name; a renamed
 or removed function would silently read zero there, so every name it
 lists must resolve in the package, every solver the driver dispatches
-must run through its wrapped name, and each color-coding yes must run its
-witness step through the wrapped per-layer names."""
+must run through its wrapped name, and each color-coding yes and each
+strict brute yes must run its witness step through the wrapped per-layer
+names."""
 
 import importlib
 import importlib.util
@@ -101,5 +102,25 @@ def test_each_color_coding_yes_fires_its_layers_once():
                         (TeamWindow(0, 1),), 1)
         trials, calls = fired(inst, "fpt-dbar", 0)
         assert trials == 4 and calls["color_loss.dp"] == 1
+    finally:
+        tracer.uninstall()
+
+
+def test_strict_brute_searches_for_its_witness_only():
+    """Strict brute decides its subsets by table lookup, so
+    ``feasibility.strict_search`` fires once on a yes, for the witness, and
+    never on a no.  Two unit taxa, target 2: two one-hour teams save both,
+    one does not."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)}
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for teams, decision in (((TeamWindow(0, 1),) * 2, True),
+                                ((TeamWindow(0, 1),), False)):
+            before = tracer.calls["feasibility.strict_search"]
+            out = driver.run_algorithm(Instance(tree, taxa, teams, 2, STRICT), "brute")
+            assert out.decision == decision
+            assert tracer.calls["feasibility.strict_search"] - before == int(decision)
     finally:
         tracer.uninstall()
