@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color_target import BATCH_CELLS, INF, checked_seed, first_success, trial_count
+from .color_target import BATCH_CELLS, INF, check_size, checked_seed, first_success, trial_count
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
@@ -268,6 +268,7 @@ class _LossBatch:
     """
 
     def __init__(self, idx: DerivedIndex, loss: int):
+        check_size(loss, "the loss budget")
         if loss > LOSS_LIMIT:
             raise LossTooLarge(f"loss budget {loss} exceeds the mask-width limit {LOSS_LIMIT}")
         self.entries = loss_table_entry_count(loss, idx.n_classes)

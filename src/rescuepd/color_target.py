@@ -77,16 +77,13 @@ class TargetColoring:
         """Union of edge colors along each root-to-leaf path.  The palette
         must pass _palette, and every edge a color set within it."""
         full = _palette(self.n_colors)
-        masks = {}
-        for x in tree.taxa:
-            m = 0
-            for e in tree.root_path(x):
-                c = self.edge_colors.get(e)
-                if not isinstance(c, numbers.Integral) or not 0 <= c <= full:
-                    raise BadParams(f"edge {e!r} has no colors within [1, {self.n_colors}]: {c!r}")
-                m |= c
-            masks[x] = m
-        return masks
+        masks = {tree.root: 0}
+        for e in tree.edge_order:  # a parent's mask is set before its children's
+            c = self.edge_colors.get(e)
+            if not isinstance(c, numbers.Integral) or not 0 <= c <= full:
+                raise BadParams(f"edge {e!r} has no colors within [1, {self.n_colors}]: {c!r}")
+            masks[e] = masks[tree.parent[e]] | c
+        return {x: masks[x] for x in tree.taxa}
 
 
 def color_edges_from_hash(tree: PhyloTree, n_colors: int, f) -> TargetColoring:
@@ -140,12 +137,17 @@ def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
     return g, improved
 
 
+def check_size(value, what: str) -> None:
+    """BadParams unless value is an integer >= 0."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise BadParams(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def _palette(n_colors) -> int:
     """The full color set of a palette of n_colors, checked before any table
     is sized: BadParams for a size that is not an integer >= 0, and
     TargetTooLarge above MASK_LIMIT."""
-    if not isinstance(n_colors, numbers.Integral) or n_colors < 0:
-        raise BadParams(f"the palette size must be an integer >= 0, got {n_colors!r}")
+    check_size(n_colors, "the palette size")
     if n_colors > MASK_LIMIT:
         raise TargetTooLarge(f"{n_colors} colors exceed the mask-width limit {MASK_LIMIT}")
     return (1 << n_colors) - 1
@@ -227,6 +229,7 @@ def checked_seed(seed, delta) -> int:
 
 def trial_count(n_colors: int, delta: float) -> int:
     """ceil(e^k * ln(1/delta)) independent colorings."""
+    check_size(n_colors, "the palette size")
     _check_delta(delta)
     return math.ceil(math.exp(n_colors) * math.log(1 / delta))
 

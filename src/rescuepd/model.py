@@ -60,10 +60,10 @@ class PhyloTree:
     Vertices are arbitrary strings; leaves double as taxon labels.  Child
     order is stable (source order), which fixes the canonical edge order:
     edges are listed by preorder traversal and identified by their child
-    vertex.
+    vertex.  The tree is walked once, when built; ``preorder()`` returns it.
     """
 
-    __slots__ = ("root", "children", "parent", "weight", "taxa", "_edge_order")
+    __slots__ = ("root", "children", "parent", "weight", "taxa", "_preorder")
 
     def __init__(self, root: str, children: dict[str, tuple[str, ...]],
                  weight: dict[str, int]):
@@ -76,9 +76,8 @@ class PhyloTree:
                 if c in self.parent:
                     raise InvalidInstance(f"vertex {c!r} has two parents")
                 self.parent[c] = v
-        self._validate()
-        self.taxa = tuple(sorted(v for v in self._vertices() if self.is_leaf(v)))
-        self._edge_order = tuple(v for v in self.preorder() if v != self.root)
+        self._preorder = self._walk()
+        self.taxa = tuple(sorted(v for v in self._preorder if not self.children.get(v)))
 
     @classmethod
     def from_edges(cls, edges: list[tuple[str, str, int]]) -> "PhyloTree":
@@ -96,48 +95,40 @@ class PhyloTree:
             raise InvalidInstance(f"expected one root, found {sorted(roots)}")
         return cls(roots[0], {v: tuple(cs) for v, cs in children.items()}, weight)
 
-    def _vertices(self):
-        seen = [self.root]
-        out = []
-        while seen:
-            v = seen.pop()
-            out.append(v)
-            seen.extend(reversed(self.children.get(v, ())))
-        return out
-
-    def _validate(self):
-        order = self._vertices()
-        if len(order) != len(set(order)):
-            raise InvalidInstance("tree contains a repeated vertex (cycle)")
-        known = set(order)
-        for v in self.children:
-            if v not in known:
-                raise InvalidInstance(f"vertex {v!r} unreachable from the root")
-        n_leaves = sum(1 for v in order if not self.children.get(v))
-        for v in order:
+    def _walk(self) -> tuple[str, ...]:
+        """The preorder, checked on the way; with one parent per vertex and
+        none for the root, it reaches each vertex once."""
+        if self.root in self.parent or self.root in self.weight:
+            raise InvalidInstance(f"root {self.root!r} has a parent or an edge weight")
+        order, stack = [], [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
             cs = self.children.get(v, ())
-            if v != self.root and cs and len(cs) < 2:
+            stack.extend(reversed(cs))
+            # only a one-edge tree's root has out-degree 1
+            if len(cs) == 1 and (v != self.root or self.children.get(cs[0])):
                 raise InvalidInstance(f"internal vertex {v!r} has out-degree 1")
-            if v == self.root and cs and len(cs) < 2 and n_leaves > 1:
-                raise InvalidInstance("root has out-degree 1")
-            if v != self.root:
-                w = self.weight.get(v)
-                if not _integer(w) or w < 1:
-                    raise InvalidInstance(f"edge into {v!r} has weight {w!r}; "
-                                          "weights must be integers >= 1")
-        if self.root in self.weight:
-            raise InvalidInstance("root must not carry an edge weight")
+            w = self.weight.get(v)
+            if v != self.root and (not _integer(w) or w < 1):
+                raise InvalidInstance(f"edge into {v!r} has weight {w!r}; "
+                                      "weights must be integers >= 1")
+        unreached = self.children.keys() - order
+        if unreached:
+            raise InvalidInstance(f"vertices {sorted(unreached, key=str)} unreachable")
+        return tuple(order)
 
     def is_leaf(self, v: str) -> bool:
         return not self.children.get(v)
 
-    def preorder(self) -> list[str]:
-        return self._vertices()
+    def preorder(self) -> tuple[str, ...]:
+        """Every vertex, root first, children in source order."""
+        return self._preorder
 
     @property
     def edge_order(self) -> tuple[str, ...]:
         """Canonical edge order; an edge is named by its child vertex."""
-        return self._edge_order
+        return self._preorder[1:]
 
     def root_path(self, label: str) -> tuple[str, ...]:
         """Edges (as child vertices) from the root down to a leaf."""
@@ -210,10 +201,16 @@ class Instance:
             raise InvalidInstance("target diversity must be >= 0")
 
     def length(self, x: str) -> int:
-        return self.taxa[x].rescue_length
+        try:
+            return self.taxa[x].rescue_length
+        except (KeyError, TypeError):
+            raise UnknownTaxon(f"unknown taxon {x!r}") from None
 
     def deadline(self, x: str) -> int:
-        return self.taxa[x].extinction_time
+        try:
+            return self.taxa[x].extinction_time
+        except (KeyError, TypeError):
+            raise UnknownTaxon(f"unknown taxon {x!r}") from None
 
     def pairs_by_slot(self):
         """All (team index, timeslot) pairs where some team can work, in
@@ -300,26 +297,21 @@ def capped_product(factors, limit: int) -> int:
 
 
 def pd_of_subset(tree: PhyloTree, taxa_set) -> int:
-    """Total weight of edges with at least one member of the set below them.
-
-    One bottom-up traversal; empty set gives 0, the full taxa set gives the
-    sum of all edge weights.
-    """
-    members = set(taxa_set)
-    for x in members:
-        if x not in tree.taxa:
+    """Total weight of edges with at least one member of the set below them:
+    the union of the members' root paths, each walked up to the first edge
+    already counted.  A member that is not a leaf raises UnknownTaxon."""
+    parent, counted = tree.parent, set()
+    for x in taxa_set:
+        try:
+            leaf = (x in parent or x == tree.root) and not tree.children.get(x)
+        except TypeError:  # unhashable
+            leaf = False
+        if not leaf:
             raise UnknownTaxon(f"unknown taxon {x!r}")
-    total = 0
-    reaches = {}
-    for v in reversed(tree.preorder()):
-        cs = tree.children.get(v, ())
-        if not cs:
-            reaches[v] = v in members
-        else:
-            reaches[v] = any(reaches[c] for c in cs)
-        if v != tree.root and reaches[v]:
-            total += tree.weight[v]
-    return total
+        while x in parent and x not in counted:
+            counted.add(x)
+            x = parent[x]
+    return sum(map(tree.weight.__getitem__, counted))
 
 
 def savable_alone(instance: Instance, idx: DerivedIndex, x: str) -> bool:

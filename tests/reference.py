@@ -33,6 +33,10 @@ oracle that splits a set over the teams directly, each part checked by
 raw search over schedules, with no prefix condition, the independent oracle
 of the feasibility tests.  ``offspring``, ``availability`` and ``prefix``
 list a vertex's leaves, every (team, slot) pair and a deadline prefix.
+``pd_bottom_up`` is the library's first diversity, one bottom-up walk of
+the whole tree over ``fresh_preorder``, a walk from the child lists; it is
+the oracle of ``pd_of_subset``, which takes the union of the members' root
+paths, and of the preorder the tree stores.
 
 ``cover_product_direct`` is the 3^w submask sweep, the oracle of the
 library's cover product; ``cover_product_ranked`` runs one row through the
@@ -61,7 +65,8 @@ from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    solve_colored_time_pd, trial_count)
 from rescuepd.cover import _ranked_rows
 from rescuepd.errors import (BoundTooLarge, LossTooLarge, NonBinaryTree,
-                             RescuePDError, StateSpaceTooLarge, TargetTooLarge)
+                             RescuePDError, StateSpaceTooLarge, TargetTooLarge,
+                             UnknownTaxon)
 from rescuepd.feasibility import (Schedule, _pack, build_collaborative_schedule,
                                   collaborative_feasible, schedule_team_parts,
                                   verify_schedule)
@@ -346,6 +351,33 @@ def offspring(tree: PhyloTree, v: str) -> tuple[str, ...]:
             out.append(u)
         stack.extend(reversed(cs))
     return tuple(out)
+
+
+def fresh_preorder(tree: PhyloTree) -> list[str]:
+    """The tree's vertices in preorder, walked afresh from its child lists."""
+    stack, out = [tree.root], []
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(reversed(tree.children.get(v, ())))
+    return out
+
+
+def pd_bottom_up(tree: PhyloTree, taxa_set) -> int:
+    """The library's first PD: one bottom-up walk of the whole tree, where
+    an edge counts when some member lies below it."""
+    members = set(taxa_set)
+    for x in members:
+        if x not in tree.taxa:
+            raise UnknownTaxon(f"unknown taxon {x!r}")
+    total = 0
+    reaches = {}
+    for v in reversed(fresh_preorder(tree)):
+        cs = tree.children.get(v, ())
+        reaches[v] = any(reaches[c] for c in cs) if cs else v in members
+        if v != tree.root and reaches[v]:
+            total += tree.weight[v]
+    return total
 
 
 def availability(instance: Instance) -> tuple[tuple[int, int], ...]:

@@ -16,7 +16,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
 from rescuepd.color_loss import TABLE_GUARD, _LossBatch, candidate_tuples
 from rescuepd.color_target import trial_draws
 from rescuepd.driver import LOSS_WORK_CAP, solve_auto
-from rescuepd.errors import LossTooLarge, NonBinaryTree
+from rescuepd.errors import BadParams, LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import MAX_HOURS
 from rescuepd.newick import parse_newick
@@ -32,6 +32,16 @@ from reference import (_LossDP, loss_coloring_from_draws, loss_draw_width,
 
 def deadline_of(instance):
     return lambda x: instance.deadline(x)
+
+
+@pytest.mark.parametrize("loss", [-1, 1.5, "2", None])
+def test_bad_loss_sizes_are_bad_params(loss):
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    inst = Instance(tree, {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)},
+                    (TeamWindow(0, 1),), target=1)
+    coloring = make_loss_coloring(tree, 1, {e: 1 for e in tree.edge_order}, {})
+    with pytest.raises(BadParams):
+        loss_dp_solve(inst, coloring, loss)
 
 
 def test_fig2_eligibility_and_pd(fig2):

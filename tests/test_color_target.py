@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -307,6 +308,25 @@ def test_taxon_masks_checks_the_palette_first():
             TargetColoring(n_colors, {"a": 0, "b": 0}).taxon_masks(tree)
     with pytest.raises(TargetTooLarge):
         TargetColoring(MASK_LIMIT + 1, {"a": mask(1), "b": mask(2)}).taxon_masks(tree)
+
+
+@pytest.mark.parametrize("n_colors", ["a", None, -1, 2.5])
+def test_trial_count_rejects_a_bad_palette_size(n_colors):
+    with pytest.raises(BadParams):
+        trial_count(n_colors, 0.5)
+
+
+def test_wide_unit_star_answers_no_in_seconds():
+    """The singleton shortcut takes one PD per taxon, and each walks one root
+    path, not the whole tree, so the cost stays linear in the leaves."""
+    n = 10_000
+    tree = PhyloTree.from_edges([("r", f"x{i}", 1) for i in range(n)])
+    inst = Instance(tree, {x: TaxonInfo(1, 2) for x in tree.taxa},
+                    (TeamWindow(0, 1),), target=3)
+    start = time.perf_counter()
+    out = solve_time_pd_by_target(inst, delta=0.5, seed=0)
+    assert time.perf_counter() - start < 5
+    assert (out.decision, out.trials) == (False, 14)
 
 
 def test_trial_count():

@@ -225,6 +225,19 @@ def test_verify_schedule_rejects_unknown_taxa():
             verify_schedule(inst, sched)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda c, s: collaborative_feasible(build_derived_index(c), ["a", "zz"]), UnknownTaxon),
+    (lambda c, s: build_collaborative_schedule(build_derived_index(c), ["zz"]), UnknownTaxon),
+    (lambda c, s: strict_feasible(s, ["zz"]), UnknownTaxon),
+    (lambda c, s: schedule_team_parts(s, [["zz"], []]), UnknownTaxon),
+    (lambda c, s: schedule_team_parts(s, [[], [], ["a"]]), DomainMismatch),
+], ids=["collaborative_feasible", "build_collaborative_schedule", "strict_feasible",
+        "schedule_team_parts", "part without a team"])
+def test_feasibility_rejects_unknown_taxa_and_extra_parts(call, error):
+    with pytest.raises(error):
+        call(split_rescue("collaborative"), split_rescue("strict"))
+
+
 def test_schedule_team_parts():
     inst = two_leaf_instance(TaxonInfo(2, 2), TaxonInfo(3, 4),
                              (TeamWindow(0, 5), TeamWindow(0, 5)), "strict")

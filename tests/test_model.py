@@ -4,12 +4,12 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       build_derived_index, pd_of_subset, savable_alone)
 from rescuepd.errors import InvalidInstance, UnknownTaxon
 from rescuepd.files import instance_from_dict, instance_to_dict
-from rescuepd.generators import gen_random_instance
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.errors import RescuePDError
 from rescuepd.feasibility import Schedule
 from rescuepd.outcome import checked_yes, trivial_outcome
 
-from reference import prefix
+from reference import fresh_preorder, prefix
 from conftest import split_rescue
 
 import random
@@ -113,6 +113,16 @@ def test_tree_validation_errors():
         PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1), ("b", "a", 1)])
     with pytest.raises(InvalidInstance):  # two roots
         PhyloTree.from_edges([("r", "a", 1), ("s", "b", 1)])
+
+
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_preorder_is_stored_once(shape):
+    tree = gen_random_instance(n=30, seed=4, tree_shape=shape).tree
+    order = tree.preorder()
+    assert isinstance(order, tuple) and tree.preorder() is order
+    assert list(order) == fresh_preorder(tree)
+    assert tree.edge_order == order[1:]
+    assert tree.taxa == tuple(sorted(v for v in order if tree.is_leaf(v)))
 
 
 def test_instance_validation_errors():
