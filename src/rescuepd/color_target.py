@@ -228,15 +228,18 @@ def checked_seed(seed, delta) -> int:
 
 
 def trial_count(n_colors: int, delta: float) -> int:
-    """ceil(e^k * ln(1/delta)) independent colorings."""
-    check_size(n_colors, "the palette size")
+    """ceil(e^k * ln(1/delta)) independent colorings of a palette that
+    passes _palette."""
+    _palette(n_colors)
     _check_delta(delta)
     return math.ceil(math.exp(n_colors) * math.log(1 / delta))
 
 
 def trial_blocks(n_trials: int, most: int):
     """(first, count) of the trial blocks 1, 4, 16, ... trials long, each at
-    most ``most``, that cover trials 1 to n_trials in order."""
+    most ``most`` >= 1, that cover trials 1 to n_trials in order."""
+    if most < 1:
+        raise BadParams(f"a trial block must hold at least one trial, got {most!r}")
     first, count = 1, 1
     while first <= n_trials:
         count = min(count, most, n_trials - first + 1)

@@ -12,7 +12,8 @@ import math
 import random
 
 from .errors import BadParams
-from .model import COLLABORATIVE, Instance, PhyloTree, TaxonInfo, TeamWindow
+from .model import (COLLABORATIVE, Instance, PhyloTree, TaxonInfo, TeamWindow,
+                    _integer)
 
 TREE_SHAPES = ("star", "caterpillar", "random-binary", "random-multifurcating")
 
@@ -86,9 +87,13 @@ def gen_random_instance(n: int = 6, n_teams: int = 2, max_ex: int = 8,
                         target: int = None, savable_frac: float = 0.8,
                         min_weight: int = 1) -> Instance:
     """Reproducible random instance; target defaults to half the diversity."""
+    sizes = (n, n_teams, max_ex, max_len, max_weight, min_weight)
+    if not all(map(_integer, sizes)) or not isinstance(savable_frac, (int, float)):
+        raise BadParams("sizes must be integers and savable_frac a number, got "
+                        f"{sizes} and {savable_frac!r}")
     if n < 2:
         raise BadParams("need at least two taxa")
-    if min(n_teams, max_ex, max_len, max_weight, min_weight) < 1:
+    if min(sizes[1:]) < 1:
         raise BadParams("all size parameters must be positive")
     if min_weight > max_weight:
         raise BadParams("min_weight must not exceed max_weight")
@@ -125,6 +130,9 @@ def reduce_subset_sum(values, k: int, goal: int, pad: int = None) -> Instance:
     defaults to one more than the sum of all values.
     """
     values = list(values)
+    if not all(map(_integer, (*values, k, goal, 0 if pad is None else pad))):
+        raise BadParams("values, k, goal and pad must be integers, got "
+                        f"{values}, {k!r}, {goal!r} and {pad!r}")
     if not values or any(z < 1 for z in values):
         raise BadParams("values must be positive integers")
     if k < 1 or k > len(values):

@@ -45,10 +45,17 @@ decision under the capacity rule as the paper prints it, kept for the
 erratum tests.  ``knapsack_kernel`` is the star solver's knapsack for one
 deadline class, in three indexings (by capacity, by profit, by tolerated
 profit loss) that must induce the same profiles.
+
+``parse_newick_recursive`` and ``to_newick_recursive`` are the library's
+first Newick reader and writer, one recursive call per subtree, kept as the
+oracle of the one-loop ``parse_newick`` and ``to_newick``.  They read and
+write the same trees and texts, but fail on deep trees: the reader raises
+``ParseError`` past Python's recursion limit, and the writer ``RecursionError``.
 """
 
 import bisect
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +71,8 @@ from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
 from rescuepd.cover import _ranked_rows
-from rescuepd.errors import (BoundTooLarge, LossTooLarge, NonBinaryTree,
+from rescuepd.errors import (BoundTooLarge, DuplicateLeaf, LossTooLarge,
+                             NonBinaryTree, NonIntegerWeight, ParseError,
                              RescuePDError, StateSpaceTooLarge, TargetTooLarge,
                              UnknownTaxon)
 from rescuepd.feasibility import (Schedule, _pack, build_collaborative_schedule,
@@ -1128,3 +1136,126 @@ def memo_team_subsets(instance, guard=STATE_GUARD):
 
 def memo_xp(instance, guard=STATE_GUARD):
     return _CountMatrixDP(instance, guard).solve()
+
+
+_NEWICK_LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                          "0123456789_.-|/")
+_NEWICK_LABEL_RUN = re.compile(
+    f"[{re.escape(''.join(sorted(_NEWICK_LABEL_CHARS)))}]+")
+
+
+class _RecursiveNewickParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.counter = 0
+        self.names = set()
+        self.labels = None  # every label-like run of the text, once needed
+
+    def error(self, message):
+        raise ParseError(f"{message} at byte {self.pos}")
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_label(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _NEWICK_LABEL_CHARS:
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def take_length(self):
+        if self.peek() != ":":
+            self.error("expected ':<length>'")
+        self.pos += 1
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789.+-eE":
+            self.pos += 1
+        raw = self.text[start:self.pos]
+        if not raw:
+            self.error("missing branch length")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise NonIntegerWeight(
+                f"branch length {raw!r} at byte {start} is not an integer") from None
+        if value < 1:
+            raise NonIntegerWeight(f"branch length {value} at byte {start} must be >= 1")
+        return value
+
+    def fresh_name(self):
+        # skip every label in the text, also those still to come
+        if self.labels is None:
+            self.labels = set(_NEWICK_LABEL_RUN.findall(self.text))
+        self.counter += 1
+        name = f"_{self.counter}"
+        while name in self.labels:
+            self.counter += 1
+            name = f"_{self.counter}"
+        return name
+
+    def node(self, edges):
+        """Parse one subtree; returns its vertex name."""
+        if self.peek() == "(":
+            self.pos += 1
+            children = [self.node_with_length(edges)]
+            while self.peek() == ",":
+                self.pos += 1
+                children.append(self.node_with_length(edges))
+            if self.peek() != ")":
+                self.error("expected ')' or ','")
+            self.pos += 1
+            label = self.take_label()  # optional internal label
+            name = label or self.fresh_name()
+            if name in self.names:
+                self.error(f"duplicate vertex name {name!r}")
+            self.names.add(name)
+            for child, weight in children:
+                edges.append((name, child, weight))
+            return name
+        label = self.take_label()
+        if not label:
+            self.error("expected a leaf label")
+        if label in self.names:
+            raise DuplicateLeaf(f"leaf {label!r} appears twice (byte {self.pos})")
+        self.names.add(label)
+        return label
+
+    def node_with_length(self, edges):
+        name = self.node(edges)
+        return name, self.take_length()
+
+
+def parse_newick_recursive(text: str) -> PhyloTree:
+    """The library's first Newick parser: one recursive call per subtree,
+    one character at a time, and the tree built by ``from_edges``."""
+    parser = _RecursiveNewickParser(text.strip())
+    edges: list = []
+    try:
+        root = parser.node(edges)
+    except RecursionError:
+        raise ParseError("tree is nested too deeply to parse") from None
+    if parser.peek() == ":":
+        parser.error("root must not carry a branch length")
+    if parser.peek() != ";":
+        parser.error("expected ';'")
+    parser.pos += 1
+    if parser.pos != len(parser.text):
+        parser.error("trailing characters after ';'")
+    if not edges:
+        parser.error("tree needs at least one edge")
+    return PhyloTree.from_edges(edges)
+
+
+def to_newick_recursive(tree: PhyloTree) -> str:
+    """The library's first Newick writer, one recursive call per vertex."""
+
+    def render(v):
+        cs = tree.children.get(v, ())
+        if not cs:
+            return v
+        inner = ",".join(f"{render(c)}:{tree.weight[c]}" for c in cs)
+        label = "" if v.startswith("_") else v
+        return f"({inner}){label}"
+
+    return render(tree.root) + ";"

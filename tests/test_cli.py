@@ -88,6 +88,14 @@ def test_gen_subcommands(tmp_path, capsys):
         instance_to_dict(reduce_subset_sum([1, 2, 3], 2, 5, 7))
 
 
+def test_gen_writes_a_deep_caterpillar(tmp_path):
+    out = tmp_path / "deep.json"
+    assert main(["gen", "--shape", "caterpillar", "--n", "1200", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert load_instance(out) == gen_random_instance(
+        n=1200, tree_shape="caterpillar", seed=4)
+
+
 def test_unknown_flag_exits_1():
     assert main(["solve", "--instance", "x.json", "--nope"]) == 1
 

@@ -12,6 +12,7 @@ near the hours bound, and for both kernels with their witnesses in
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
 from rescuepd import color_target
 from rescuepd.color_target import _TrialPlan, _trial_rng, trial_blocks, trial_draws
+from rescuepd.errors import BadParams
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
 
@@ -44,6 +46,13 @@ def test_trial_blocks_cover_the_trials_in_order(n_trials, most):
             assert count == min(4**i, most)
         else:
             assert count <= min(4**i, most)
+
+
+@pytest.mark.parametrize("n_trials, most", [(5, 0), (5, -2)])
+def test_trial_blocks_refuse_empty_blocks(n_trials, most):
+    """A cap below one trial per block would yield blocks forever."""
+    with pytest.raises(BadParams):
+        next(trial_blocks(n_trials, most))
 
 
 def plan_for(idx, strict):

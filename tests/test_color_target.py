@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -327,6 +328,15 @@ def test_wide_unit_star_answers_no_in_seconds():
     out = solve_time_pd_by_target(inst, delta=0.5, seed=0)
     assert time.perf_counter() - start < 5
     assert (out.decision, out.trials) == (False, 14)
+
+
+@pytest.mark.parametrize("n_colors", [MASK_LIMIT + 1, 710, 800])
+def test_trial_count_rejects_a_palette_above_the_mask_limit(n_colors):
+    """e^710 overflows a float; every palette above MASK_LIMIT is refused
+    first, as the solvers refuse it."""
+    with pytest.raises(TargetTooLarge):
+        trial_count(n_colors, 0.5)
+    assert trial_count(MASK_LIMIT, 1e-3) == math.ceil(math.exp(MASK_LIMIT) * math.log(1000))
 
 
 def test_trial_count():

@@ -46,6 +46,21 @@ def test_bad_params():
         reduce_subset_sum([1, 2], 1, 3, pad=2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_instance(n=2.5),
+    lambda: gen_random_instance(n_teams=None),
+    lambda: gen_random_instance(max_weight="5"),
+    lambda: gen_random_instance(savable_frac="a"),
+    lambda: reduce_subset_sum(["a"], 1, 2),
+    lambda: reduce_subset_sum([1, 2], 1.0, 2),
+    lambda: reduce_subset_sum([1, 2], 1, None),
+    lambda: reduce_subset_sum([1, 2], 1, 2, pad="9"),
+], ids=["n", "n_teams", "max_weight", "savable_frac", "values", "k", "goal", "pad"])
+def test_sizes_that_are_not_integers_are_bad_params(make):
+    with pytest.raises(BadParams):
+        make()
+
+
 def test_subset_sum_structure():
     inst = reduce_subset_sum([1, 2, 3], 2, 5, 7)
     assert sorted(inst.tree.weight.values()) == [8, 9, 10]

@@ -12,8 +12,10 @@ from rescuepd.errors import (DuplicateLeaf, NonIntegerWeight, ParseError,
 from rescuepd.files import (instance_from_dict, instance_to_dict,
                             load_instance, load_schedule, save_instance,
                             save_schedule)
-from rescuepd.generators import gen_random_instance
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import MODES
+
+from reference import parse_newick_recursive, to_newick_recursive
 
 
 def test_parse_simple_star():
@@ -208,3 +210,43 @@ def test_newick_roundtrips_or_raises(text):
     assert to_newick(again) == to_newick(tree)
     assert again.taxa == tree.taxa
     assert again.total_weight() == tree.total_weight()
+
+
+@given(newick_texts())
+@settings(max_examples=400, deadline=None)
+def test_newick_parser_agrees_with_the_recursive_oracle(text):
+    """Where the recursive parser reads a tree, the one-loop parser reads the
+    same root, child lists and weights, and writes the same text; where it
+    raises, so does the loop."""
+    try:
+        expected = parse_newick_recursive(text)
+    except RescuePDError:
+        with pytest.raises(RescuePDError):
+            parse_newick(text)
+        return
+    tree = parse_newick(text)
+    assert (tree.root, tree.children, tree.weight) == \
+        (expected.root, expected.children, expected.weight)
+    assert to_newick(tree) == to_newick_recursive(expected)
+
+
+def test_to_newick_agrees_with_the_recursive_oracle():
+    for shape in TREE_SHAPES:
+        for seed in range(25):
+            tree = gen_random_instance(n=2 + seed, seed=seed, tree_shape=shape).tree
+            assert to_newick(tree) == to_newick_recursive(tree)
+
+
+def test_deep_caterpillar_round_trips(tmp_path):
+    """A 5,000-leaf caterpillar nests about 5,000 deep, past the recursion
+    limit; neither Newick direction recurses, so its file reads back."""
+    inst = gen_random_instance(n=5000, tree_shape="caterpillar")
+    path = tmp_path / "deep.json"
+    save_instance(inst, path)
+    assert load_instance(path) == inst
+
+
+@pytest.mark.parametrize("text", [None, 5])
+def test_newick_text_that_is_not_a_str_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_newick(text)
