@@ -21,11 +21,11 @@ least e^(-2*loss) and ceil(e^(2*loss) * ln(1/delta)) trials bound the
 false-no rate by delta.  Yes answers are re-verified before return.
 
 One table decides every trial.  Trials come in blocks of 1, 4, 16, 64 and
-256 colorings, and ``_LossBatch`` fills the table of a whole block in
-numpy, one popcount layer of path-color sets at a time for every trial at
-once.  It first screens the block: a coloring is a no when, for some
-deadline class q with a positive deficit, the taxa due by q that have a
-candidate tuple are too short together to pay it.  That is exact, since a
+256 colorings, each of at most DRAW_CELLS draws, and ``_LossBatch`` fills
+the table of a whole block in numpy, one popcount layer of path-color sets
+at a time for every trial at once.  It first screens the block: a coloring
+is a no when, for some deadline class q with a positive deficit, the taxa
+due by q that have a candidate tuple are too short together to pay it.  That is exact, since a
 colored yes sacrifices distinct taxa, each through one candidate, whose
 lengths pay every positive deficit.  The lowest trial that succeeds
 fills its table again as one row, from the candidate tuples of its
@@ -538,7 +538,9 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     tree = instance.tree
     batch = _LossBatch(idx, loss)
     n_trials = trial_count(2 * loss, delta)
-    hit = first_success(seed, n_trials, DRAW_ROWS, 2 * loss, batch.width, batch.decide)
+    # x4, not fpt-d's x16: a loss row costs much more, so a yes profits
+    # from small blocks
+    hit = first_success(seed, n_trials, DRAW_ROWS, 2 * loss, batch.width, batch.decide, 4)
     if hit is None:
         return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
                             diagnostics={"planned_trials": n_trials, "delta": delta,

@@ -25,16 +25,17 @@ independently of the others.  ``trial_draws`` makes the colorings of a
 block of trials at once: from 16 rows up it runs the SeedSequence hashing
 and the PCG64 steps of every row in numpy, on the 128-bit states as pairs
 of uint64 words, and applies Lemire's bounded draw to the whole block.
-Its rows are bit-identical to the per-trial generator, which redraws the
-rare row that hits Lemire's rejection; ``tests/test_trial_draws.py`` pins
-this for the installed numpy.
+What the blocks of one request share is worked out once, in its
+``_BlockConstants``.  The rows are bit-identical to the per-trial
+generator, which redraws the rare row that hits Lemire's rejection;
+``tests/test_trial_draws.py`` pins this for the installed numpy.
 
-The request's ``_TrialPlan`` decides every trial, in blocks of 1, 4, 16,
-... colorings of at most max(16, 2^14 / 2^k) rows, and screens each block
-first: a coloring under which the taxa that fit some capacity row do not
-cover the palette between them is a no, exactly, since a table adds no
-other taxon.  The rest are decided 2^14 table cells per numpy pass over
-(trials x color sets).  ``first_success``, which both color-coding solvers
+The request's ``_TrialPlan`` decides every trial, in blocks of 1, 16, 256,
+... colorings of at most max(16, 2^14 / 2^k) rows and DRAW_CELLS draws,
+and screens each block first: a coloring under which the taxa that fit
+some capacity row do not cover the palette between them is a no, exactly,
+since a table adds no other taxon.  The rest are decided 2^14 table cells
+per numpy pass over (trials x color sets).  ``first_success``, which both color-coding solvers
 use, returns the lowest successful trial.  The one-coloring kernel
 (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``) runs the same
 recurrence on that coloring alone and reads the witness back from the
@@ -48,6 +49,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +65,10 @@ INF = 2**63  # above every capacity (MAX_HOURS = 2^63 - 1); -INF is below every 
 
 MASK_LIMIT = 30
 BATCH_CELLS = 2**14  # trials x masks per batched table; bounds the extra memory
-_UNREACHED = np.uint64(2**64 - 1)  # above every capacity, which fits in 63 bits
+DRAW_CELLS = 2**16  # trials x draw positions per block; bounds the draws' memory
+# fpt-d's blocks grow x16: its rows are cheap next to a block's fixed cost
+_GROWTH = 16
+_UNREACHED = np.uint64(INF)  # a cell plus a length (< 2^63) stays below 2^64
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,10 @@ def trial_count(n_colors: int, delta: float) -> int:
     return math.ceil(math.exp(n_colors) * math.log(1 / delta))
 
 
-def trial_blocks(n_trials: int, most: int):
-    """(first, count) of the trial blocks 1, 4, 16, ... trials long, each at
-    most ``most`` >= 1, that cover trials 1 to n_trials in order."""
+def trial_blocks(n_trials: int, most: int, growth: int = 4):
+    """(first, count) of the trial blocks 1, growth, growth^2, ... trials
+    long, each at most ``most`` >= 1, that cover trials 1 to n_trials in
+    order."""
     if most < 1:
         raise BadParams(f"a trial block must hold at least one trial, got {most!r}")
     first, count = 1, 1
@@ -245,7 +251,7 @@ def trial_blocks(n_trials: int, most: int):
         count = min(count, most, n_trials - first + 1)
         yield first, count
         first += count
-        count *= 4
+        count *= growth
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -271,17 +277,18 @@ def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
     out = [value]
     for _ in range(n):
         out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array(out, dtype=np.uint32)
 
 
-_MIX_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
+_MIX_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)[:, None]
 _STATE_HASH = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
-_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+_TWICE = np.tile(np.arange(_POOL), 2)  # generate_state hashes the pool words twice over
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """numpy's hashmix with consecutive constants: row j of the result is
-    value (or its row j) xored with consts[j], times consts[j + 1]."""
+    """numpy's hashmix with consecutive constants: where value broadcasts
+    against consts[j], it is xored with consts[j] and times consts[j + 1]."""
     value = (value ^ consts[:-1]) * consts[1:]
     return value ^ (value >> _XSHIFT)
 
@@ -338,17 +345,16 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return out
 
 
-_jumps = np.zeros((2, 3, 1, 0), dtype=np.uint64)  # see _jump_table
+_jumps = np.zeros((2, 2, 1, 0), dtype=np.uint64)  # see _jump_table
 
 
 def _jump_table(n: int) -> np.ndarray:
     """The (hi, lo) words of the constants of raw positions 0 .. n - 1.
 
     Seeded with (init, seq), PCG64 is at P init + Q inc after j + 1 steps,
-    where P = M^(j+2), Q = 1 + M + ... + M^(j+2) and inc = 2 seq + 1; that
-    is [P, 2 Q] . [init, seq] + Q, and [:, :, 0, j] holds P, 2 Q and Q.  One
-    table serves every call: it grows on demand to the widest row drawn,
-    and each call takes a slice of it.
+    where P = M^(j+2), Q = 1 + M + ... + M^(j+2) and inc = 2 seq + 1, and
+    [:, :, 0, j] holds P and Q.  One table serves every call: it grows on
+    demand to the widest row drawn, and each call takes a slice of it.
     """
     global _jumps
     table = _jumps
@@ -356,46 +362,100 @@ def _jump_table(n: int) -> np.ndarray:
         power, total, columns = _PCG_MULT**2 & _MASK128, 1 + _PCG_MULT, []
         for _ in range(max(n, 2 * table.shape[-1])):
             total = (total + power) & _MASK128
-            columns.append((power, 2 * total & _MASK128, total))
+            columns.append((power, total))
             power = power * _PCG_MULT & _MASK128
         consts = np.array(columns, dtype=object).T[:, None]
         table = _jumps = np.array([consts >> 64, consts & _MASK64], dtype=np.uint64)
     return table[..., :n]
 
 
-def _seed_block(words: list, first: int, count: int) -> np.ndarray:
-    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
-    of first .. first + count - 1 < 2^32, one column per trial, where
-    ``words`` are the seed's words and leave room for t in the pool.  PCG64
-    reads the rows as init's (hi, lo) and seq's (hi, lo)."""
-    entropy = np.zeros((_POOL, count), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
+def _mix_round(pool: np.ndarray, src: int) -> None:
+    """mix_entropy's round of source word src, in place: pool[src] is fixed
+    while it is mixed into the other three words."""
+    n = _POOL + (_POOL - 1) * src
+    others = _OTHERS[src]
+    mixed = _MIX_L * pool[others] - _MIX_R * _hashmix(pool[src], _MIX_HASH[n:n + _POOL])
+    pool[others] = mixed ^ (mixed >> _XSHIFT)
+
+
+def _seed_prefix(words: list):
+    """What SeedSequence([seed, t]) computes before it first reads t, the
+    same for every t: the pool after the rounds of the seed's words (its
+    word len(words), t's, is a placeholder that each block overwrites), and
+    per such round what it subtracts from t's word."""
+    at = len(words)
+    entropy = np.zeros((_POOL, 1), dtype=np.uint32)
+    entropy[:at, 0] = words
     pool = _hashmix(entropy, _MIX_HASH[:_POOL + 1])
-    n = _POOL
-    for src, others in enumerate(_OTHERS):
-        # pool[src] is fixed while it is mixed into the other three words
-        mixed = (_MIX_L * pool[others]
-                 - _MIX_R * _hashmix(pool[src], _MIX_HASH[n:n + _POOL]))
-        pool[others] = mixed ^ (mixed >> _XSHIFT)
-        n += _POOL - 1
+    subtract = []
+    for src in range(at):
+        j = _POOL + (_POOL - 1) * src + at - 1  # t's word is the (at - 1)-th of the others
+        subtract.append(_MIX_R * _hashmix(pool[src], _MIX_HASH[j:j + 2]))
+        _mix_round(pool, src)
+    return pool, subtract
+
+
+def _seed_block(prefix, at: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
+    of first .. first + count - 1 < 2^32, one column per trial, from the
+    seed's ``_seed_prefix`` and its word count ``at``, which leaves room for
+    t in the pool.  PCG64 reads the rows as init's (hi, lo) and seq's (hi,
+    lo)."""
+    const, subtract = prefix
+    word = _hashmix(np.arange(first, first + count, dtype=np.uint32),
+                    _MIX_HASH[at:at + 2])
+    for sub in subtract:
+        word = _MIX_L * word - sub
+        word ^= word >> _XSHIFT
+    pool = np.empty((_POOL, count), dtype=np.uint32)
+    pool[:] = const
+    pool[at] = word
+    for src in range(at, _POOL):
+        _mix_round(pool, src)
     # uint64 word j of the state is its uint32 words 2j (low) and 2j + 1
-    half = _hashmix(np.tile(pool, (2, 1)), _STATE_HASH).astype(np.uint64)
-    return half[0::2] | half[1::2] << _SHIFT32
+    half = _hashmix(pool.T.take(_TWICE, axis=1), _STATE_HASH)
+    return half.astype("<u4", copy=False).view("<u8").T
 
 
-def _pcg_outputs(seeded: np.ndarray, n: int) -> np.ndarray:
+def _pcg_outputs(seeded: np.ndarray, n: int, table: np.ndarray = None) -> np.ndarray:
     """The first n raw outputs of PCG64 seeded with each column of seeded,
-    (init_hi, init_lo, seq_hi, seq_lo), one row per column."""
-    table = _jump_table(n)
-    hi, lo = _mul128(seeded[0::2, :, None], seeded[1::2, :, None], *table[:, :2])
+    (init_hi, init_lo, seq_hi, seq_lo), one row per column; ``table`` is
+    ``_jump_table(n)`` when the caller holds it."""
+    if table is None:
+        table = _jump_table(n)
+    words = seeded.copy()  # (init, seq) becomes (init, inc), inc = 2 seq + 1
+    words[2:] <<= np.uint64(1)
+    words[2] |= seeded[3] >> np.uint64(63)
+    words[3] |= np.uint64(1)
+    hi, lo = _mul128(words[0::2, :, None], words[1::2, :, None], *table)
     _iadd128(hi[0], lo[0], hi[1], lo[1])
-    _iadd128(hi[0], lo[0], *table[:, 2])
     return _xsl_rr(hi[0], lo[0])
 
 
-def trial_draws(seed: int, first: int, count: int, n_colors: int,
-                width: int) -> np.ndarray:
+class _BlockConstants:
+    """What every block of one seed, palette and width that is drawn in
+    numpy shares: the seed's words and their part of the SeedSequence
+    pool, the jump constants of the row's positions and Lemire's rejection
+    threshold.  The pool and the jump constants are worked out at the
+    first such block; a request whose blocks all stay per-trial, such as
+    one of very wide rows, needs neither."""
+
+    def __init__(self, seed: int, n_colors: int, width: int):
+        self.words = _seed_words(seed)
+        self.n_raw = width // 2 + 1
+        self.threshold = np.uint64((2**32 - n_colors) % n_colors)
+
+    @cached_property
+    def prefix(self):
+        return _seed_prefix(self.words)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _jump_table(self.n_raw)
+
+
+def trial_draws(seed: int, first: int, count: int, n_colors: int, width: int,
+                shared: _BlockConstants = None) -> np.ndarray:
     """Color draws of trials first .. first + count - 1, one row per trial.
 
     Row r holds the colors in [1, n_colors] at positions 0 .. width of trial
@@ -413,22 +473,29 @@ def trial_draws(seed: int, first: int, count: int, n_colors: int,
     blocks that reach trial 2^32 (whose entropy no longer fits the pool).
     numpy does not promise stable streams across versions (NEP 19); the
     equality test against ``_trial_rng`` pins the installed numpy.
+
+    A block holds count x (width + 1) draws, and its arrays grow with
+    that; ``first_success`` keeps it within DRAW_CELLS.  A caller that
+    draws many blocks of one seed, palette and width passes their
+    ``_BlockConstants`` as ``shared``, so each is worked out once.
     """
     draws = np.empty((count, width + 1), dtype=np.int64)
-    words = _seed_words(seed)
+    shared = shared or _BlockConstants(seed, n_colors, width)
+    words = shared.words
     if count < _BLOCK_ROWS or len(words) >= _POOL or first + count > 2**32:
         redraw = range(count)
     else:
-        n_raw = width // 2 + 1
-        raw = _pcg_outputs(_seed_block(words, first, count), n_raw)
-        halves = np.empty((count, 2 * n_raw), dtype=np.uint64)
-        halves[:, 0::2] = raw & np.uint64(_MASK32)
-        halves[:, 1::2] = raw >> np.uint64(32)
-        scaled = halves[:, :width + 1] * np.uint64(n_colors)
-        np.add(scaled >> np.uint64(32), 1, out=draws, casting="unsafe")
-        threshold = np.uint64((2**32 - n_colors) % n_colors)
-        redraw = np.flatnonzero(
-            ((scaled & np.uint64(_MASK32)) < threshold).any(axis=1)).tolist()
+        raw = _pcg_outputs(_seed_block(shared.prefix, len(words), first, count),
+                           shared.n_raw, shared.table)
+        # the 32-bit halves of each output, low half first, times n_colors;
+        # the high half of a product is the color less one, the low half is
+        # in the rejection zone below the threshold
+        scaled = raw.astype("<u8", copy=False).view("<u4")[:, :width + 1] * np.uint64(n_colors)
+        halves = scaled.astype("<u8", copy=False).view("<u4")
+        np.add(halves[:, 1::2], 1, out=draws, casting="unsafe")
+        low, redraw = halves[:, 0::2], []
+        if shared.threshold and low.min() < shared.threshold:
+            redraw = np.flatnonzero((low < shared.threshold).any(axis=1)).tolist()
     for r in redraw:
         draws[r] = _trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)
     return draws
@@ -438,7 +505,8 @@ class _TrialPlan:
     """What every batch of one request shares: each edge's slice of the draw
     positions, each taxon's root-path edges, per capacity row (the prefix
     hours, or each team's) the room cap - length left by each taxon, and the
-    taxa that fit at least one row; taxa are in deadline order."""
+    draw positions on the root paths of the taxa that fit at least one row;
+    taxa are in deadline order."""
 
     def __init__(self, idx: DerivedIndex, n_colors: int, caps):
         tree = idx.instance.tree
@@ -451,36 +519,49 @@ class _TrialPlan:
         self.ell = [idx.instance.length(x) for x in idx.order]
         self.room = [[cap[idx.class_of[x]] - ell for x, ell in zip(idx.order, self.ell)]
                      for cap in caps]
-        self.fitting = np.array([t for t in range(len(self.ell))
-                                 if any(room[t] >= 0 for room in self.room)], dtype=np.intp)
+        fitting = {j for t, path in enumerate(paths)
+                   if any(room[t] >= 0 for room in self.room) for j in path}
+        self.fit_draws = np.array([p for j in sorted(fitting) for p in range(
+            self.edge_starts[j] + 1, self.edge_starts[j] + weights[j] + 1)], dtype=np.intp)
         self.n_colors = n_colors
+        self.full = (1 << n_colors) - 1
+        self.pass_rows = max(1, BATCH_CELLS >> n_colors)
+        self.buffers = None  # the table passes' arrays, grown to the largest pass
 
     def decide(self, draws: np.ndarray) -> np.ndarray:
         """Colored decision of every trial whose draws are a row of draws.
 
         A screen first says no to every coloring under which the taxa that
         fit some capacity row (room >= 0) do not cover the whole palette
-        between them.  The screen is exact: a set that covers the palette
-        in a table, or in the teams' cover product, is made of taxa that
-        fit a row, since the table of a row skips every other taxon.  The
-        rows that pass fill the tables, BATCH_CELLS table cells per numpy
-        pass.
+        between them, that is, the draws on their root paths do not.  The
+        screen is exact: a set that covers the palette in a table, or in
+        the teams' cover product, is made of taxa that fit a row, since the
+        table of a row skips every other taxon.  The rows that pass fill
+        the tables, BATCH_CELLS table cells per numpy pass.
         """
-        bits = np.left_shift(1, draws[:, 1:] - 1)
-        edge_masks = np.bitwise_or.reduceat(bits, self.edge_starts, axis=1)
-        masks = np.bitwise_or.reduceat(edge_masks[:, self.path_edges],
-                                       self.path_starts, axis=1)
-        covered = np.bitwise_or.reduce(masks[:, self.fitting], axis=1)
-        live = np.flatnonzero(covered == (1 << self.n_colors) - 1)
+        covered = np.bitwise_or.reduce(np.left_shift(1, draws[:, self.fit_draws] - 1), axis=1)
+        live = np.flatnonzero(covered == self.full)
         found = np.zeros(len(draws), dtype=bool)
-        rows = max(1, BATCH_CELLS >> self.n_colors)
-        for lo in range(0, len(live), rows):
-            part = live[lo:lo + rows]
-            found[part] = self._decide_rows(masks[part])
+        if live.size:
+            bits = np.left_shift(1, draws[live, 1:] - 1)
+            edge_masks = np.bitwise_or.reduceat(bits, self.edge_starts, axis=1)
+            keep = ~np.bitwise_or.reduceat(edge_masks[:, self.path_edges],
+                                           self.path_starts, axis=1)
+            for lo in range(0, len(live), self.pass_rows):
+                found[live[lo:lo + self.pass_rows]] = self._decide_rows(
+                    keep[lo:lo + self.pass_rows])
         return found
 
-    def _decide_rows(self, masks: np.ndarray) -> np.ndarray:
-        tables = [self._reachable(masks, room) for room in self.room]
+    def _decide_rows(self, keep: np.ndarray) -> np.ndarray:
+        """The tables' decision of each row of keep, the complements of the
+        rows' taxon masks."""
+        if self.buffers is None or len(self.buffers[0]) < len(keep):
+            shape = (len(keep), self.full + 1)
+            # base[r, C] = r 2^k + C, the flat index of cell C of row r
+            self.buffers = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.int64),
+                            np.empty(shape, dtype=np.uint64),
+                            np.arange(shape[0] * shape[1]).reshape(shape))
+        tables = [self._reachable(keep, room) for room in self.room]
         acc = tables[0]
         if len(tables) == 1:
             return acc[:, -1]
@@ -488,27 +569,28 @@ class _TrialPlan:
             acc = cover_rows(acc, team)
         return (acc & tables[-1][:, ::-1]).any(axis=1)
 
-    def _reachable(self, masks: np.ndarray, room) -> np.ndarray:
+    def _reachable(self, keep: np.ndarray, room) -> np.ndarray:
         """Per trial and color set C: does some set that fits the capacity
-        row cover at least C?  g[C] = min(g[C], g[C & ~m] + ell) per taxon."""
-        batch, size = len(masks), 1 << self.n_colors
-        g = np.full((batch, size), _UNREACHED)
+        row cover at least C?  g[C] = min(g[C], g[C & ~m] + ell) per taxon,
+        where the sum is within the row.  A sum that is not gets the top
+        bit, the unreached mark, so one plain minimum keeps g[C]."""
+        batch = len(keep)
+        g, at, src, base = (b[:batch] for b in self.buffers)
+        g.fill(_UNREACHED)
         g[:, 0] = 0
         flat = g.reshape(-1)
-        cells = np.arange(size)
-        rows = np.arange(0, batch * size, size)[:, None]
-        at = np.empty((batch, size), dtype=np.int64)  # buffers reused per taxon
-        src = np.empty_like(g)
-        fits = np.empty((batch, size), dtype=bool)
+        over = at.view(np.uint64)  # at is spent once src is taken
         for t, limit in enumerate(room):
             if limit < 0:
                 continue
-            np.bitwise_and(cells, ~masks[:, t, None], out=at)
-            at += rows
+            # ~m has every bit from k up, so the row's offset r 2^k stays
+            np.bitwise_and(base, keep[:, t, None], out=at)
             np.take(flat, at, out=src)
-            np.less_equal(src, limit, out=fits)
-            np.add(src, self.ell[t], out=src, where=fits)
-            np.minimum(g, src, out=g, where=fits)
+            np.subtract(limit, src, out=over)  # top bit set iff src > limit
+            over &= _UNREACHED
+            src += self.ell[t]
+            src |= over
+            np.minimum(g, src, out=g)
         return g != _UNREACHED
 
 
@@ -530,13 +612,16 @@ def _singleton_shortcut(instance, idx, algorithm):
 
 
 def first_success(seed: int, n_trials: int, most: int, n_colors: int,
-                  width: int, decide):
+                  width: int, decide, growth: int):
     """(trial, draws row) of the lowest of trials 1 .. n_trials whose row
     ``decide`` accepts, or None; trials are drawn in the blocks of
-    ``trial_blocks(n_trials, most)``.  ``decide`` is exact, so its first yes
-    is the first success."""
-    for first, count in trial_blocks(n_trials, most):
-        draws = trial_draws(seed, first, count, n_colors, width)
+    ``trial_blocks(n_trials, most, growth)``, where ``most`` is further
+    capped at DRAW_CELLS draws per block.  ``decide`` is exact, so its first
+    yes is the first success."""
+    most = min(most, max(1, DRAW_CELLS // (width + 1)))
+    shared = _BlockConstants(seed, n_colors, width)
+    for first, count in trial_blocks(n_trials, most, growth):
+        draws = trial_draws(seed, first, count, n_colors, width, shared)
         hits = np.flatnonzero(decide(draws))
         if hits.size:
             return first + int(hits[0]), draws[hits[0]]
@@ -562,7 +647,7 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
     n_trials = trial_count(k, delta)
     # blocks of 16 rows or more take the block draw at any target
     hit = first_success(seed, n_trials, max(_BLOCK_ROWS, BATCH_CELLS >> k), k,
-                        tree.total_weight(), plan.decide)
+                        tree.total_weight(), plan.decide, _GROWTH)
     if hit is None:
         return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                             diagnostics={"planned_trials": n_trials, "delta": delta})

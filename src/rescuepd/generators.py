@@ -99,7 +99,11 @@ def gen_random_instance(n: int = 6, n_teams: int = 2, max_ex: int = 8,
         raise BadParams("min_weight must not exceed max_weight")
     if tree_shape not in TREE_SHAPES:
         raise BadParams(f"tree shape must be one of {TREE_SHAPES}")
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise BadParams("seed must be None, an int, a float, a str or bytes, "
+                        f"got {seed!r}") from None
     labels = [f"x{i}" for i in range(1, n + 1)]
     tree = _build_tree(tree_shape, labels, rng, max_weight, min_weight)
     taxa = {}

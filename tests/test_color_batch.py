@@ -10,6 +10,8 @@ near the hours bound, and for both kernels with their witnesses in
 """
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,32 +22,39 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       build_derived_index, color_edges_from_hash,
                       solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
-from rescuepd import color_target
+from rescuepd import color_target, solve_time_pd_by_loss
+from rescuepd.color_loss import DRAW_ROWS
+from rescuepd.driver import solve_auto
 from rescuepd.color_target import _TrialPlan, _trial_rng, trial_blocks, trial_draws
 from rescuepd.errors import BadParams
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
 
-from reference import solve_by_target_trial_by_trial, strict_feasible_by_partition
+from reference import (loss_draw_width, solve_by_loss_trial_by_trial,
+                       solve_by_target_trial_by_trial, strict_feasible_by_partition)
+from test_color_loss import outcome_fields
 from test_color_target import colored_brute
 
-# first trials of the solver's batches of 4, 16, 64 and 256 colorings
-BATCH_STARTS = (2, 6, 22, 86, 342)
+# first trials of the blocks of 4, 16, 64 and 256 colorings that grow x4
+# (fpt-dbar), and of fpt-d's blocks of 16, 256 and 512 at target 5
+BATCH_STARTS = (2, 6, 22, 86, 342, 18, 274, 786)
 
 
 @given(st.integers(0, 3000), st.integers(1, 300))
 def test_trial_blocks_cover_the_trials_in_order(n_trials, most):
-    """Blocks of 1, 4, 16, ... trials, each capped at ``most``, the last cut
-    at n_trials: none is empty, and they cover trials 1 .. n_trials."""
-    blocks = list(trial_blocks(n_trials, most))
-    covered = [t for first, count in blocks for t in range(first, first + count)]
-    assert covered == list(range(1, n_trials + 1))
-    assert all(count > 0 for _, count in blocks)
-    for i, (_, count) in enumerate(blocks):
-        if i < len(blocks) - 1:
-            assert count == min(4**i, most)
-        else:
-            assert count <= min(4**i, most)
+    """Blocks of 1, g, g^2, ... trials, each capped at ``most``, the last cut
+    at n_trials, where g is 4 by default and 16 for fpt-d: none is empty,
+    and they cover trials 1 .. n_trials."""
+    for growth, blocks in ((4, list(trial_blocks(n_trials, most))),
+                           (16, list(trial_blocks(n_trials, most, 16)))):
+        covered = [t for first, count in blocks for t in range(first, first + count)]
+        assert covered == list(range(1, n_trials + 1))
+        assert all(count > 0 for _, count in blocks)
+        for i, (_, count) in enumerate(blocks):
+            if i < len(blocks) - 1:
+                assert count == min(growth**i, most)
+            else:
+                assert count <= min(growth**i, most)
 
 
 @pytest.mark.parametrize("n_trials, most", [(5, 0), (5, -2)])
@@ -112,6 +121,15 @@ def spy_rows(monkeypatch):
     monkeypatch.setattr(_TrialPlan, "_decide_rows",
                         lambda self, masks: rows.append(len(masks)) or fill(self, masks))
     return rows
+
+
+def spy_blocks(monkeypatch):
+    """The number of rows of each block the solvers draw."""
+    counts = []
+    draw = color_target.trial_draws
+    monkeypatch.setattr(color_target, "trial_draws",
+                        lambda *args: counts.append(args[2]) or draw(*args))
+    return counts
 
 
 def test_screened_rows_keep_their_decisions(monkeypatch):
@@ -281,3 +299,80 @@ def test_wide_targets_take_the_block_draw(monkeypatch):
         assert got == solve_by_target_trial_by_trial(inst, 1e-3, seed)
         trials.append(got.trials)
     assert max(counts) == 16 and max(trials) > 22, (counts, trials)
+
+
+def test_first_successes_across_the_x16_blocks_equal_the_trial_by_trial_loop():
+    """Three weight-2 leaves at target 6: a trial succeeds only when its six
+    draws are six distinct colors, so first successes fall inside fpt-d's
+    blocks of 16 (trials 2-17) and 256 (trials 18-273), and each equals the
+    trial-by-trial loop's, in both modes."""
+    tree = PhyloTree.from_edges([("r", x, 2) for x in "abc"])
+    taxa = {x: TaxonInfo(1, 3) for x in "abc"}
+    hits = set()
+    for mode in (COLLABORATIVE, STRICT):
+        inst = Instance(tree, taxa, (TeamWindow(0, 3),), 6, mode)
+        solve = solve_s_time_pd_by_target if mode == STRICT else solve_time_pd_by_target
+        for seed in range(12):
+            got = solve(inst, 1e-3, seed)
+            assert got == solve_by_target_trial_by_trial(inst, 1e-3, seed, mode == STRICT)
+            hits.add((mode, 2 <= got.trials <= 17, 18 <= got.trials <= 273))
+    for mode in (COLLABORATIVE, STRICT):
+        assert {(mode, True, False), (mode, False, True)} <= hits, hits
+
+
+def wide_no_instance(width, target=4):
+    """((a:W,b:1)u:1,c:1)r: a (length 10) cannot be saved by its deadline 5,
+    and b and c take one hour each of one (0, 5) team, so diversity 3 is
+    the most; target 4 is a no that auto routes to fpt-d, target 3 a yes."""
+    tree = PhyloTree.from_edges([("r", "u", 1), ("u", "a", width), ("u", "b", 1),
+                                 ("r", "c", 1)])
+    taxa = {"a": TaxonInfo(10, 5), "b": TaxonInfo(1, 5), "c": TaxonInfo(1, 5)}
+    return Instance(tree, taxa, (TeamWindow(0, 5),), target)
+
+
+def test_a_wide_tree_draws_within_the_draw_cells():
+    """A heavy edge makes every trial draw 10^4 + 3 colors: the blocks stay
+    within DRAW_CELLS draws, so the no takes little memory and time."""
+    inst = wide_no_instance(10**4)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        got = solve_auto(inst, 1e-3, 0)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.algorithm == "fpt-d" and not got.decision and got.trials == 378
+    assert peak < 16 * 2**20, peak
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("cells", [color_target.DRAW_CELLS, 2**10])
+def test_no_block_draws_beyond_its_caps(monkeypatch, cells):
+    """Every block of both solvers holds at most DRAW_CELLS // (width + 1)
+    rows (at least one), and no more than the row caps: max(16, BATCH_CELLS
+    >> k) for fpt-d and DRAW_ROWS for fpt-dbar.  On no-instances, which run
+    every planned trial, the outcome stays the trial-by-trial loop's."""
+    monkeypatch.setattr(color_target, "DRAW_CELLS", cells)
+    counts = spy_blocks(monkeypatch)
+    for k, mode in ((4, COLLABORATIVE), (5, COLLABORATIVE), (4, STRICT)):
+        base = wide_no_instance(40, k)
+        inst = Instance(base.tree, base.taxa, base.teams, k, mode)
+        strict = mode == STRICT
+        got = (solve_s_time_pd_by_target if strict else solve_time_pd_by_target)(inst, 1e-3, k)
+        assert not got.decision
+        assert got == solve_by_target_trial_by_trial(inst, 1e-3, k, strict)
+        assert max(counts) <= min(max(1, cells // 44), max(16, color_target.BATCH_CELLS >> k))
+        assert cells > 2**10 or max(counts) == cells // 44  # the cap binds
+        counts.clear()
+    for seed in (1, 3):  # no-instances at loss 2
+        base = gen_random_instance(n=6, max_ex=8, max_len=3, max_weight=3, seed=seed)
+        inst = Instance(base.tree, base.taxa, base.teams, base.tree.total_weight() - 2)
+        got = solve_time_pd_by_loss(inst, 1e-3, seed)
+        assert not got.decision
+        assert outcome_fields(got) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 1e-3, seed))
+        width = loss_draw_width(inst.tree, 2)
+        assert max(counts) <= min(max(1, cells // (width + 1)), DRAW_ROWS)
+        assert cells > 2**10 or max(counts) == cells // (width + 1)
+        counts.clear()

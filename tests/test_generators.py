@@ -61,6 +61,18 @@ def test_sizes_that_are_not_integers_are_bad_params(make):
         make()
 
 
+@pytest.mark.parametrize("seed", [[1], {}, object()], ids=["list", "dict", "object"])
+def test_seeds_that_random_refuses_are_bad_params(seed):
+    with pytest.raises(BadParams):
+        gen_random_instance(seed=seed)
+
+
+@pytest.mark.parametrize("seed", ["a", b"a", 7, 2.5])
+def test_seeds_that_random_takes_still_work(seed):
+    a, b = gen_random_instance(seed=seed), gen_random_instance(seed=seed)
+    assert a.tree == b.tree and a.taxa == b.taxa and a.teams == b.teams
+
+
 def test_subset_sum_structure():
     inst = reduce_subset_sum([1, 2, 3], 2, 5, 7)
     assert sorted(inst.tree.weight.values()) == [8, 9, 10]
