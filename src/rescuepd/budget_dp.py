@@ -15,17 +15,19 @@ with P_0 nowhere feasible and V_v the last one.  The first child, if
 internal, is one gather V_u(min(B, cap_u)) + w_u, values growing with the
 budget; a later internal child is a max-plus convolution over the (B, S)
 pairs, PAIR_CELLS per numpy pass; a leaf is one gather of B - S per share
-it may take.  The flavors differ in coordinates and leaf rule: team counts
-per working slot, taken latest slot first up to the deadline; hour budgets
-per deadline class, the rescue length taken from the leaf's class on; one
-0/1 coordinate per (slot, team) pair where the team works, a leaf taking
-one team for consecutive slots ending by its deadline (by start, then
-team); and bucket counts for ``structured.solve_time_pd_xp``.
+it may take.  A flavor states its mode, its ``cost`` (the vectors that its
+``driver.ADMISSION`` row prices, and the guard bounds), its root budget,
+its per-vertex caps, and a leaf rule only where a leaf's one share is not
+its cap vector: team counts per working slot, taken latest slot first up
+to the deadline, and one 0/1 coordinate per (slot, team) pair where the
+team works, a leaf taking one team for consecutive slots ending by its
+deadline (by start, then team).  Hour budgets per deadline class and the
+bucket counts of ``structured.solve_time_pd_xp`` spend the cap vector.
 
 The witness reads the tables back from the root in top-down search order:
 per child, shares S in grid order, each first alone and then joined to the
 earlier children's rescue, and last the choice to skip the child.  Entries are int64, or Python ints once the total
-weight reaches 2^62.  ``diagnostics["states"]`` counts prefix-table cells.
+weight reaches 2^62.  ``diagnostics["states"]`` counts the cells of P_1, P_2, ...
 """
 
 from __future__ import annotations
@@ -125,16 +127,21 @@ class _Grid:
 
 
 class _BudgetDP:
-    """The engine; subclasses set their mode, the root budget, the
-    per-vertex caps (``self.caps``) and the leaf rule."""
+    """The engine.  A flavor states its mode, ``cost`` (what its admission
+    row prices, checked against the guard), root budget, per-vertex caps
+    (``self.caps``) and, if a leaf's share is not its cap vector, leaf rule."""
 
     algorithm = "budget"
     mode = COLLABORATIVE
+    cost = None
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, guard: int = STATE_GUARD):
         check_mode(instance, self.mode, self.algorithm)
         self.instance = instance
         self.idx = build_derived_index(instance)
+        if self.cost(self.idx, guard) > guard:
+            raise StateSpaceTooLarge(
+                f"{self.algorithm} budget vectors exceed the guard {guard}")
         self.tree = instance.tree
         self.postorder = self.tree.preorder()[::-1]
 
@@ -144,8 +151,8 @@ class _BudgetDP:
     def leaf_rests(self, x, grid):
         """Per way to save leaf x within a budget of the grid, in the leaf
         rule's order: (rest-budget index per budget, grid.size where the
-        budget cannot pay, detail)."""
-        raise NotImplementedError
+        budget cannot pay, detail); by default, spending its cap vector."""
+        return self.share_rests(grid, [(self.caps[x], None)])
 
     def share_rests(self, grid, shares):
         """leaf_rests for shares that do not depend on the budget."""
@@ -183,12 +190,13 @@ class _BudgetDP:
             if caps not in by_caps:
                 by_caps[caps] = _Grid(caps)
             g = self.grids[v] = by_caps[caps]
-            prefix = self.tables[v] = []
+            table = np.full(g.size, self.neg, self.dtype)     # P_0
+            prefix = self.tables[v] = [table]
             for i, u in enumerate(cs):
                 w = tree.weight[u]
                 if not tree.children.get(u):
                     step = self.leaf_rests(u, g)
-                    table = self._leaf_merge(g, step, w, table if i else None)
+                    table = self._leaf_merge(g, step, w, table)
                 elif i == 0:
                     gu = self.grids[u]
                     step = gu.strides @ np.minimum(
@@ -209,16 +217,11 @@ class _BudgetDP:
         return head
 
     def _leaf_merge(self, g, step, w, table):
-        """The prefix table after a leaf child; table is None for the first
-        child, whose rescue cannot join an earlier one."""
-        if table is None:
-            out = np.full(g.size, self.neg, self.dtype)
-            for rest, _ in step:
-                out[rest < g.size] = w
-            return out
-        head, out = self._head(table), table.copy()
+        """The prefix table after a leaf child: max(table(B), max(0,
+        table(B - S)) + w) over the leaf's shares S <= B."""
+        head, out = self._head(table), table
         for rest, _ in step:
-            np.maximum(out, head[rest] + w, out=out)
+            out = np.maximum(out, head[rest] + w)
         return out
 
     def _merge(self, g, pairs, sub, table):
@@ -245,18 +248,11 @@ class _BudgetDP:
             v, i, b = stack.pop()
             u = tree.children[v][i - 1]
             step, leaf = self.steps[v, i - 1], not tree.children.get(u)
-            if i == 1 and leaf:
-                options = [d for rest, d in step if rest[b] < len(rest)]
-                if not options:
-                    raise RescuePDError("collect reached an unsavable leaf")
-                saved.append(u)
-                details[u] = options[0]
-                continue
-            if i == 1:
+            if i == 1 and not leaf:
                 stack.append((u, len(tree.children[u]), int(step[b])))
                 continue
             g, prefix, w = self.grids[v], self.tables[v], tree.weight[u]
-            target, before = prefix[i - 1][b], prefix[i - 2]
+            target, before = prefix[i][b], prefix[i - 1]
             # shares in order, each first alone (b1 = 0), then joined to the
             # earlier children's rescue (b1 = 1); else u is skipped
             hit = None
@@ -301,7 +297,7 @@ class _BudgetDP:
             return out
         self.fill()
         best, b = self.best_root()
-        states = sum(len(t) for prefix in self.tables.values() for t in prefix)
+        states = sum(len(t) for prefix in self.tables.values() for t in prefix[1:])
         if best < instance.target:
             return SolveOutcome(False, self.algorithm, value=max(best, 0),
                                 diagnostics={"states": states})
@@ -327,12 +323,10 @@ class _TeamCountDP(_BudgetDP):
     budget and are left out, so the root budgets are the team_vectors."""
 
     algorithm = "hours-teams"
+    cost = staticmethod(team_vectors)
 
     def __init__(self, instance, guard=STATE_GUARD):
-        super().__init__(instance)
-        if team_vectors(self.idx, guard) > guard:
-            raise StateSpaceTooLarge(
-                f"team-count budget vectors exceed the guard {guard}")
+        super().__init__(instance, guard)
         # every working slot doubles the vectors, so the guard bounds them
         counts = {}
         for t in instance.teams:
@@ -366,11 +360,10 @@ class _HourBudgetDP(_BudgetDP):
     """Budgets = person-hours per deadline class prefix (collaborative)."""
 
     algorithm = "hours-budget"
+    cost = staticmethod(hour_vectors)
 
     def __init__(self, instance, guard=STATE_GUARD):
-        super().__init__(instance)
-        if hour_vectors(self.idx, guard) > guard:
-            raise StateSpaceTooLarge(f"hour-budget vectors exceed the guard {guard}")
+        super().__init__(instance, guard)
         # per-vertex per-class cap: total length of subtree taxa due by class
         idx = self.idx
         self.caps = self.subtree_sums(
@@ -380,12 +373,6 @@ class _HourBudgetDP(_BudgetDP):
     def root_budget(self):
         return tuple(self.idx.hours)
 
-    def leaf_rests(self, x, grid):
-        k = self.idx.class_of[x]
-        need = self.instance.length(x)
-        share = tuple(need if j >= k else 0 for j in range(self.idx.n_classes))
-        return self.share_rests(grid, [(share, None)])
-
 
 class _TeamSubsetDP(_BudgetDP):
     """Budgets = team subset per timeslot (strict), one 0/1 coordinate per
@@ -393,14 +380,12 @@ class _TeamSubsetDP(_BudgetDP):
 
     algorithm = "hours-subsets"
     mode = STRICT
+    cost = staticmethod(subset_vectors)
 
     def __init__(self, instance, guard=STATE_GUARD):
-        super().__init__(instance)
+        super().__init__(instance, guard)
         self.horizon = self.idx.max_ex
         self.n_teams = len(instance.teams)
-        if subset_vectors(self.idx, guard) > guard:
-            raise StateSpaceTooLarge(
-                f"2^(|T|*{self.horizon}) subset vectors exceed the guard {guard}")
         self.pairs = [(j, i) for j in range(self.horizon)
                       for i, t in enumerate(instance.teams) if t.start <= j < t.end]
         self.coordinate = {pair: n for n, pair in enumerate(self.pairs)}

@@ -161,7 +161,10 @@ def candidate_tuples(tree: PhyloTree, coloring: LossColoring, idx: DerivedIndex,
 
 
 def loss_table_entry_count(loss: int, n_classes: int) -> int:
-    """Exact size of the full dynamic-programming table."""
+    """Exact size of the full dynamic-programming table; BadParams unless
+    both arguments are integers >= 0."""
+    check_size(loss, "the loss")
+    check_size(n_classes, "the class count")
     return sum(math.comb(2 * loss, k) * 2 ** (2 * loss - k)
                for k in range(loss + 1)) * n_classes
 

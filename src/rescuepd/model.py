@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidInstance, UnknownTaxon
@@ -77,22 +78,28 @@ class PhyloTree:
                     raise InvalidInstance(f"vertex {c!r} has two parents")
                 self.parent[c] = v
         self._preorder = self._walk()
-        self.taxa = tuple(sorted(v for v in self._preorder if not self.children.get(v)))
+        try:
+            self.taxa = tuple(sorted(v for v in self._preorder if not self.children.get(v)))
+        except TypeError:
+            raise InvalidInstance("leaf labels must be mutually ordered") from None
 
     @classmethod
     def from_edges(cls, edges: list[tuple[str, str, int]]) -> "PhyloTree":
         """Build a tree from (parent, child, weight) triples in source order."""
         children: dict[str, list[str]] = {}
         weight: dict[str, int] = {}
-        for u, v, w in edges:
-            children.setdefault(u, []).append(v)
-            children.setdefault(v, [])
-            if v in weight:
-                raise InvalidInstance(f"edge into {v!r} listed twice")
-            weight[v] = w
+        try:
+            for u, v, w in edges:
+                children.setdefault(u, []).append(v)
+                children.setdefault(v, [])
+                if v in weight:
+                    raise InvalidInstance(f"edge into {v!r} listed twice")
+                weight[v] = w
+        except (TypeError, ValueError) as exc:  # not triples, or unhashable
+            raise InvalidInstance(f"edges must be hashable triples: {exc}") from None
         roots = [v for v in children if v not in weight]  # every child has a weight
         if len(roots) != 1:
-            raise InvalidInstance(f"expected one root, found {sorted(roots)}")
+            raise InvalidInstance(f"expected one root, found {sorted(roots, key=str)}")
         return cls(roots[0], {v: tuple(cs) for v, cs in children.items()}, weight)
 
     def _walk(self) -> tuple[str, ...]:
@@ -171,11 +178,15 @@ class Instance:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidInstance(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.tree, PhyloTree):
+            raise InvalidInstance(f"tree must be a PhyloTree, got {self.tree!r}")
+        if not isinstance(self.taxa, Mapping):
+            raise InvalidInstance(f"taxa must map leaves to TaxonInfo, got {self.taxa!r}")
         if set(self.taxa) != set(self.tree.taxa):
             missing = set(self.tree.taxa) ^ set(self.taxa)
-            raise InvalidInstance(f"taxa map and tree leaves differ on {sorted(missing)}")
-        if not self.teams:
-            raise InvalidInstance("at least one team is required")
+            raise InvalidInstance(f"taxa map and tree leaves differ on {sorted(missing, key=str)}")
+        if not isinstance(self.teams, Sequence) or not self.teams:
+            raise InvalidInstance(f"at least one team is required, got {self.teams!r}")
         for i, t in enumerate(self.teams):
             if not isinstance(t, TeamWindow):
                 raise InvalidInstance(f"team {i} must be a TeamWindow, got {t!r}")
@@ -316,13 +327,16 @@ def pd_of_subset(tree: PhyloTree, taxa_set) -> int:
 
 def savable_alone(instance: Instance, idx: DerivedIndex, x: str) -> bool:
     """Can {x} be saved by itself (mode-aware)?"""
-    info = instance.taxa[x]
+    need, deadline = instance.length(x), instance.deadline(x)
     if instance.mode == STRICT:
-        return any(t.hours_until(info.extinction_time) >= info.rescue_length
-                   for t in instance.teams)
-    return info.rescue_length <= idx.hours[idx.class_of[x]]
+        return any(t.hours_until(deadline) >= need for t in instance.teams)
+    return need <= idx.hours[idx.class_of[x]]
 
 
 def canon(taxa_set) -> tuple[str, ...]:
-    """Canonical form of a taxa set: sorted tuple of labels."""
-    return tuple(sorted(taxa_set))
+    """Canonical form of a taxa set: sorted tuple of labels.  Labels that
+    cannot be ordered are not all leaves of one tree: UnknownTaxon."""
+    try:
+        return tuple(sorted(taxa_set))
+    except TypeError:
+        raise UnknownTaxon(f"cannot order the labels of {taxa_set!r}") from None

@@ -15,10 +15,12 @@ chosen set within its hours.  Capacities stop at the total rescue length.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .budget_dp import STATE_GUARD, _BudgetDP
-from .errors import BoundTooLarge, NotAStar, StateSpaceTooLarge
+from .errors import BoundTooLarge, NotAStar
 from .feasibility import build_collaborative_schedule
 from .model import (COLLABORATIVE, DerivedIndex, Instance, build_derived_index,
                     canon, capped_product)
@@ -31,42 +33,33 @@ BOUND_GUARD = 1_000_000
 # count-matrix XP solver
 
 
+def _bucket_sizes(instance: Instance) -> Counter:
+    """Taxa per (rescue length, deadline) bucket."""
+    return Counter((info.rescue_length, info.extinction_time)
+                   for info in instance.taxa.values())
+
+
 def count_matrices(idx: DerivedIndex, limit: int) -> int:
     """Root count matrices: prod over (length, deadline) buckets of (size + 1)."""
-    sizes = {}
-    for info in idx.instance.taxa.values():
-        key = (info.rescue_length, info.extinction_time)
-        sizes[key] = sizes.get(key, 0) + 1
-    return capped_product([n + 1 for n in sizes.values()], limit)
+    return capped_product([n + 1 for n in _bucket_sizes(idx.instance).values()], limit)
 
 
 class _CountMatrixDP(_BudgetDP):
     algorithm = "xp-counts"
+    cost = staticmethod(count_matrices)
 
     def __init__(self, instance, guard=STATE_GUARD):
-        super().__init__(instance)
-        idx = self.idx
-        buckets = {}
-        for x in idx.order:
-            key = (instance.length(x), instance.deadline(x))
-            buckets.setdefault(key, []).append(x)
-        self.bucket_keys = sorted(buckets)
-        self.bucket_of = {x: self.bucket_keys.index(key)
-                          for key, xs in buckets.items() for x in xs}
-        self.counts = tuple(len(buckets[key]) for key in self.bucket_keys)
-        if count_matrices(idx, guard) > guard:
-            raise StateSpaceTooLarge(f"count matrices exceed the guard {guard}")
-        nb = len(self.bucket_keys)
+        super().__init__(instance, guard)
+        sizes = _bucket_sizes(instance)
+        self.bucket_keys = sorted(sizes)
+        self.counts = tuple(sizes[key] for key in self.bucket_keys)
+        # per-vertex per-bucket count of subtree taxa
+        unit = {key: [int(k == key) for k in self.bucket_keys] for key in sizes}
         self.caps = self.subtree_sums(
-            lambda x: [int(k == self.bucket_of[x]) for k in range(nb)])
+            lambda x: unit[instance.length(x), instance.deadline(x)])
 
     def root_budget(self):
         return self.counts
-
-    def leaf_rests(self, x, grid):
-        k = self.bucket_of[x]
-        share = tuple(1 if i == k else 0 for i in range(len(self.counts)))
-        return self.share_rests(grid, [(share, None)])
 
     def best_root(self):
         """The first admissible matrix of the best value, in the order of

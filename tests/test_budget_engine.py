@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,9 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute_force,
                       build_derived_index, solve_s_time_pd_team_subsets,
                       solve_time_pd_hour_vectors, solve_time_pd_team_vectors,
                       solve_time_pd_xp)
-from rescuepd.budget_dp import hour_vectors, subset_vectors, team_vectors
+from rescuepd.budget_dp import STATE_GUARD, hour_vectors, subset_vectors, team_vectors
 from rescuepd.driver import ADMISSION
+from rescuepd.errors import StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import COLLABORATIVE, STRICT
 from rescuepd.structured import count_matrices
@@ -166,3 +168,28 @@ def test_memory_stays_bounded_near_the_router_caps():
             tracemalloc.stop()
         assert peak < 64 * 2**20, (algorithm, peak)
         assert got.decision and fields(got) == fields(memo(inst))
+
+
+GUARDED = (("hours-teams", COLLABORATIVE, solve_time_pd_team_vectors),
+           ("hours-budget", COLLABORATIVE, solve_time_pd_hour_vectors),
+           ("xp-counts", COLLABORATIVE, solve_time_pd_xp),
+           ("hours-subsets", STRICT, solve_s_time_pd_team_subsets))
+
+
+@pytest.mark.parametrize("algorithm, mode, solve", GUARDED, ids=[row[0] for row in GUARDED])
+def test_each_budget_dp_guards_its_admission_cost(algorithm, mode, solve):
+    """The guard bounds the very number that the flavor's admission row
+    prices: one below it the solver raises, at it the solver answers."""
+    cost = next(row[1] for row in ADMISSION[mode] if row[0] == algorithm)
+    decisions = set()
+    for seed in range(10):
+        inst = gen_random_instance(n=5, n_teams=2, max_ex=4, max_len=3, max_weight=3,
+                                   tree_shape=SHAPES[seed % 3], seed=seed, mode=mode)
+        vectors = cost(build_derived_index(inst), STATE_GUARD)
+        assert vectors <= STATE_GUARD
+        with pytest.raises(StateSpaceTooLarge):
+            solve(inst, guard=vectors - 1)
+        out = solve(inst, guard=vectors)
+        assert out.decision == brute_force(inst).decision, seed
+        decisions.add(out.decision)
+    assert decisions == {True, False}

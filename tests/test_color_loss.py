@@ -216,6 +216,13 @@ def test_table_entry_count_formula():
         3 * sum([16, 4 * 8, 6 * 4])
 
 
+@pytest.mark.parametrize("loss, n_classes", [(-1, 2), ("a", 2), (1.5, 2), (2, -1), (2, "a")])
+def test_table_entry_count_rejects_bad_sizes(loss, n_classes):
+    # a negative loss once counted 0 entries, and "a" leaked a TypeError
+    with pytest.raises(BadParams):
+        loss_table_entry_count(loss, n_classes)
+
+
 def test_dp_entry_count_matches_formula():
     base = gen_random_instance(n=4, n_teams=2, max_ex=4, max_len=3,
                                max_weight=3, seed=5,

@@ -6,7 +6,9 @@ from rescuepd.errors import InvalidInstance, UnknownTaxon
 from rescuepd.files import instance_from_dict, instance_to_dict
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.errors import RescuePDError
-from rescuepd.feasibility import Schedule
+from rescuepd.feasibility import (Schedule, build_collaborative_schedule,
+                                  strict_feasible)
+from rescuepd.model import canon
 from rescuepd.outcome import checked_yes, trivial_outcome
 
 from reference import fresh_preorder, prefix
@@ -164,6 +166,54 @@ def test_non_integer_fields_are_invalid(fields):
     with pytest.raises(InvalidInstance):
         two_leaves(**fields)
     assert two_leaves().target == 2
+
+
+UNIT_TAXA = {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhyloTree.from_edges([("r", "a", 1), ("r", 1, 1)]),
+    lambda: PhyloTree.from_edges([("r", "a", 1, 1), ("r", "b", 1)]),
+    lambda: PhyloTree.from_edges(5),
+    lambda: PhyloTree.from_edges([("r", ["a"], 1), ("r", "b", 1)]),
+    lambda: PhyloTree.from_edges([("r", "a", 1), (1, "b", 1)]),
+    lambda: Instance(PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)]),
+                     None, (TeamWindow(0, 2),), 1),
+    lambda: Instance(PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)]),
+                     {"a": TaxonInfo(1, 2), 1: TaxonInfo(1, 2)}, (TeamWindow(0, 2),), 1),
+    lambda: Instance(None, UNIT_TAXA, (TeamWindow(0, 2),), 1),
+    lambda: Instance(PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)]), UNIT_TAXA, 5, 1),
+], ids=["mixed leaf labels", "4-tuple edge", "edges not iterable", "unhashable label",
+        "two roots of mixed types", "taxa None", "taxa of mixed label types", "tree None",
+        "teams not a sequence"])
+def test_malformed_models_are_invalid_instances(build):
+    # each once leaked a bare TypeError or ValueError
+    with pytest.raises(InvalidInstance):
+        build()
+
+
+def test_int_labels_still_build():
+    tree = PhyloTree.from_edges([(0, 1, 2), (0, 2, 3)])
+    inst = Instance(tree, {1: TaxonInfo(1, 2), 2: TaxonInfo(1, 2)}, (TeamWindow(0, 2),), 5)
+    assert tree.taxa == (1, 2) and build_derived_index(inst).order == (1, 2)
+
+
+def test_taxa_sets_with_unknown_labels_raise_unknown_taxon():
+    # canon leaked a bare TypeError on labels that cannot be ordered, and
+    # savable_alone a KeyError on a label that is not a taxon
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    inst = Instance(tree, UNIT_TAXA, (TeamWindow(0, 2),), 1)
+    strict = Instance(tree, UNIT_TAXA, (TeamWindow(0, 2),), 1, "strict")
+    idx = build_derived_index(inst)
+    for call in (lambda: canon(["a", 1]),
+                 lambda: build_collaborative_schedule(idx, ["a", 1]),
+                 lambda: strict_feasible(strict, ["a", 1]),
+                 lambda: savable_alone(inst, idx, "zz"),
+                 lambda: savable_alone(strict, build_derived_index(strict), "zz"),
+                 lambda: savable_alone(inst, idx, ["a"])):
+        with pytest.raises(UnknownTaxon):
+            call()
+    assert canon(["b", "a"]) == ("a", "b") and savable_alone(inst, idx, "a")
 
 
 def test_capacity_overflow_rejected():
