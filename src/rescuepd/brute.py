@@ -13,8 +13,17 @@ import itertools
 from .errors import InstanceTooLarge
 from .feasibility import (build_collaborative_schedule, collaborative_feasible,
                           strict_feasible, strict_table)
-from .model import STRICT, Instance, build_derived_index, canon, pd_of_subset
+from .model import (STRICT, Instance, build_derived_index, canon, check_size,
+                    pd_of_subset)
 from .outcome import SolveOutcome
+
+
+def _check_guard(instance: Instance, guard) -> None:
+    """BadParams for a guard that is not an integer >= 0, InstanceTooLarge
+    for more taxa than it allows."""
+    check_size(guard, "the guard")
+    if len(instance.tree.taxa) > guard:
+        raise InstanceTooLarge(f"{len(instance.tree.taxa)} taxa exceed the 2^n guard {guard}")
 
 
 def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
@@ -45,18 +54,15 @@ def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
 def brute_force_time_pd(instance: Instance, guard: int = 20) -> SolveOutcome:
     """Enumerate all taxa subsets; collaborative feasibility per Lemma-style
     prefix check; deterministic optimal witness."""
-    taxa = instance.tree.taxa
-    if len(taxa) > guard:
-        raise InstanceTooLarge(f"{len(taxa)} taxa exceed the 2^n guard {guard}")
+    _check_guard(instance, guard)
     return _search(instance, collaborative_feasible, build_collaborative_schedule)
 
 
 def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
     """As above with strict feasibility, one lookup per subset in the subset
     table built once over all taxa; the yes witness is strict_feasible's."""
+    _check_guard(instance, guard)
     taxa = instance.tree.taxa
-    if len(taxa) > guard:
-        raise InstanceTooLarge(f"{len(taxa)} taxa exceed the 2^n guard {guard}")
     table = strict_table(instance, taxa)
     bit = {x: 1 << k for k, x in enumerate(taxa)}
     return _search(instance,

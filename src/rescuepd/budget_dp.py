@@ -41,7 +41,7 @@ from .errors import RescuePDError, StateSpaceTooLarge
 from .feasibility import (Schedule, build_collaborative_schedule,
                           schedule_team_parts)
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
-                    build_derived_index, canon, capped_product)
+                    build_derived_index, canon, capped_product, check_size)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 STATE_GUARD = 10_000_000
@@ -49,10 +49,10 @@ STATE_GUARD = 10_000_000
 PAIR_CELLS = 2**20  # (budget, share) pairs per numpy pass of a child merge
 
 
-def team_vectors(idx: DerivedIndex, limit: int) -> int:
-    """Root budget vectors of the team-count DP: the product over slots up to
-    the last deadline of (teams at work + 1), taken per run of slots between
-    window endpoints so that the cost does not grow with window length."""
+def _work_runs(idx: DerivedIndex) -> list:
+    """(first slot, last slot, teams at work) of each run of working slots
+    up to the last deadline, in slot order: a run lies between two
+    consecutive window endpoints, and idle slots are in none."""
     horizon = idx.max_ex
     events = []
     for t in idx.instance.teams:
@@ -60,14 +60,24 @@ def team_vectors(idx: DerivedIndex, limit: int) -> int:
             events.append((t.start, 1))
             events.append((t.end if t.end < horizon else horizon, -1))
     events.sort()
-    bits = limit.bit_length()
-    factors, at_work, prev = [], 0, 0
+    runs, at_work, prev = [], 0, 0
     for point, step in events:
         if at_work and point > prev:
-            run = point - prev
-            factors.append((at_work + 1) ** (run if run < bits else bits))
+            runs.append((prev + 1, point, at_work))
         prev = point
         at_work += step
+    return runs
+
+
+def team_vectors(idx: DerivedIndex, limit: int) -> int:
+    """Root budget vectors of the team-count DP: the product over its
+    working slots of (teams at work + 1), priced per ``_work_runs`` run so
+    that the cost does not grow with window length."""
+    bits = limit.bit_length()
+    factors = []
+    for first, last, at_work in _work_runs(idx):
+        run = last - first + 1
+        factors.append((at_work + 1) ** (run if run < bits else bits))
     return capped_product(factors, limit)
 
 
@@ -136,6 +146,7 @@ class _BudgetDP:
     cost = None
 
     def __init__(self, instance: Instance, guard: int = STATE_GUARD):
+        check_size(guard, "the guard")
         check_mode(instance, self.mode, self.algorithm)
         self.instance = instance
         self.idx = build_derived_index(instance)
@@ -319,8 +330,9 @@ class _BudgetDP:
 
 class _TeamCountDP(_BudgetDP):
     """Budgets = available team count per working slot (collaborative): a
-    slot up to the last deadline where some team works.  Idle slots carry no
-    budget and are left out, so the root budgets are the team_vectors."""
+    slot up to the last deadline where some team works.  The slots and
+    counts expand the ``_work_runs`` that team_vectors prices, so the root
+    budgets are the team_vectors."""
 
     algorithm = "hours-teams"
     cost = staticmethod(team_vectors)
@@ -328,12 +340,9 @@ class _TeamCountDP(_BudgetDP):
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance, guard)
         # every working slot doubles the vectors, so the guard bounds them
-        counts = {}
-        for t in instance.teams:
-            for j in range(t.start + 1, min(t.end, self.idx.max_ex) + 1):
-                counts[j] = counts.get(j, 0) + 1
-        self.slots = sorted(counts)
-        self.counts = tuple(counts[j] for j in self.slots)
+        runs = _work_runs(self.idx)
+        self.slots = [j for first, last, _ in runs for j in range(first, last + 1)]
+        self.counts = tuple(n for first, last, n in runs for _ in range(first, last + 1))
         # per-vertex per-slot cap: hours usable at the slot by the subtree
         self.caps = self.subtree_sums(
             lambda x: [instance.length(x) if instance.deadline(x) >= j else 0

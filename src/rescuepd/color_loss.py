@@ -46,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color_target import BATCH_CELLS, INF, check_size, checked_seed, first_success, trial_count
+from .color_target import BATCH_CELLS, INF, checked_seed, first_success, trial_count
 from .errors import LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
-                    build_derived_index, canon)
+                    build_derived_index, canon, check_size)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 MINF = -INF

@@ -45,6 +45,7 @@ loop gives.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -58,7 +59,8 @@ from .errors import BadParams, TargetTooLarge
 from .feasibility import (build_collaborative_schedule, schedule_team_parts,
                           strict_feasible)
 from .model import (COLLABORATIVE, STRICT, DerivedIndex, Instance, PhyloTree,
-                    build_derived_index, canon, pd_of_subset, savable_alone)
+                    _read_back, build_derived_index, canon, check_size,
+                    pd_of_subset, savable_alone)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 INF = 2**63  # above every capacity (MAX_HOURS = 2^63 - 1); -INF is below every deficit
@@ -142,12 +144,6 @@ def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
     return g, improved
 
 
-def check_size(value, what: str) -> None:
-    """BadParams unless value is an integer >= 0."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise BadParams(f"{what} must be an integer >= 0, got {value!r}")
-
-
 def _palette(n_colors) -> int:
     """The full color set of a palette of n_colors, checked before any table
     is sized: BadParams for a size that is not an integer >= 0, and
@@ -158,48 +154,21 @@ def _palette(n_colors) -> int:
     return (1 << n_colors) - 1
 
 
-def _read_back(idx: DerivedIndex, masks: dict, improved, cell: int) -> list:
-    """A set whose length is g[cell]: walking the taxa backwards, the last
-    taxon that improved the cell joins it, and the cell loses its colors."""
-    taxa = []
-    for x, cells in zip(reversed(idx.order), reversed(improved)):
-        if cell in cells:
-            taxa.append(x)
-            cell &= ~masks[x]
-    return taxa
-
-
-def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
-    """Exact decision for one coloring, collaborative mode.
-
-    Returns (True, saved set) when some feasible set covers the palette,
-    else (False, None).  The capacity row is the prefix hours of all teams.
-    """
+def _colored_parts(idx: DerivedIndex, coloring: TargetColoring, rows):
+    """The recurrence on one coloring against each capacity row of rows:
+    the per-row parts, disjoint and in row order, of a set that covers the
+    palette, or None.  The rows' tables are merged by the boolean cover
+    product, the palette is split back along the merge, and each row's part
+    is read back from the cells its taxa improved, each cell losing a
+    taxon's colors; one row needs no merge and keeps the whole palette."""
     full = _palette(coloring.n_colors)
     masks = coloring.taxon_masks(idx.instance.tree)
-    g, improved = _colored_table(idx, masks, idx.hours, full)
-    if g[full] >= INF:
-        return False, None
-    return True, canon(_read_back(idx, masks, improved, full))
-
-
-def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
-    """Exact decision for one coloring, strict mode.
-
-    The recurrence runs once per team against the team's own prefix hours,
-    and the teams are merged by the boolean cover product.  Returns (True,
-    per-team parts), which are disjoint, or (False, None).
-    """
-    full = _palette(coloring.n_colors)
-    masks = coloring.taxon_masks(idx.instance.tree)
-    tables = [_colored_table(idx, masks, cap, full) for cap in idx.team_hours]
+    tables = [_colored_table(idx, masks, cap, full) for cap in rows]
     bits = [[v < INF for v in g] for g, _ in tables]
-    stages = [bits[0]]
-    for team in bits[1:]:
-        stages.append(boolean_cover_combine(stages[-1], team))
+    stages = list(itertools.accumulate(bits, boolean_cover_combine))
     if not stages[-1][full]:
-        return False, None
-    # split the palette: team i covers cell ^ sub, and teams 0 .. i - 1 sub
+        return None
+    # split the palette: row i covers cell ^ sub, and rows 0 .. i - 1 sub
     shares = [full] * len(tables)
     for i in range(len(tables) - 1, 0, -1):
         cell = shares[i]
@@ -208,10 +177,30 @@ def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
         shares[i], shares[i - 1] = cell ^ sub, sub
     parts, used = [], set()
     for share, (_, improved) in zip(shares, tables):
-        part = [x for x in _read_back(idx, masks, improved, share) if x not in used]
+        part = [x for x in _read_back(idx.order, improved, share,
+                                      lambda x, c: c & ~masks[x]) if x not in used]
         used.update(part)
         parts.append(tuple(part))
-    return True, tuple(parts)
+    return tuple(parts)
+
+
+def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
+    """Exact decision for one coloring, collaborative mode.
+
+    Returns (True, saved set) when some feasible set covers the palette,
+    else (False, None).  The capacity row is the prefix hours of all teams.
+    """
+    parts = _colored_parts(idx, coloring, (idx.hours,))
+    return (False, None) if parts is None else (True, canon(parts[0]))
+
+
+def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
+    """Exact decision for one coloring, strict mode: one capacity row per
+    team, its own prefix hours.  Returns (True, per-team parts), which are
+    disjoint, or (False, None).
+    """
+    parts = _colored_parts(idx, coloring, idx.team_hours)
+    return (False, None) if parts is None else (True, parts)
 
 
 def _check_delta(delta) -> None:

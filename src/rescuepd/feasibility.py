@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, InfeasibleSet, SetTooLarge
-from .model import COLLABORATIVE, STRICT, DerivedIndex, Instance, canon
+from .model import COLLABORATIVE, STRICT, DerivedIndex, Instance, canon, check_size
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,13 @@ def strict_table(instance: Instance, members) -> list:
 def strict_feasible(instance: Instance, taxa_set, guard: int = 10):
     """A strict schedule that saves taxa_set, or None (a normal outcome):
     the subset table's backtrack gives one part per team, packed earliest
-    deadline first, which fits wherever the table's order fits.  The guard
-    bounds the 2^|set| states."""
+    deadline first, which fits wherever the table's order fits.  The guard,
+    an integer >= 0 or None for none, bounds the 2^|set| states."""
     members = canon(taxa_set)
-    if guard is not None and len(members) > guard:
-        raise SetTooLarge(f"{len(members)} taxa exceed the subset guard {guard}")
+    if guard is not None:
+        check_size(guard, "the guard")
+        if len(members) > guard:
+            raise SetTooLarge(f"{len(members)} taxa exceed the subset guard {guard}")
     f = strict_table(instance, members)
     s = len(f) - 1
     if f[s] is None:

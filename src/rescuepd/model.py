@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidInstance, UnknownTaxon
+from .errors import BadParams, InvalidInstance, UnknownTaxon
 
 MAX_HOURS = 2**63 - 1  # capacities are kept within 64-bit range
 
@@ -33,6 +34,12 @@ MODES = (COLLABORATIVE, STRICT)
 def _integer(value) -> bool:
     """Is value an int that is not a bool?"""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_size(value, what: str) -> None:
+    """BadParams unless value is an integer >= 0."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise BadParams(f"{what} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +76,19 @@ class PhyloTree:
     def __init__(self, root: str, children: dict[str, tuple[str, ...]],
                  weight: dict[str, int]):
         self.root = root
-        self.children = {v: tuple(cs) for v, cs in children.items()}
-        self.weight = dict(weight)
-        self.parent = {}
-        for v, cs in self.children.items():
-            for c in cs:
-                if c in self.parent:
-                    raise InvalidInstance(f"vertex {c!r} has two parents")
-                self.parent[c] = v
+        try:
+            self.children = {v: tuple(cs) for v, cs in children.items()}
+            self.weight = dict(weight)
+            self.parent = {}
+            for v, cs in self.children.items():
+                for c in cs:
+                    if c in self.parent:
+                        raise InvalidInstance(f"vertex {c!r} has two parents")
+                    self.parent[c] = v
+            hash(root)
+        except (AttributeError, TypeError, ValueError) as exc:  # not mappings, or unhashable
+            raise InvalidInstance(f"a tree needs hashable vertices and mappings of children "
+                                  f"and weights: {exc}") from None
         self._preorder = self._walk()
         try:
             self.taxa = tuple(sorted(v for v in self._preorder if not self.children.get(v)))
@@ -305,6 +317,19 @@ def capped_product(factors, limit: int) -> int:
         if product > limit:
             return limit + 1
     return product
+
+
+def _read_back(order, improved, cell, shrink) -> list:
+    """The set a by-cell table holds at cell, from ``improved``, the cells
+    that each taxon of ``order`` improved as it joined: walking the taxa
+    backwards, the last one that improved the cell joins the set, and the
+    cell becomes ``shrink(taxon, cell)``, what the set held before it."""
+    taxa = []
+    for x, cells in zip(reversed(order), reversed(improved)):
+        if cell in cells:
+            taxa.append(x)
+            cell = shrink(x, cell)
+    return taxa
 
 
 def pd_of_subset(tree: PhyloTree, taxa_set) -> int:

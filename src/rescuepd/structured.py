@@ -22,8 +22,8 @@ import numpy as np
 from .budget_dp import STATE_GUARD, _BudgetDP
 from .errors import BoundTooLarge, NotAStar
 from .feasibility import build_collaborative_schedule
-from .model import (COLLABORATIVE, DerivedIndex, Instance, build_derived_index,
-                    canon, capped_product)
+from .model import (COLLABORATIVE, DerivedIndex, Instance, _read_back,
+                    build_derived_index, canon, capped_product)
 from .outcome import SolveOutcome, check_mode, checked_yes, trivial_outcome
 
 BOUND_GUARD = 1_000_000
@@ -143,12 +143,6 @@ def solve_star(instance: Instance) -> SolveOutcome:
     value = max(row)
     if value < instance.target:
         return SolveOutcome(False, "star", value=value)
-    # read back: the last taxon that improved cell c joins, and c loses its length
-    c = row.index(value)
-    saved = []
-    for x, cells in zip(reversed(idx.order), reversed(improved)):
-        if c in cells:
-            saved.append(x)
-            c -= instance.length(x)
-    saved = canon(saved)
+    saved = canon(_read_back(idx.order, improved, row.index(value),
+                             lambda x, c: c - instance.length(x)))
     return checked_yes(idx, "star", saved, build_collaborative_schedule(idx, saved))

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute_force,
+                      brute_force_s_time_pd, brute_force_time_pd,
                       build_derived_index, solve_s_time_pd_team_subsets,
                       solve_time_pd_hour_vectors, solve_time_pd_team_vectors,
-                      solve_time_pd_xp)
+                      solve_time_pd_xp, strict_feasible)
 from rescuepd.budget_dp import STATE_GUARD, hour_vectors, subset_vectors, team_vectors
 from rescuepd.driver import ADMISSION
-from rescuepd.errors import StateSpaceTooLarge
+from rescuepd.errors import BadParams, StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import COLLABORATIVE, STRICT
 from rescuepd.structured import count_matrices
@@ -193,3 +194,39 @@ def test_each_budget_dp_guards_its_admission_cost(algorithm, mode, solve):
         assert out.decision == brute_force(inst).decision, seed
         decisions.add(out.decision)
     assert decisions == {True, False}
+
+
+def _guarded_calls():
+    """(name, call(guard)) of every entry point that takes a guard."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, 2), "b": TaxonInfo(1, 2)}
+    inst = {mode: Instance(tree, taxa, (TeamWindow(0, 2),), 1, mode)
+            for mode in (COLLABORATIVE, STRICT)}
+    calls = [(name, lambda g, solve=solve, mode=mode: solve(inst[mode], guard=g))
+             for name, mode, solve in GUARDED]
+    for mode in (COLLABORATIVE, STRICT):
+        calls.append((f"brute_force {mode}", lambda g, m=mode: brute_force(inst[m], guard=g)))
+    return calls + [
+        ("brute_force_time_pd", lambda g: brute_force_time_pd(inst[COLLABORATIVE], guard=g)),
+        ("brute_force_s_time_pd", lambda g: brute_force_s_time_pd(inst[STRICT], guard=g)),
+        ("strict_feasible", lambda g: strict_feasible(inst[STRICT], ["a"], guard=g))]
+
+
+@pytest.mark.parametrize("guard", ["x", 1.5, -1])
+@pytest.mark.parametrize("name, call", _guarded_calls(), ids=[c[0] for c in _guarded_calls()])
+def test_every_guard_rejects_values_that_are_not_sizes(name, call, guard):
+    # each once leaked an AttributeError or a TypeError, or was compared as given
+    with pytest.raises(BadParams):
+        call(guard)
+    assert call(100) is not None
+
+
+def test_a_none_guard_is_a_default_only_where_documented():
+    # brute_force's None is each mode's default, strict_feasible's is no guard
+    documented = {"brute_force collaborative", "brute_force strict", "strict_feasible"}
+    for name, call in _guarded_calls():
+        if name in documented:
+            assert call(None) is not None
+        else:
+            with pytest.raises(BadParams):
+                call(None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -137,6 +138,31 @@ def test_kernels_match_the_colored_oracles(data):
     else:
         assert covered(masks, found) == full
         assert collaborative_feasible(idx, found)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_one_team_kernels_save_the_same_set(data):
+    """With one team, the strict kernel's one capacity row is the
+    collaborative row: both kernels decide alike, and the collaborative
+    saved set is the union of the strict parts."""
+    k = data.draw(st.integers(0, 6), label="k")
+    inst = gen_random_instance(
+        n=data.draw(st.integers(2, 7), label="n"), n_teams=1, max_ex=8,
+        max_len=data.draw(st.integers(1, 4), label="max length"), max_weight=3,
+        tree_shape=data.draw(st.sampled_from(TREE_SHAPES), label="shape"),
+        seed=data.draw(st.integers(0, 10**6), label="instance"))
+    strict = dataclasses.replace(inst, mode=STRICT)
+    full = (1 << k) - 1
+    col = TargetColoring(k, {e: data.draw(st.integers(0, full), label=f"colors of {e}")
+                             for e in inst.tree.edge_order})
+    ok, saved = solve_colored_time_pd(build_derived_index(inst), col)
+    strict_ok, parts = solve_colored_s_time_pd(build_derived_index(strict), col)
+    assert ok == strict_ok
+    if ok:
+        assert len(parts) == 1 and saved == tuple(sorted(parts[0]))
+    else:
+        assert saved is None and parts is None
 
 
 def test_colored_solver_trivial_cases():

@@ -192,6 +192,23 @@ def test_malformed_models_are_invalid_instances(build):
         build()
 
 
+@pytest.mark.parametrize("args", [
+    ("r", {"r": (["a"], "b")}, {"b": 1}),
+    ("r", None, {"a": 1, "b": 1}),
+    ("r", {"r": ("a", "b")}, None),
+    ("r", {"r": ("a", "b")}, "ab"),
+    ("r", {"r": 5}, {}),
+    (["r"], {}, {}),
+], ids=["unhashable child label", "children None", "weight None", "weight a string",
+        "children not sequences", "unhashable root"])
+def test_trees_built_directly_reject_malformed_maps(args):
+    # each once leaked a bare TypeError, AttributeError or ValueError
+    with pytest.raises(InvalidInstance):
+        PhyloTree(*args)
+    tree = PhyloTree(0, {0: (1, 2)}, {1: 2, 2: 3})
+    assert tree.taxa == (1, 2) and tree.preorder() == (0, 1, 2)
+
+
 def test_int_labels_still_build():
     tree = PhyloTree.from_edges([(0, 1, 2), (0, 2, 3)])
     inst = Instance(tree, {1: TaxonInfo(1, 2), 2: TaxonInfo(1, 2)}, (TeamWindow(0, 2),), 5)

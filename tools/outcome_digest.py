@@ -22,6 +22,11 @@ Run it in two checkouts and compare the output.  Equal contract digests
 mean the same decisions, routes and trial indices; a witness digest may
 differ where a solver returns another valid witness.  The package is
 imported from the ``src`` directory of the checkout the script is in.
+
+``tools/outcome_digests.txt`` holds the ``all 1 2027 --summary`` lines,
+and CI diffs the script's output against it.  A change that alters
+witnesses or request streams on purpose regenerates the file with that
+command and says why in CHANGES.md.
 """
 
 from __future__ import annotations
