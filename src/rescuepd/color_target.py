@@ -164,17 +164,21 @@ def _colored_parts(idx: DerivedIndex, coloring: TargetColoring, rows):
     full = _palette(coloring.n_colors)
     masks = coloring.taxon_masks(idx.instance.tree)
     tables = [_colored_table(idx, masks, cap, full) for cap in rows]
-    bits = [[v < INF for v in g] for g, _ in tables]
-    stages = list(itertools.accumulate(bits, boolean_cover_combine))
-    if not stages[-1][full]:
-        return None
-    # split the palette: row i covers cell ^ sub, and rows 0 .. i - 1 sub
     shares = [full] * len(tables)
-    for i in range(len(tables) - 1, 0, -1):
-        cell = shares[i]
-        sub = next(s for s in range(cell, -1, -1)
-                   if s | cell == cell and stages[i - 1][s] and bits[i][cell ^ s])
-        shares[i], shares[i - 1] = cell ^ sub, sub
+    if len(tables) == 1:  # g[full] alone decides; there is nothing to merge
+        if tables[0][0][full] == INF:
+            return None
+    else:
+        bits = [[v < INF for v in g] for g, _ in tables]
+        stages = list(itertools.accumulate(bits, boolean_cover_combine))
+        if not stages[-1][full]:
+            return None
+        # split the palette: row i covers cell ^ sub, and rows 0 .. i - 1 sub
+        for i in range(len(tables) - 1, 0, -1):
+            cell = shares[i]
+            sub = next(s for s in range(cell, -1, -1)
+                       if s | cell == cell and stages[i - 1][s] and bits[i][cell ^ s])
+            shares[i], shares[i - 1] = cell ^ sub, sub
     parts, used = [], set()
     for share, (_, improved) in zip(shares, tables):
         part = [x for x in _read_back(idx.order, improved, share,

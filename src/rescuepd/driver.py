@@ -12,6 +12,14 @@ never raises a guard error.  Nothing is screened ahead of the table; each
 solver runs the trivial screen itself.  A randomized "no" is never retried
 with another algorithm; the reported delta stands.
 
+Brute force runs instead of the first row where it is admitted too and its
+predicted time is lower; a tie keeps the first row.  A prediction is a
+fixed cost plus a cost per work unit times the row's work (``_work``), with
+the constants of ``_ROW_TIME``.  A randomized row is priced by its "no",
+which runs every planned trial.  Only brute force's work, 2^n subsets times
+n taxa, is an exact count, so only brute force may displace the first row.
+Its yes is re-checked like every other solver's.
+
 The bench harness runs a sweep of generated instances through every
 applicable solver, compares decisions against the brute-force oracle, and
 writes one CSV row per (instance, algorithm).  Any disagreement is reported
@@ -28,13 +36,13 @@ from . import budget_dp, structured
 from .brute import brute_force
 from .color_loss import planned_work, solve_time_pd_by_loss
 from .color_target import (checked_seed, solve_s_time_pd_by_target,
-                           solve_time_pd_by_target)
+                           solve_time_pd_by_target, trial_count)
 from .errors import BadParams, RescuePDError
 from .feasibility import verify_schedule
 from .files import instance_to_dict
 from .model import (COLLABORATIVE, STRICT, Instance, build_derived_index,
                     pd_of_subset)
-from .outcome import SolveOutcome
+from .outcome import SolveOutcome, checked_witness
 
 LOSS_WORK_CAP = 5 * 10**7  # planned trials x table entries of fpt-dbar
 
@@ -54,6 +62,14 @@ def _target(idx, limit):
 
 def _taxa(idx, limit):
     return len(idx.order)
+
+
+def _brute(instance, delta, seed):
+    """brute_force, its yes re-checked like every other row's."""
+    out = brute_force(instance)
+    if not out.decision:
+        return out
+    return checked_witness(instance, "brute", out.saved, out.schedule)
 
 
 # (algorithm, cost, cap, solve) per mode, in preference order; a mode's
@@ -76,25 +92,83 @@ ADMISSION = {
          lambda inst, delta, seed: budget_dp.solve_time_pd_hour_vectors(inst)),
         ("xp-counts", structured.count_matrices, 5000,
          lambda inst, delta, seed: structured.solve_time_pd_xp(inst)),
-        ("brute", _taxa, 20, lambda inst, delta, seed: brute_force(inst)),
+        ("brute", _taxa, 20, _brute),
     ),
     STRICT: (
         ("fpt-d", _target, 5,
          lambda inst, delta, seed: solve_s_time_pd_by_target(inst, delta, seed)),
         ("hours-subsets", budget_dp.subset_vectors, 4096,
          lambda inst, delta, seed: budget_dp.solve_s_time_pd_team_subsets(inst)),
-        ("brute", _taxa, 8, lambda inst, delta, seed: brute_force(inst)),
+        ("brute", _taxa, 8, _brute),
     ),
 }
 
 
+def _work(algorithm, idx, cost, delta):
+    """The work units that a row's predicted time is linear in: fpt-d's
+    planned trials times the width it draws per trial (the no side),
+    brute's subsets times taxa (times teams in strict mode, the Held-Karp
+    table), a budget DP's or xp-counts' admission cost times the taxa (a
+    table of at most that size per vertex), and the admission cost of
+    star and fpt-dbar (star cells, planned work)."""
+    if algorithm == "fpt-d":
+        return trial_count(idx.instance.target, delta) * (idx.pd_total + 1)
+    if algorithm == "brute":
+        teams = len(idx.instance.teams) if idx.instance.mode == STRICT else 1
+        return 2 ** cost * cost * teams
+    if algorithm in ("star", "fpt-dbar"):
+        return cost
+    return cost * len(idx.order)
+
+
+# (fixed ms, ms per work unit) of each row's predicted time, as
+# tools/route_constants.py fitted them (seed 1) on a 2-vCPU machine with
+# Python 3.11
+_ROW_TIME = {
+    COLLABORATIVE: {
+        "star": (0.0267, 0.000641),
+        "fpt-dbar": (1.15, 4.7e-06),
+        "fpt-d": (0.466, 8.68e-05),
+        "hours-teams": (0.265, 0.000505),
+        "hours-budget": (0.205, 0.000409),
+        "xp-counts": (0.36, 0.000168),
+        "brute": (0.0777, 0.000214),
+    },
+    STRICT: {
+        "fpt-d": (0.739, 7.06e-05),
+        "hours-subsets": (0.33, 1.31e-05),
+        "brute": (0.103, 0.00018),
+    },
+}
+
+
+def _admitted(idx, delta):
+    """(algorithm, admission cost) of each row the admission table admits,
+    in preference order; fpt-dbar's cost is its planned work at delta,
+    which must also stay within LOSS_WORK_CAP."""
+    rows = []
+    for algorithm, cost, cap, _ in ADMISSION[idx.instance.mode]:
+        units = cost(idx, cap)
+        if units > cap:
+            continue
+        if algorithm == "fpt-dbar":
+            units = planned_work(idx, delta)
+            if units > LOSS_WORK_CAP:
+                continue
+        rows.append((algorithm, units))
+    return rows
+
+
+def _predicted_ms(idx, delta, algorithm, cost):
+    fixed, per_unit = _ROW_TIME[idx.instance.mode][algorithm]
+    return fixed + per_unit * _work(algorithm, idx, cost, delta)
+
+
 def applicable_algorithms(instance: Instance, delta: float = 1e-3) -> list[str]:
-    """Algorithms the admission table admits, in auto preference order;
-    fpt-dbar must also keep its planned work at delta within LOSS_WORK_CAP."""
-    idx = build_derived_index(instance)
-    return [algorithm for algorithm, cost, cap, _ in ADMISSION[instance.mode]
-            if cost(idx, cap) <= cap and (algorithm != "fpt-dbar" or
-                                          planned_work(idx, delta) <= LOSS_WORK_CAP)]
+    """Algorithms the admission table admits, in preference order; fpt-dbar
+    must also keep its planned work at delta within LOSS_WORK_CAP.  ``auto``
+    runs the first of them unless brute predicts a shorter time."""
+    return [algorithm for algorithm, _ in _admitted(build_derived_index(instance), delta)]
 
 
 def run_algorithm(instance: Instance, algorithm: str, delta: float = 1e-3,
@@ -108,14 +182,21 @@ def run_algorithm(instance: Instance, algorithm: str, delta: float = 1e-3,
 
 
 def solve_auto(instance: Instance, delta: float = 1e-3, seed: int = 0):
-    """First applicable algorithm in preference order; None if all guarded.
-    A bad seed or delta is rejected whichever algorithm is picked."""
+    """The first admitted algorithm, or brute where brute's predicted time
+    is lower (a tie keeps the first); None if all guarded.  The pick is
+    reported as ``diagnostics["auto"]``.  A bad seed or delta is rejected
+    whichever algorithm is picked."""
     seed = checked_seed(seed, delta)
-    algorithms = applicable_algorithms(instance, delta)
-    if not algorithms:
+    idx = build_derived_index(instance)
+    rows = _admitted(idx, delta)
+    if not rows:
         return None
-    out = run_algorithm(instance, algorithms[0], delta, seed)
-    out.diagnostics["auto"] = algorithms[0]
+    algorithm = rows[0][0]
+    if rows[-1][0] == "brute" and _predicted_ms(idx, delta, *rows[-1]) < \
+            _predicted_ms(idx, delta, *rows[0]):
+        algorithm = "brute"
+    out = run_algorithm(instance, algorithm, delta, seed)
+    out.diagnostics["auto"] = algorithm
     return out
 
 

@@ -37,8 +37,8 @@ def _integer(value) -> bool:
 
 
 def check_size(value, what: str) -> None:
-    """BadParams unless value is an integer >= 0."""
-    if not isinstance(value, numbers.Integral) or value < 0:
+    """BadParams unless value is an integer >= 0 and not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
         raise BadParams(f"{what} must be an integer >= 0, got {value!r}")
 
 

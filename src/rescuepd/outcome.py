@@ -17,7 +17,8 @@ class SolveOutcome:
 
     A "yes" always carries a saved set whose diversity meets the target and
     a schedule that passes verification; every solver but brute force
-    returns its yes through ``checked_yes``.  ``value`` is the diversity of
+    returns its yes through ``checked_yes``, and the driver's brute-force
+    row passes brute force's yes through ``checked_witness``.  ``value`` is the diversity of
     the witness (or the best value found, for exhaustive solvers).
     """
 
@@ -56,11 +57,16 @@ def check_mode(instance, mode: str, algorithm: str) -> None:
 
 
 def checked_yes(idx, algorithm: str, saved, schedule, **fields) -> SolveOutcome:
+    """``checked_witness`` on the instance of a solver's derived index."""
+    return checked_witness(idx.instance, algorithm, saved, schedule, **fields)
+
+
+def checked_witness(instance, algorithm: str, saved, schedule,
+                    **fields) -> SolveOutcome:
     """A solver's yes, re-checked: the schedule saves exactly the saved set,
     it verifies in the instance's mode, and the set's diversity, which
     becomes ``value``, meets the target.  ``fields`` fill the solver's other
     outcome fields."""
-    instance = idx.instance
     value = pd_of_subset(instance.tree, saved)
     if value < instance.target:
         raise RescuePDError(f"{algorithm} witness failed the diversity re-check")

@@ -16,7 +16,9 @@ from rescuepd.budget_dp import STATE_GUARD, hour_vectors, subset_vectors, team_v
 from rescuepd.driver import ADMISSION
 from rescuepd.errors import BadParams, StateSpaceTooLarge
 from rescuepd.generators import gen_random_instance
-from rescuepd.model import COLLABORATIVE, STRICT
+from rescuepd.color_loss import loss_table_entry_count
+from rescuepd.color_target import trial_count
+from rescuepd.model import COLLABORATIVE, STRICT, check_size
 from rescuepd.structured import count_matrices
 
 from reference import memo_hour_vectors, memo_team_subsets, memo_team_vectors, memo_xp
@@ -219,6 +221,24 @@ def test_every_guard_rejects_values_that_are_not_sizes(name, call, guard):
     with pytest.raises(BadParams):
         call(guard)
     assert call(100) is not None
+
+
+def _sized_calls():
+    """(name, call(size)) of every entry point that takes a guard or a size."""
+    return _guarded_calls() + [
+        ("check_size", lambda b: check_size(b, "the size")),
+        ("trial_count", lambda b: trial_count(b, 0.5)),
+        ("loss_table_entry_count loss", lambda b: loss_table_entry_count(b, 1)),
+        ("loss_table_entry_count classes", lambda b: loss_table_entry_count(1, b))]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("name, call", _sized_calls(), ids=[c[0] for c in _sized_calls()])
+def test_every_size_rejects_bools(name, call, flag):
+    # a bool is an Integral: True once ran as guard 1 or one color, and False
+    # as guard 0
+    with pytest.raises(BadParams):
+        call(flag)
 
 
 def test_a_none_guard_is_a_default_only_where_documented():

@@ -24,7 +24,8 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
 from rescuepd import color_target, solve_time_pd_by_loss
 from rescuepd.color_loss import DRAW_ROWS
-from rescuepd.driver import solve_auto
+from rescuepd.brute import brute_force
+from rescuepd.driver import applicable_algorithms, run_algorithm, solve_auto
 from rescuepd.color_target import _TrialPlan, _trial_rng, trial_blocks, trial_draws
 from rescuepd.errors import BadParams
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
@@ -334,10 +335,11 @@ def test_a_wide_tree_draws_within_the_draw_cells():
     """A heavy edge makes every trial draw 10^4 + 3 colors: the blocks stay
     within DRAW_CELLS draws, so the no takes little memory and time."""
     inst = wide_no_instance(10**4)
+    assert applicable_algorithms(inst)[0] == "fpt-d"
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        got = solve_auto(inst, 1e-3, 0)
+        got = run_algorithm(inst, "fpt-d", 1e-3, 0)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -345,6 +347,9 @@ def test_a_wide_tree_draws_within_the_draw_cells():
     assert got.algorithm == "fpt-d" and not got.decision and got.trials == 378
     assert peak < 16 * 2**20, peak
     assert elapsed < 1.0, elapsed
+    got = solve_auto(inst, 1e-3, 0)
+    assert not got.decision and not brute_force(inst).decision
+    assert got.algorithm == got.diagnostics["auto"]
 
 
 @pytest.mark.parametrize("cells", [color_target.DRAW_CELLS, 2**10])

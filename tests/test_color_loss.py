@@ -15,7 +15,8 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_time_pd_by_target, trial_count, verify_schedule)
 from rescuepd.color_loss import TABLE_GUARD, _LossBatch, candidate_tuples
 from rescuepd.color_target import trial_draws
-from rescuepd.driver import LOSS_WORK_CAP, solve_auto
+from rescuepd.driver import (LOSS_WORK_CAP, applicable_algorithms, run_algorithm,
+                             solve_auto)
 from rescuepd.errors import BadParams, LossTooLarge, NonBinaryTree
 from rescuepd.generators import gen_random_instance
 from rescuepd.model import MAX_HOURS
@@ -309,10 +310,14 @@ def test_deficit_near_the_hours_bound():
             "c": TaxonInfo(1, MAX_HOURS)}
     inst = Instance(tree, taxa, (TeamWindow(5, MAX_HOURS),), target=3)
     assert brute_force_time_pd(inst).value == 3
+    assert applicable_algorithms(inst)[0] == "fpt-dbar"
     for seed in range(3):
-        out = solve_auto(inst, seed=seed)
+        out = run_algorithm(inst, "fpt-dbar", 1e-3, seed)
         assert out.algorithm == "fpt-dbar"
         assert out.decision and out.value == 3 and out.saved == ("b", "c")
+        assert verify_schedule(inst, out.schedule).ok
+        out = solve_auto(inst, seed=seed)
+        assert out.decision and out.algorithm == out.diagnostics["auto"]
         assert verify_schedule(inst, out.schedule).ok
 
 

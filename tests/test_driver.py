@@ -15,6 +15,7 @@ from rescuepd.driver import (ADMISSION, applicable_algorithms, run_algorithm,
                              run_bench_instance, solve_auto)
 from rescuepd.errors import BoundTooLarge, RescuePDError
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT
+from rescuepd.outcome import SolveOutcome
 
 from conftest import split_rescue
 
@@ -43,6 +44,16 @@ def assert_matches_oracle(instance, outcome):
         assert verify_schedule(instance, outcome.schedule).ok
     elif outcome.algorithm not in ("fpt-d", "fpt-dbar"):
         assert not oracle.decision
+
+
+def assert_auto_matches_oracle(instance, **kwargs):
+    """solve_auto answers with the oracle's decision and reports, as
+    diagnostics["auto"], the row it ran."""
+    out = solve_auto(instance, **kwargs)
+    assert out.decision == brute.brute_force(instance).decision
+    assert out.algorithm == out.diagnostics["auto"]
+    assert_matches_oracle(instance, out)
+    return out
 
 
 def two_leaf_star(slots):
@@ -75,9 +86,10 @@ def test_admitted_team_vectors_pass_the_solver_guard():
     # (|T|+1)^30 is far above the guard
     instance = one_team_tree(30, 2)
     assert applicable_algorithms(instance)[0] == "hours-teams"
-    out = solve_auto(instance)
-    assert out.diagnostics["auto"] == "hours-teams" and out.decision
+    out = run_algorithm(instance, "hours-teams")
+    assert out.algorithm == "hours-teams" and out.decision
     assert_matches_oracle(instance, out)
+    assert_auto_matches_oracle(instance)
 
 
 def test_team_count_budgets_skip_idle_slots():
@@ -85,9 +97,10 @@ def test_team_count_budgets_skip_idle_slots():
     # with the 10^5 slots up to the deadlines
     instance = one_team_tree(100_000, 12)
     assert applicable_algorithms(instance)[0] == "hours-teams"
-    out = solve_auto(instance)
-    assert out.diagnostics["auto"] == "hours-teams" and out.decision
+    out = run_algorithm(instance, "hours-teams")
+    assert out.algorithm == "hours-teams" and out.decision
     assert_matches_oracle(instance, out)
+    assert_auto_matches_oracle(instance)
     dp = budget_dp._TeamCountDP(instance)
     assert len(dp.root_budget()) == 12
 
@@ -108,8 +121,9 @@ def test_star_over_its_bound_is_left_out():
     assert "star" not in algorithms
     with pytest.raises(BoundTooLarge):
         structured.solve_star(over)
-    out = solve_auto(over)
+    out = run_algorithm(over, algorithms[0])
     assert out.decision and out.algorithm == algorithms[0]
+    assert_auto_matches_oracle(over)
     at = long_star(structured.BOUND_GUARD // 2 - 1)
     assert structured.star_cells(build_derived_index(at)) == structured.BOUND_GUARD
     assert applicable_algorithms(at)[0] == "star"
@@ -169,6 +183,118 @@ def test_auto_admits_no_guard_error_on_long_horizons():
         out = solve_auto(instance, seed=seed)
         if out is not None:
             assert_matches_oracle(instance, out)
+
+
+def auto_picks(monkeypatch):
+    """solve_auto's pick, without running it: run_algorithm answers no."""
+    monkeypatch.setattr(driver, "run_algorithm",
+                        lambda inst, algorithm, *args: SolveOutcome(False, algorithm))
+
+    def pick(instance):
+        out = solve_auto(instance)
+        return out and out.diagnostics["auto"]
+    return pick
+
+
+def test_auto_runs_brute_on_a_handful_of_taxa():
+    # at 4-6 taxa brute's 2^n subsets cost less than the fixed cost of
+    # the color coding and of the budget DPs
+    firsts = set()
+    for seed in range(60):
+        # target 3 admits fpt-d, the half-diversity target the budget DPs
+        instance = gen_random_instance(
+            n=4 + seed % 3, n_teams=1 + seed % 2, max_ex=5, max_len=3,
+            max_weight=3, tree_shape=("caterpillar", "random-binary")[seed % 2],
+            mode=STRICT if seed % 3 == 0 else COLLABORATIVE, seed=seed,
+            target=(3, None)[seed // 3 % 2])
+        first = applicable_algorithms(instance)[0]
+        if first not in ("fpt-d", "hours-teams", "hours-subsets"):
+            continue
+        firsts.add(first)
+        out = solve_auto(instance, seed=seed)
+        assert out.diagnostics["auto"] == out.algorithm == "brute", (seed, first)
+        assert out.decision == brute.brute_force(instance).decision
+        assert_matches_oracle(instance, out)
+    assert firsts == {"fpt-d", "hours-teams", "hours-subsets"}
+
+
+def test_auto_runs_brute_at_7_taxa_over_few_team_vectors(monkeypatch):
+    # a budget DP's time grows with its taxa as well as its vectors: at 7
+    # taxa and 2-4 teams, hours-teams over 4-24 team-count vectors is
+    # priced above brute's 2^7 subsets, as it measures
+    pick = auto_picks(monkeypatch)
+    seen = 0
+    for seed in range(120):
+        instance = gen_random_instance(
+            n=7, n_teams=2 + seed % 3, max_ex=7, max_len=4, max_weight=3,
+            tree_shape=("caterpillar", "random-binary")[seed % 2], seed=seed)
+        vectors = budget_dp.team_vectors(build_derived_index(instance), 5000)
+        if applicable_algorithms(instance)[0] != "hours-teams" or \
+                not 4 <= vectors <= 24:
+            continue
+        seen += 1
+        assert pick(instance) == "brute", (seed, vectors)
+    assert seen >= 20
+
+
+def test_stars_stay_on_the_star_solver():
+    for seed in range(30):
+        instance = gen_random_instance(n=4 + seed % 3, n_teams=1 + seed % 3,
+                                       max_ex=8, max_len=5, tree_shape="star",
+                                       seed=seed)
+        assert applicable_algorithms(instance)[0] == "star"
+        out = solve_auto(instance)
+        assert out.diagnostics["auto"] == "star"
+        assert_matches_oracle(instance, out)
+
+
+def test_auto_keeps_the_first_row_at_12_to_16_taxa(monkeypatch):
+    # brute's 2^n * n subset-taxa are priced above the first row
+    pick = auto_picks(monkeypatch)
+    firsts = set()
+    for seed in range(40):
+        instance = gen_random_instance(n=12 + seed % 5, n_teams=1 + seed % 3,
+                                       max_ex=4 + seed % 5, max_len=3,
+                                       tree_shape=("caterpillar", "random-binary",
+                                                   "random-multifurcating", "star")[seed % 4],
+                                       seed=seed)
+        algorithms = applicable_algorithms(instance)
+        if algorithms:
+            firsts.add(algorithms[0])
+            assert pick(instance) == algorithms[0] != "brute", seed
+    assert firsts == {"hours-teams", "star"}
+
+
+def test_stretching_windows_or_deadlines_keeps_the_pick(monkeypatch):
+    # the instances of test_auto_admits_no_guard_error_on_long_horizons
+    pick = auto_picks(monkeypatch)
+    for seed in range(40):
+        base = gen_random_instance(n=5, n_teams=1 + seed % 3, max_ex=5,
+                                   max_len=2, max_weight=3, seed=900 + seed,
+                                   mode=STRICT if seed % 4 == 0 else COLLABORATIVE)
+        picks = {pick(base)}
+        for stretch in (6, 31, 10**4):
+            taxa = {x: TaxonInfo(info.rescue_length, info.extinction_time * stretch)
+                    for x, info in base.taxa.items()}
+            windows = tuple(TeamWindow(t.start * stretch, t.end * stretch)
+                            for t in base.teams)
+            for teams in (base.teams, windows):
+                picks.add(pick(Instance(base.tree, taxa, teams, base.target, base.mode)))
+        assert len(picks) == 1, (seed, picks)
+
+
+def test_auto_rechecks_a_brute_yes(monkeypatch):
+    instance = BENCH_YES[0]
+    assert solve_auto(instance).diagnostics["auto"] == "brute"
+    oracle = brute.brute_force(instance)
+    assert oracle.decision and oracle.schedule.assignment
+    # a schedule that saves nothing, and a saved set below the target
+    for schedule, saved in ((dataclasses.replace(oracle.schedule, assignment={}),
+                             oracle.saved), (oracle.schedule, ())):
+        bad = dataclasses.replace(oracle, schedule=schedule, saved=saved)
+        monkeypatch.setattr(driver, "brute_force", lambda inst, bad=bad: bad)
+        with pytest.raises(RescuePDError, match="brute witness failed"):
+            solve_auto(instance)
 
 
 def test_bench_times_the_oracle():

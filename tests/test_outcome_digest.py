@@ -48,3 +48,17 @@ def test_summary_of_every_workload(tmp_path):
         want.append([workload, "1", "20", tool._digest([row[2] for row in rows]),
                      tool._digest([row[3] for row in rows])])
     assert [line.split() for line in done.stdout.splitlines()] == want
+
+
+def test_streams_digest_the_requests_alone(tmp_path):
+    """``--streams`` prints one line per workload: its request count and a
+    digest of its requests, built without solving any."""
+    done = subprocess.run([sys.executable, str(TOOL), "all", "1", "--requests", "20",
+                           "--streams"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    tool = load_tool()
+    want = [[str(field) for field in tool.stream_summary(workload, 1, 20)]
+            for workload in WORKLOADS]
+    assert [line.split() for line in done.stdout.splitlines()] == want
+    assert all(row[2] == "20" and re.fullmatch("[0-9a-f]{16}", row[3]) for row in want)

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from rescuepd import Instance, PhyloTree, TaxonInfo, TeamWindow, driver
+from rescuepd.brute import brute_force
 from rescuepd.driver import ADMISSION
 from rescuepd.model import COLLABORATIVE, STRICT
 
@@ -65,9 +66,12 @@ def test_the_tracer_sees_every_dispatched_solver():
                 assert fired == Counter({SOLVER_SPAN[algorithm]: 1}), (mode, algorithm)
                 assert tracer.routes[tracer.request] == algorithm
             tracer.request += 1
-            fired = solver_spans(lambda: driver.solve_auto(instance))
-            assert fired == Counter({SOLVER_SPAN[rows[0][0]]: 1})
-            assert tracer.routes[tracer.request] == rows[0][0]
+            auto = []
+            fired = solver_spans(lambda: auto.append(driver.solve_auto(instance)))
+            picked = auto[0].diagnostics["auto"]
+            assert fired == Counter({SOLVER_SPAN[picked]: 1})
+            assert tracer.routes[tracer.request] == picked == auto[0].algorithm
+            assert auto[0].decision == brute_force(instance).decision
             fired = solver_spans(lambda: driver.run_bench_instance((0, "tiny", instance)))
             assert fired == Counter(SOLVER_SPAN[row[0]] for row in rows)
     finally:
