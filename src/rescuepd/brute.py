@@ -1,21 +1,31 @@
 """Ground-truth brute-force solvers.
 
-These are the acceptance oracles: plain subset enumeration with the
-feasibility primitives.  Witness preference is fixed (maximum diversity,
-then minimum total rescue length, then lexicographically smallest set) so
-results are deterministic and independent of enumeration order.
+These are the acceptance oracles: they check every subset of the taxa,
+BLOCK_SUBSETS subsets per numpy pass.  Subset s holds the k-th of n taxa
+(in label order) iff bit n - 1 - k of s is set, so the first taxon is the
+top bit.  Collaborative feasibility is the prefix condition on a (subsets x
+taxa) 0/1 matrix: its product with the lengths due by each deadline class
+must stay within that class's hours.  Strict feasibility is one lookup per
+subset in the subset table built once over all taxa.  A subset's diversity
+is the weight of the edges with one of its taxa below them, and its total
+length the 0/1 matrix times the lengths.  Sums that may pass 2^63 - 1 are
+taken over Python integers.  Witness preference is fixed (maximum
+diversity, then minimum total rescue length, then lexicographically
+smallest set) so results are deterministic and independent of enumeration
+order.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from .errors import InstanceTooLarge
-from .feasibility import (build_collaborative_schedule, collaborative_feasible,
-                          strict_feasible, strict_table)
-from .model import (STRICT, Instance, build_derived_index, canon, check_size,
-                    pd_of_subset)
+from .feasibility import build_collaborative_schedule, strict_feasible, strict_table
+from .model import (MAX_HOURS, STRICT, Instance, build_derived_index,
+                    check_size)
 from .outcome import SolveOutcome
+
+BLOCK_SUBSETS = 2**12  # subsets per numpy pass; bounds the memory at any n
 
 
 def _check_guard(instance: Instance, guard) -> None:
@@ -26,25 +36,50 @@ def _check_guard(instance: Instance, guard) -> None:
         raise InstanceTooLarge(f"{len(instance.tree.taxa)} taxa exceed the 2^n guard {guard}")
 
 
-def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
-    """The preferred set among those ``feasible(idx, subset)`` admits.
+def _exact(values: list) -> np.ndarray:
+    """values as int64, or as Python integers where their sum may not fit."""
+    return np.array(values, dtype=np.int64 if sum(values) <= MAX_HOURS else object)
+
+
+def _search(instance: Instance, idx, lengths: np.ndarray, feasible,
+            schedule) -> SolveOutcome:
+    """The preferred set among those ``feasible(masks, bits)`` admits.
 
     Only a yes builds a schedule, ``schedule(idx, saved)``; a no still
     reports the best set and its diversity.
     """
-    idx = build_derived_index(instance)
-    taxa = instance.tree.taxa
+    tree, taxa = instance.tree, instance.tree.taxa
+    n = len(taxa)
+    below = dict.fromkeys(tree.preorder(), 0)
+    below.update((x, 1 << (n - 1 - k)) for k, x in enumerate(taxa))
+    for e in reversed(tree.edge_order):  # children before their parent
+        below[tree.parent[e]] |= below[e]
+    edge_masks = np.array([below[e] for e in tree.edge_order], dtype=np.int64)
+    weights = _exact([tree.weight[e] for e in tree.edge_order])
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     best = None
-    for r in range(len(taxa) + 1):
-        for subset in itertools.combinations(taxa, r):
-            if not feasible(idx, subset):
-                continue
-            value = pd_of_subset(instance.tree, subset)
-            total = sum(instance.length(x) for x in subset)
-            key = (-value, total, subset)  # max diversity, min length, smallest set
-            if best is None or key < best:
-                best = key
-    value, saved = -best[0], canon(best[2])
+    for start in range(0, 1 << n, BLOCK_SUBSETS):
+        masks = np.arange(start, min(start + BLOCK_SUBSETS, 1 << n), dtype=np.int64)
+        bits = masks[:, None] >> shifts & 1  # row s, column k: is taxon k in s?
+        ok = feasible(masks, bits)
+        masks, bits = masks[ok], bits[ok]
+        if not len(masks):
+            continue
+        value = ((masks[:, None] & edge_masks) != 0) @ weights
+        most = value.max()
+        top = value == most
+        total = bits[top] @ lengths
+        least = total.min()
+        # No tied set holds another, as a taxon more adds its own edge, so
+        # the first in label order holds the first taxon where they differ:
+        # it is the largest mask.
+        first = int(masks[top][total == least].max())
+        # max diversity, min length, smallest set
+        key = (-int(most), int(least),
+               tuple(k for k in range(n) if first >> (n - 1 - k) & 1))
+        if best is None or key < best:
+            best = key
+    value, saved = -best[0], tuple(taxa[k] for k in best[2])
     decision = value >= instance.target
     return SolveOutcome(decision=decision, algorithm="brute", saved=saved,
                         schedule=schedule(idx, saved) if decision else None,
@@ -52,10 +87,19 @@ def _search(instance: Instance, feasible, schedule) -> SolveOutcome:
 
 
 def brute_force_time_pd(instance: Instance, guard: int = 20) -> SolveOutcome:
-    """Enumerate all taxa subsets; collaborative feasibility per Lemma-style
-    prefix check; deterministic optimal witness."""
+    """Every taxa subset against the prefix condition: row s of the 0/1
+    matrix times L, where L[x, k] is x's length if x is due by class k, must
+    stay within the hours of each class; deterministic optimal witness."""
     _check_guard(instance, guard)
-    return _search(instance, collaborative_feasible, build_collaborative_schedule)
+    idx = build_derived_index(instance)
+    taxa = instance.tree.taxa
+    lengths = _exact([instance.length(x) for x in taxa])
+    due = np.array([idx.class_of[x] for x in taxa])[:, None] <= np.arange(idx.n_classes)
+    need = np.where(due, lengths[:, None], 0)
+    hours = np.array(idx.hours, dtype=need.dtype)
+    return _search(instance, idx, lengths,
+                   lambda masks, bits: (bits @ need <= hours).all(axis=1),
+                   build_collaborative_schedule)
 
 
 def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
@@ -63,10 +107,11 @@ def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
     table built once over all taxa; the yes witness is strict_feasible's."""
     _check_guard(instance, guard)
     taxa = instance.tree.taxa
-    table = strict_table(instance, taxa)
-    bit = {x: 1 << k for k, x in enumerate(taxa)}
-    return _search(instance,
-                   lambda idx, subset: table[sum(bit[x] for x in subset)] is not None,
+    # the taxa in reverse, so the table's bit k is the masks' bit k
+    placed = np.array([f is not None for f in strict_table(instance, taxa[::-1])])
+    return _search(instance, build_derived_index(instance),
+                   _exact([instance.length(x) for x in taxa]),
+                   lambda masks, bits: placed[masks],
                    lambda idx, saved: strict_feasible(instance, saved, guard=None))
 
 

@@ -100,23 +100,42 @@ def color_edges_from_hash(tree: PhyloTree, n_colors: int, f) -> TargetColoring:
     W_{j-1}+1 .. W_j, where W_j are the weight prefix sums.  ``f`` is
     callable or indexable with 1-based positions; repeated colors within an
     edge collapse, so an edge may end up with fewer colors than its weight.
+    An integer ndarray row is sliced; any other f is read position by
+    position.  The range check and the edge masks then take a few numpy
+    passes over all W positions.
     """
+    edges = tree.edge_order
+    if not edges:
+        return TargetColoring(n_colors, {})
+    weights = [tree.weight[e] for e in edges]
+    width = sum(weights)
+    if isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype.kind in "iu":
+        if len(f) <= width:
+            raise BadParams(f"f has no color at position {max(len(f), 1)}")
+        colors = f[1:width + 1]
+    else:
+        colors = _color_positions(f, width)
+    if colors.min() < 1 or colors.max() > n_colors:
+        c = colors[(colors < 1) | (colors > n_colors)][0]
+        raise BadParams(f"color {int(c)} outside palette [1, {n_colors}]")
+    bits = 1 << (colors.astype(np.int64 if n_colors < 64 else object) - 1)
+    masks = np.bitwise_or.reduceat(bits, list(itertools.accumulate(weights[:-1], initial=0)))
+    return TargetColoring(n_colors, dict(zip(edges, masks.tolist())))
+
+
+def _color_positions(f, width: int) -> np.ndarray:
+    """Positions 1..width of a callable or indexable f, each an integer."""
     pick = f if callable(f) else f.__getitem__
-    edge_colors = {}
-    pos = 0
-    for e in tree.edge_order:
-        m = 0
-        for _ in range(tree.weight[e]):
-            pos += 1
-            try:
-                c = pick(pos)
-            except (IndexError, KeyError):
-                raise BadParams(f"f has no color at position {pos}") from None
-            if not isinstance(c, numbers.Integral) or not 1 <= c <= n_colors:
-                raise BadParams(f"color {c!r} outside palette [1, {n_colors}]")
-            m |= 1 << (c - 1)
-        edge_colors[e] = m
-    return TargetColoring(n_colors, edge_colors)
+    colors = []
+    for pos in range(1, width + 1):
+        try:
+            c = pick(pos)
+        except (IndexError, KeyError):
+            raise BadParams(f"f has no color at position {pos}") from None
+        if not isinstance(c, numbers.Integral):
+            raise BadParams(f"color {c!r} at position {pos} is not an integer")
+        colors.append(int(c))
+    return np.array(colors)
 
 
 def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):

@@ -105,22 +105,42 @@ def strict_table(instance: Instance, members) -> list:
     start; x goes to the first team, from the current one on, where its run
     ends by min(window end, x's deadline).  Exact, as a smaller state can
     follow every continuation of a larger one and every taxon is tried last.
+    Each state visits only the taxa of its set; where x overruns the current
+    team, it takes x's first later team that fits x from that team's start.
     """
     teams = instance.teams
-    runs = [(instance.length(x), instance.deadline(x)) for x in members]
+    runs = []  # per taxon: length, per-team room, per-team fresh placement
+    for x in members:
+        need, due = instance.length(x), instance.deadline(x)
+        room = [min(t.end, due) for t in teams]
+        fresh, nxt = [None] * len(teams), None
+        for j in range(len(teams) - 1, -1, -1):
+            fresh[j] = nxt  # the first team after j that fits x alone
+            if teams[j].start + need <= room[j]:
+                nxt = (j, teams[j].start + need)
+        runs.append((need, room, fresh))
     f = [None] * (1 << len(runs))
     f[0] = (0, teams[0].start, None)
     for s in range(1, len(f)):
-        for k, (need, due) in enumerate(runs):
-            if not s >> k & 1 or f[s ^ 1 << k] is None:
+        t, best = s, None
+        while t:
+            low = t & -t
+            t ^= low
+            prev = f[s ^ low]
+            if prev is None:
                 continue
-            i, cursor, _ = f[s ^ 1 << k]
-            for j in range(i, len(teams)):
-                end = (cursor if j == i else teams[j].start) + need
-                if end <= min(teams[j].end, due):
-                    if f[s] is None or (j, end, k) < f[s]:
-                        f[s] = (j, end, k)
-                    break
+            k = low.bit_length() - 1
+            need, room, fresh = runs[k]
+            i, cursor, _ = prev
+            if cursor + need <= room[i]:
+                cand = (i, cursor + need, k)
+            elif fresh[i] is not None:
+                cand = (*fresh[i], k)
+            else:
+                continue
+            if best is None or cand < best:
+                best = cand
+        f[s] = best
     return f
 
 

@@ -23,6 +23,11 @@ oracle of the library's dense tables: ``memo_team_vectors``,
 the library solvers' decision, value, saved set and schedule.  Only the
 witness step of ``memo_team_subsets`` follows the library: it packs each
 team's taxa earliest deadline first with ``schedule_team_parts``.
+``brute_force_by_combinations`` is the library's first brute force, one
+Python call per subset from ``itertools.combinations``, the oracle of the
+block-wise numpy brute force; ``strict_table_every_bit`` is the first
+subset table, which tries every taxon at every state, the oracle of
+``strict_table``.
 ``strict_feasible_given_ordering`` is the greedy that packs the longest
 prefix of an ordering onto each team in turn, and
 ``strict_feasible_by_orderings`` the library's first strict search, which
@@ -77,7 +82,7 @@ from rescuepd.errors import (BoundTooLarge, DuplicateLeaf, LossTooLarge,
                              UnknownTaxon)
 from rescuepd.feasibility import (Schedule, _pack, build_collaborative_schedule,
                                   collaborative_feasible, schedule_team_parts,
-                                  verify_schedule)
+                                  strict_feasible, verify_schedule)
 from rescuepd.model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
                             PhyloTree, TeamWindow, build_derived_index, canon,
                             pd_of_subset)
@@ -477,6 +482,67 @@ def strict_feasible_by_partition(instance: Instance, taxa_set):
                for i, part in enumerate(parts)):
             return True
     return False
+
+
+def strict_table_every_bit(instance: Instance, members) -> list:
+    """The library's first subset table, which tries every taxon for every
+    state and walks the teams one by one; the oracle of ``strict_table``."""
+    teams = instance.teams
+    runs = [(instance.length(x), instance.deadline(x)) for x in members]
+    f = [None] * (1 << len(runs))
+    f[0] = (0, teams[0].start, None)
+    for s in range(1, len(f)):
+        for k, (need, due) in enumerate(runs):
+            if not s >> k & 1 or f[s ^ 1 << k] is None:
+                continue
+            i, cursor, _ = f[s ^ 1 << k]
+            for j in range(i, len(teams)):
+                end = (cursor if j == i else teams[j].start) + need
+                if end <= min(teams[j].end, due):
+                    if f[s] is None or (j, end, k) < f[s]:
+                        f[s] = (j, end, k)
+                    break
+    return f
+
+
+def brute_force_by_combinations(instance: Instance) -> SolveOutcome:
+    """The library's first brute force: every subset from
+    ``itertools.combinations``, one feasibility call, one ``pd_of_subset``
+    and one length sum each, under the same preference (max diversity, then
+    min total length, then smallest label tuple) and with the same
+    witnesses; the oracle of ``brute_force``."""
+    idx = build_derived_index(instance)
+    taxa = instance.tree.taxa
+    if instance.mode == STRICT:
+        table = strict_table_every_bit(instance, taxa)
+        bit = {x: 1 << k for k, x in enumerate(taxa)}
+
+        def feasible(subset):
+            return table[sum(bit[x] for x in subset)] is not None
+
+        def schedule(saved):
+            return strict_feasible(instance, saved, guard=None)
+    else:
+        def feasible(subset):
+            return collaborative_feasible(idx, subset)
+
+        def schedule(saved):
+            return build_collaborative_schedule(idx, saved)
+    best = None
+    for r in range(len(taxa) + 1):
+        for subset in itertools.combinations(taxa, r):
+            if not feasible(subset):
+                continue
+            value = pd_of_subset(instance.tree, subset)
+            total = sum(instance.length(x) for x in subset)
+            key = (-value, total, subset)
+            if best is None or key < best:
+                best = key
+    value, saved = -best[0], canon(best[2])
+    decision = value >= instance.target
+    return SolveOutcome(decision=decision, algorithm="brute", saved=saved,
+                        schedule=schedule(saved) if decision else None,
+                        value=value)
 
 
 class SearchSpaceTooLarge(RescuePDError):

@@ -4,15 +4,17 @@ import tracemalloc
 
 import pytest
 
-from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute_force,
-                      brute_force_s_time_pd, brute_force_time_pd,
+from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute,
+                      brute_force, brute_force_s_time_pd, brute_force_time_pd,
                       build_derived_index, collaborative_feasible,
-                      strict_feasible, verify_schedule)
+                      pd_of_subset, strict_feasible, verify_schedule)
 from rescuepd.errors import InstanceTooLarge
-from rescuepd.generators import gen_random_instance
+from rescuepd.files import schedule_to_dict
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import MAX_HOURS
 
-from reference import SearchSpaceTooLarge, exhaustive_schedule_search
+from reference import (SearchSpaceTooLarge, brute_force_by_combinations,
+                       exhaustive_schedule_search)
 
 
 def test_star_example():
@@ -206,3 +208,85 @@ def test_strict_no_time_does_not_grow_with_the_hours(scale):
     out, seconds = timed_brute(inst)
     assert not out.decision and out.value == 4 and out.schedule is None
     assert seconds < 0.25
+
+
+def one_taxon_instance(seed, mode):
+    """gen_random_instance draws two taxa or more; one taxon on one edge."""
+    length = 1 + seed % 4
+    tree = PhyloTree.from_edges([("r", "x1", 1 + seed % 3)])
+    return Instance(tree, {"x1": TaxonInfo(length, 1 + seed % 6)},
+                    (TeamWindow(seed % 2, 2 + seed % 5),), target=seed % 4,
+                    mode=mode)
+
+
+def assert_same_outcome(got, want):
+    """Decision, value, saved set and schedule, field for field."""
+    assert (got.decision, got.value, got.saved) == (want.decision, want.value, want.saved)
+    assert (got.schedule is None) == (want.schedule is None)
+    if want.schedule is not None:
+        assert schedule_to_dict(got.schedule, got.value) == \
+            schedule_to_dict(want.schedule, want.value)
+
+
+@pytest.mark.parametrize("mode", ["collaborative", "strict"])
+@pytest.mark.parametrize("shape", TREE_SHAPES)
+def test_the_block_search_equals_the_combinations_oracle(mode, shape):
+    """Forty seeded instances of 1-10 taxa per (mode, shape), 320 in all,
+    with the same decision, value, saved set and schedule as the loop over
+    itertools.combinations."""
+    for seed in range(40):
+        n = 1 + seed % 10
+        inst = (one_taxon_instance(seed, mode) if n == 1 else
+                gen_random_instance(n=n, n_teams=1 + seed % 3, max_ex=8,
+                                    max_len=4, tree_shape=shape, mode=mode,
+                                    seed=seed))
+        assert_same_outcome(brute_force(inst, guard=10), brute_force_by_combinations(inst))
+
+
+@pytest.mark.parametrize("mode", ["collaborative", "strict"])
+def test_unit_star_ties_break_by_length_then_labels(mode, monkeypatch):
+    """On unit-weight stars many sets share the best diversity, so the total
+    length and then the label order decide; blocks of 8 subsets make the
+    best set of one block compete with those of the others."""
+    monkeypatch.setattr(brute, "BLOCK_SUBSETS", 8)
+    for seed in range(60):
+        inst = gen_random_instance(n=3 + seed % 7, n_teams=1 + seed % 2,
+                                   max_ex=6, max_len=2, max_weight=1,
+                                   tree_shape="star", mode=mode, seed=seed)
+        assert_same_outcome(brute_force(inst, guard=10), brute_force_by_combinations(inst))
+
+
+@pytest.mark.parametrize("mode", ["collaborative", "strict"])
+def test_weights_and_lengths_past_64_bits(mode):
+    """Edge weights from 2^63 up and lengths above MAX_HOURS: sums beyond
+    int64 are taken exactly, so the value is the set's diversity and the
+    outcome the oracle's."""
+    for seed in range(12):
+        small = gen_random_instance(n=3 + seed % 5, max_ex=8, max_len=4,
+                                    mode=mode, seed=seed)
+        tree = small.tree
+        heavy = PhyloTree(tree.root, tree.children,
+                          {e: w * 2**63 + seed for e, w in tree.weight.items()})
+        taxa = dict(small.taxa)
+        taxa[tree.taxa[0]] = TaxonInfo(MAX_HOURS + 1 + seed, MAX_HOURS)
+        inst = Instance(heavy, taxa, small.teams, heavy.total_weight() // 3, mode)
+        out = brute_force(inst)
+        assert out.value == pd_of_subset(heavy, out.saved)
+        assert tree.taxa[0] not in out.saved
+        assert_same_outcome(out, brute_force_by_combinations(inst))
+
+
+def test_twenty_taxa_in_bounded_memory_and_time():
+    """2^20 subsets go through 256 blocks of 2^12: the peak stays within a
+    few MiB and the search within a fraction of the per-subset loop's 4 s."""
+    inst = gen_random_instance(n=20, n_teams=3, max_ex=16, seed=1)
+    tracemalloc.start()
+    try:
+        out, seconds = timed_brute(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.decision and out.value == 99
+    assert verify_schedule(inst, out.schedule).ok
+    assert peak < 16 * 2**20
+    assert seconds < 2.0

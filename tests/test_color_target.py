@@ -59,6 +59,44 @@ def test_color_edges_from_hash_examples():
             color_edges_from_hash(tree, 2, [None, 1, odd, 1, 1, 1])
 
 
+
+def test_an_ndarray_row_colors_as_a_list_or_a_callable_does():
+    """Sliced or read position by position, the same colors give the same
+    edge masks; bad colors raise BadParams on every path."""
+    tree = PhyloTree.from_edges([("r", "u", 2), ("u", "a", 3), ("u", "b", 1),
+                                 ("r", "c", 4)])
+    rng = np.random.default_rng(5)
+    for k in (1, 3, 7, 30):
+        row = rng.integers(1, k + 1, size=11)
+        want = color_edges_from_hash(tree, k, row.tolist())
+        assert color_edges_from_hash(tree, k, row) == want
+        assert color_edges_from_hash(tree, k, row.astype(np.uint8)) == want
+        assert color_edges_from_hash(tree, k, lambda pos: int(row[pos])) == want
+    for bad in (0, 4, -1, 2**40):
+        row = np.ones(11, dtype=np.int64)
+        row[7] = bad
+        for f in (row, row.tolist()):
+            with pytest.raises(BadParams):
+                color_edges_from_hash(tree, 3, f)
+    for odd in (np.ones(10, dtype=np.int64), np.ones(11), np.ones(11, dtype=bool),
+                [None] + [1] * 9 + [2**70]):
+        with pytest.raises(BadParams):
+            color_edges_from_hash(tree, 3, odd)
+
+
+def test_a_wide_row_colors_in_linear_numpy_time():
+    """One edge of weight 10^6: its colors are checked and merged in a few
+    numpy passes, not one Python step per position (about 0.8 s)."""
+    width = 10**6
+    tree = PhyloTree.from_edges([("r", "u", 1), ("u", "a", width), ("u", "b", 1),
+                                 ("r", "c", 1)])
+    row = np.random.default_rng(0).integers(1, 4, size=width + 4)
+    start = time.perf_counter()
+    col = color_edges_from_hash(tree, 3, row)
+    assert time.perf_counter() - start < 0.25
+    assert col.edge_colors == {"u": mask(row[1]), "a": 0b111, "b": mask(row[width + 2]),
+                               "c": mask(row[width + 3])}
+
 def test_taxon_masks_union():
     tree = PhyloTree.from_edges([("r", "v", 1), ("v", "a", 1), ("v", "b", 1),
                                  ("r", "c", 2)])

@@ -9,6 +9,7 @@ from rescuepd import (Instance, PhyloTree, Schedule, TaxonInfo, TeamWindow,
                       collaborative_feasible, schedule_team_parts,
                       strict_feasible, verify_schedule)
 from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
+from rescuepd.feasibility import strict_table
 from rescuepd.generators import gen_random_instance
 
 from conftest import split_rescue
@@ -16,7 +17,7 @@ from conftest import split_rescue
 from reference import (availability, exhaustive_schedule_search,
                        single_team_feasible, strict_feasible_by_orderings,
                        strict_feasible_by_partition,
-                       strict_feasible_given_ordering)
+                       strict_feasible_given_ordering, strict_table_every_bit)
 
 
 def two_leaf_instance(info_a, info_b, teams, mode="collaborative"):
@@ -164,6 +165,17 @@ def test_subset_table_matches_the_ordering_greedy(inst):
             assert (sched is not None) == (oracle is not None), subset
             if sched is not None:
                 assert sched.saved == subset and verify_schedule(inst, sched).ok
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_subset_table_visits_set_bits_to_the_same_table(seed):
+    """The table over each state's own taxa, with each taxon's next fresh
+    team found in advance, is the table that tries every taxon and walks the
+    teams one by one, entry for entry."""
+    inst = gen_random_instance(n=2 + seed % 8, n_teams=1 + seed % 4, max_ex=9,
+                               max_len=4, mode="strict", seed=seed)
+    taxa = inst.tree.taxa
+    assert strict_table(inst, taxa) == strict_table_every_bit(inst, taxa)
 
 
 def test_strict_implies_collaborative():
