@@ -41,12 +41,12 @@ def _exact(values: list) -> np.ndarray:
     return np.array(values, dtype=np.int64 if sum(values) <= MAX_HOURS else object)
 
 
-def _search(instance: Instance, idx, lengths: np.ndarray, feasible,
+def _search(instance: Instance, lengths: np.ndarray, feasible,
             schedule) -> SolveOutcome:
     """The preferred set among those ``feasible(masks, bits)`` admits.
 
-    Only a yes builds a schedule, ``schedule(idx, saved)``; a no still
-    reports the best set and its diversity.
+    Only a yes builds a schedule, ``schedule(saved)``; a no still reports
+    the best set and its diversity.
     """
     tree, taxa = instance.tree, instance.tree.taxa
     n = len(taxa)
@@ -82,7 +82,7 @@ def _search(instance: Instance, idx, lengths: np.ndarray, feasible,
     value, saved = -best[0], tuple(taxa[k] for k in best[2])
     decision = value >= instance.target
     return SolveOutcome(decision=decision, algorithm="brute", saved=saved,
-                        schedule=schedule(idx, saved) if decision else None,
+                        schedule=schedule(saved) if decision else None,
                         value=value)
 
 
@@ -97,22 +97,23 @@ def brute_force_time_pd(instance: Instance, guard: int = 20) -> SolveOutcome:
     due = np.array([idx.class_of[x] for x in taxa])[:, None] <= np.arange(idx.n_classes)
     need = np.where(due, lengths[:, None], 0)
     hours = np.array(idx.hours, dtype=need.dtype)
-    return _search(instance, idx, lengths,
+    return _search(instance, lengths,
                    lambda masks, bits: (bits @ need <= hours).all(axis=1),
-                   build_collaborative_schedule)
+                   lambda saved: build_collaborative_schedule(idx, saved))
 
 
 def brute_force_s_time_pd(instance: Instance, guard: int = 8) -> SolveOutcome:
     """As above with strict feasibility, one lookup per subset in the subset
-    table built once over all taxa; the yes witness is strict_feasible's."""
+    table built once over all taxa; the yes witness is strict_feasible's.
+    Neither reads the derived index, so total hours past MAX_HOURS are
+    answered exactly."""
     _check_guard(instance, guard)
     taxa = instance.tree.taxa
     # the taxa in reverse, so the table's bit k is the masks' bit k
     placed = np.array([f is not None for f in strict_table(instance, taxa[::-1])])
-    return _search(instance, build_derived_index(instance),
-                   _exact([instance.length(x) for x in taxa]),
+    return _search(instance, _exact([instance.length(x) for x in taxa]),
                    lambda masks, bits: placed[masks],
-                   lambda idx, saved: strict_feasible(instance, saved, guard=None))
+                   lambda saved: strict_feasible(instance, saved, guard=None))
 
 
 def brute_force(instance: Instance, guard: int = None) -> SolveOutcome:

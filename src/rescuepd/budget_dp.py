@@ -15,14 +15,21 @@ with P_0 nowhere feasible and V_v the last one.  The first child, if
 internal, is one gather V_u(min(B, cap_u)) + w_u, values growing with the
 budget; a later internal child is a max-plus convolution over the (B, S)
 pairs, PAIR_CELLS per numpy pass; a leaf is one gather of B - S per share
-it may take.  A flavor states its mode, its ``cost`` (the vectors that its
-``driver.ADMISSION`` row prices, and the guard bounds), its root budget,
-its per-vertex caps, and a leaf rule only where a leaf's one share is not
-its cap vector: team counts per working slot, taken latest slot first up
-to the deadline, and one 0/1 coordinate per (slot, team) pair where the
-team works, a leaf taking one team for consecutive slots ending by its
-deadline (by start, then team).  Hour budgets per deadline class and the
-bucket counts of ``structured.solve_time_pd_xp`` spend the cap vector.
+it may take.  How a child grid's budgets map onto its parent's is worked
+out once per pair of grids in a call.  A flavor states its mode, its
+admission cost as ``cost(pricing(idx), limit)`` (the vectors that its
+``driver.ADMISSION`` row prices, and the guard bounds; the engine derives
+the pricing inputs once and the flavor builds its budgets from them), its
+root budget, its per-vertex caps, and a leaf rule only where a leaf's one
+share is not its cap vector: team counts per working slot, taken latest
+slot first up to the deadline, and one 0/1 coordinate per (slot, team)
+pair where the team works, a leaf taking one team for consecutive slots
+ending by its deadline (by start, then team).  Hour budgets per deadline
+class and the bucket counts of ``structured.solve_time_pd_xp`` spend the
+cap vector.  The engine takes the request's index from
+``build_derived_index``, which returns the one already built for the same
+instance object, so a request that routes, runs the oracle and runs
+several flavors on one instance derives it once.
 
 The witness reads the tables back from the root in top-down search order:
 per child, shares S in grid order, each first alone and then joined to the
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 
 import numpy as np
 
@@ -73,9 +81,14 @@ def team_vectors(idx: DerivedIndex, limit: int) -> int:
     """Root budget vectors of the team-count DP: the product over its
     working slots of (teams at work + 1), priced per ``_work_runs`` run so
     that the cost does not grow with window length."""
+    return _run_vectors(_work_runs(idx), limit)
+
+
+def _run_vectors(runs, limit: int) -> int:
+    """team_vectors from the instance's ``_work_runs``."""
     bits = limit.bit_length()
     factors = []
-    for first, last, at_work in _work_runs(idx):
+    for first, last, at_work in runs:
         run = last - first + 1
         factors.append((at_work + 1) ** (run if run < bits else bits))
     return capped_product(factors, limit)
@@ -96,7 +109,8 @@ class _Grid:
     """The budgets 0 <= B <= caps of one vertex, in mixed-radix little-endian
     order.  ``codes`` packs each B into bit fields with a guard bit above
     each field, so that (codes[B] - packed S) & guard == guard exactly when
-    S <= B coordinatewise."""
+    S <= B coordinatewise.  A grid lives for one solver call, and keeps how
+    the budgets of each child grid it met map onto its own."""
 
     def __init__(self, caps):
         self.caps = caps
@@ -113,15 +127,14 @@ class _Grid:
             raise StateSpaceTooLarge(f"a {step}-vector budget grid needs "
                                      f"{shift} code bits, over 62")
         self.size, self.guard = step, guard
+        self.stride_list, self.field_list = strides, fields
         self.index = np.arange(step)
         self.strides = np.array(strides, dtype=np.int64)
         self.fields = np.array(fields, dtype=np.int64)
         radices = np.array(caps, dtype=np.int64) + 1
         self.digits = self.index // self.strides[:, None] % radices[:, None]
-
-    @functools.cached_property
-    def codes(self):
-        return self.fields @ self.digits | self.guard
+        self.codes = self.fields @ self.digits | guard
+        self.links = {}
 
     @functools.cached_property
     def suffix(self):
@@ -135,14 +148,32 @@ class _Grid:
         fits = (self.codes[b] - packed) & self.guard == self.guard
         return np.where(fits, self.index[b] - offsets, self.size)
 
+    def link(self, sub, first):
+        """How the budgets of child grid sub meet this grid's: for a first
+        child, the index in sub of min(B, sub's caps) per budget B here;
+        else each budget of sub as a share here, (packed, offset)."""
+        got = self.links.get((sub, first))
+        if got is None:
+            if first:
+                got = sub.strides @ np.minimum(
+                    self.digits, np.array(sub.caps, dtype=np.int64)[:, None])
+            else:
+                got = self.fields @ sub.digits, self.strides @ sub.digits
+            self.links[sub, first] = got
+        return got
+
 
 class _BudgetDP:
-    """The engine.  A flavor states its mode, ``cost`` (what its admission
-    row prices, checked against the guard), root budget, per-vertex caps
-    (``self.caps``) and, if a leaf's share is not its cap vector, leaf rule."""
+    """The engine.  A flavor states its mode, ``pricing`` and ``cost`` (what
+    its admission row prices, checked against the guard), root budget,
+    per-vertex caps (``self.caps``) and, if a leaf's share is not its cap
+    vector, leaf rule."""
 
     algorithm = "budget"
     mode = COLLABORATIVE
+    # the admission cost is cost(pricing(idx), limit); the engine derives
+    # the pricing inputs once and keeps them as self.priced
+    pricing = staticmethod(lambda idx: idx)
     cost = None
 
     def __init__(self, instance: Instance, guard: int = STATE_GUARD):
@@ -150,7 +181,8 @@ class _BudgetDP:
         check_mode(instance, self.mode, self.algorithm)
         self.instance = instance
         self.idx = build_derived_index(instance)
-        if self.cost(self.idx, guard) > guard:
+        self.priced = self.pricing(self.idx)
+        if self.cost(self.priced, guard) > guard:
             raise StateSpaceTooLarge(
                 f"{self.algorithm} budget vectors exceed the guard {guard}")
         self.tree = instance.tree
@@ -169,19 +201,20 @@ class _BudgetDP:
         """leaf_rests for shares that do not depend on the budget."""
         out = []
         for share, detail in shares:
-            if all(s <= c for s, c in zip(share, grid.caps)):
-                packed = int(grid.fields @ np.array(share, dtype=np.int64))
-                offset = int(grid.strides @ np.array(share, dtype=np.int64))
+            if all(map(operator.le, share, grid.caps)):
+                packed = sum(map(operator.mul, grid.field_list, share))
+                offset = sum(map(operator.mul, grid.stride_list, share))
                 out.append((grid.rests(packed, offset, slice(None)), detail))
         return out
 
     def subtree_sums(self, leaf_vector):
-        """Per vertex, the elementwise sum of leaf_vector(x) over its leaves."""
-        sums = {}
+        """Per vertex, the elementwise sum over its leaves x of
+        leaf_vector(x's length, x's deadline)."""
+        sums, length, deadline = {}, self.instance.length, self.instance.deadline
         for v in self.postorder:
             cs = self.tree.children.get(v, ())
             sums[v] = (tuple(map(sum, zip(*[sums[c] for c in cs]))) if cs
-                       else tuple(leaf_vector(v)))
+                       else tuple(leaf_vector(length(v), deadline(v))))
         return sums
 
     # engine -------------------------------------------------------------
@@ -209,13 +242,10 @@ class _BudgetDP:
                     step = self.leaf_rests(u, g)
                     table = self._leaf_merge(g, step, w, table)
                 elif i == 0:
-                    gu = self.grids[u]
-                    step = gu.strides @ np.minimum(
-                        g.digits, np.array(gu.caps, dtype=np.int64)[:, None])
+                    step = g.link(self.grids[u], True)
                     table = self.tables[u][-1][step] + w
                 else:
-                    gu = self.grids[u]           # u's budgets as shares of v's
-                    step = g.fields @ gu.digits, g.strides @ gu.digits
+                    step = g.link(self.grids[u], False)
                     table = self._merge(g, step, self.tables[u][-1] + w, table)
                 self.steps[v, i] = step
                 prefix.append(table)
@@ -275,16 +305,17 @@ class _BudgetDP:
                         hit = s, r, w == target
                         break
             else:
-                rest = g.rests(*step, b)
+                packed, offsets = step
                 sub = self.tables[u][-1]
-                ok = (rest < g.size) & (sub >= 0)
-                alone = ok & (sub + w == target)
-                head = np.append(before, self.neg)[rest]
-                joint = ok & (head >= 0) & (head + sub + w == target)
-                hits = np.flatnonzero(alone | joint)
+                ok = np.flatnonzero(((g.codes[b] - packed) & g.guard == g.guard)
+                                    & (sub >= 0))
+                value, rest = sub[ok] + w, b - offsets[ok]
+                head = before[rest]
+                alone = value == target
+                hits = np.flatnonzero(alone | (head >= 0) & (head + value == target))
                 if hits.size:
-                    s = int(hits[0])
-                    hit = s, rest[s], alone[s]
+                    k = hits[0]
+                    hit = int(ok[k]), rest[k], alone[k]
             if hit is None:
                 if before[b] != target:
                     raise RescuePDError("budget DP witness backtrack failed")
@@ -335,18 +366,18 @@ class _TeamCountDP(_BudgetDP):
     budgets are the team_vectors."""
 
     algorithm = "hours-teams"
-    cost = staticmethod(team_vectors)
+    pricing = staticmethod(_work_runs)
+    cost = staticmethod(_run_vectors)
 
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance, guard)
         # every working slot doubles the vectors, so the guard bounds them
-        runs = _work_runs(self.idx)
+        runs = self.priced
         self.slots = [j for first, last, _ in runs for j in range(first, last + 1)]
         self.counts = tuple(n for first, last, n in runs for _ in range(first, last + 1))
         # per-vertex per-slot cap: hours usable at the slot by the subtree
         self.caps = self.subtree_sums(
-            lambda x: [instance.length(x) if instance.deadline(x) >= j else 0
-                       for j in self.slots])
+            lambda need, due: [need if due >= j else 0 for j in self.slots])
 
     def root_budget(self):
         return self.counts
@@ -374,10 +405,8 @@ class _HourBudgetDP(_BudgetDP):
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance, guard)
         # per-vertex per-class cap: total length of subtree taxa due by class
-        idx = self.idx
         self.caps = self.subtree_sums(
-            lambda x: [instance.length(x) if k >= idx.class_of[x] else 0
-                       for k in range(idx.n_classes)])
+            lambda need, due: [need if ex >= due else 0 for ex in self.idx.ex_values])
 
     def root_budget(self):
         return tuple(self.idx.hours)
@@ -400,7 +429,7 @@ class _TeamSubsetDP(_BudgetDP):
         self.coordinate = {pair: n for n, pair in enumerate(self.pairs)}
         # per-vertex per-pair count of subtree taxa due after the slot
         self.caps = self.subtree_sums(
-            lambda x: [int(j < instance.deadline(x)) for j, _ in self.pairs])
+            lambda need, due: [int(j < due) for j, _ in self.pairs])
 
     def root_budget(self):
         return (1,) * len(self.pairs)

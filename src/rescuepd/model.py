@@ -12,6 +12,8 @@ Conventions used throughout the package:
   tuple of labels.
 
 All types are immutable after construction and safe to share across threads.
+``build_derived_index`` relies on that: it keeps the last index it built
+and returns it again for the same instance object.
 """
 
 from __future__ import annotations
@@ -274,8 +276,21 @@ class DerivedIndex:
         return len(self.ex_values)
 
 
+_last_index = None  # the index last built; it holds its instance
+
+
 def build_derived_index(instance: Instance) -> DerivedIndex:
-    """Populate every derived quantity; raises InvalidInstance on bad input."""
+    """Populate every derived quantity; raises InvalidInstance on bad input.
+
+    The last index built is kept and returned again for the very same
+    instance object (identity, not equality), which is sound because
+    instances are immutable.  One slot holds one instance, which the next
+    build of another instance releases; a build that raises keeps nothing.
+    """
+    global _last_index
+    last = _last_index
+    if last is not None and last.instance is instance:
+        return last
     tree, taxa = instance.tree, instance.taxa
     ex_values = tuple(sorted({info.extinction_time for info in taxa.values()}))
     order = tuple(sorted(taxa, key=lambda x: (taxa[x].extinction_time, x)))
@@ -293,7 +308,7 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
         need += sum(taxa[x].rescue_length for x in members)
         deficits.append(need - hours[k])
     pd_total = tree.total_weight()
-    return DerivedIndex(
+    idx = DerivedIndex(
         instance=instance,
         ex_values=ex_values,
         order=order,
@@ -305,6 +320,8 @@ def build_derived_index(instance: Instance) -> DerivedIndex:
         loss_budget=pd_total - instance.target,
         max_ex=ex_values[-1],
     )
+    _last_index = idx
+    return idx
 
 
 def capped_product(factors, limit: int) -> int:

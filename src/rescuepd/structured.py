@@ -41,22 +41,27 @@ def _bucket_sizes(instance: Instance) -> Counter:
 
 def count_matrices(idx: DerivedIndex, limit: int) -> int:
     """Root count matrices: prod over (length, deadline) buckets of (size + 1)."""
-    return capped_product([n + 1 for n in _bucket_sizes(idx.instance).values()], limit)
+    return _size_matrices(_bucket_sizes(idx.instance), limit)
+
+
+def _size_matrices(sizes: Counter, limit: int) -> int:
+    """count_matrices from the instance's ``_bucket_sizes``."""
+    return capped_product([n + 1 for n in sizes.values()], limit)
 
 
 class _CountMatrixDP(_BudgetDP):
     algorithm = "xp-counts"
-    cost = staticmethod(count_matrices)
+    pricing = staticmethod(lambda idx: _bucket_sizes(idx.instance))
+    cost = staticmethod(_size_matrices)
 
     def __init__(self, instance, guard=STATE_GUARD):
         super().__init__(instance, guard)
-        sizes = _bucket_sizes(instance)
+        sizes = self.priced
         self.bucket_keys = sorted(sizes)
         self.counts = tuple(sizes[key] for key in self.bucket_keys)
         # per-vertex per-bucket count of subtree taxa
         unit = {key: [int(k == key) for k in self.bucket_keys] for key in sizes}
-        self.caps = self.subtree_sums(
-            lambda x: unit[instance.length(x), instance.deadline(x)])
+        self.caps = self.subtree_sums(lambda need, due: unit[need, due])
 
     def root_budget(self):
         return self.counts
@@ -69,19 +74,17 @@ class _CountMatrixDP(_BudgetDP):
         once they could reach 2^63."""
         idx, root = self.idx, self.tree.root
         digits = self.grids[root].digits
-        class_of_deadline = {ex: k for k, ex in enumerate(idx.ex_values)}
-        due = [[length if class_of_deadline[deadline] <= k else 0
-                for length, deadline in self.bucket_keys]
-               for k in range(idx.n_classes)]
+        due = [[length if deadline <= ex else 0 for length, deadline in self.bucket_keys]
+               for ex in idx.ex_values]
         most = sum(length * c for (length, _), c in zip(self.bucket_keys, self.counts))
         dtype = np.int64 if most < 2**63 else object
-        used = np.array(due, dtype=dtype) @ digits.astype(dtype)
-        fits = np.flatnonzero((used <= np.array(idx.hours, dtype=dtype)[:, None]).all(axis=0))
-        values = self.tables[root][-1][fits]
+        used = np.array(due, dtype=dtype) @ digits.astype(dtype, copy=False)
+        fits = (used <= np.array(idx.hours, dtype=dtype)[:, None]).all(axis=0)
+        values = np.where(fits, self.tables[root][-1], self.neg)
         best = values.max()     # the empty matrix always fits
         if best < 0:            # nothing savable
             return -1, None
-        hits = fits[values == best]
+        hits = np.flatnonzero(values == best)
         order = np.cumprod([1] + [c + 1 for c in self.counts[:0:-1]])[::-1]
         first = hits[np.argmin(order @ digits[:, hits])]
         return int(best), int(first)

@@ -8,7 +8,7 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute,
                       brute_force, brute_force_s_time_pd, brute_force_time_pd,
                       build_derived_index, collaborative_feasible,
                       pd_of_subset, strict_feasible, verify_schedule)
-from rescuepd.errors import InstanceTooLarge
+from rescuepd.errors import InstanceTooLarge, InvalidInstance
 from rescuepd.files import schedule_to_dict
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import MAX_HOURS
@@ -290,3 +290,31 @@ def test_twenty_taxa_in_bounded_memory_and_time():
     assert verify_schedule(inst, out.schedule).ok
     assert peak < 16 * 2**20
     assert seconds < 2.0
+
+
+def test_strict_brute_answers_past_max_hours():
+    """Strict brute force reads no derived index, so total team hours past
+    MAX_HOURS, which build_derived_index rejects, get the strict table's
+    answer: at every target, the preferred set among those that
+    strict_feasible places."""
+    tree = PhyloTree.from_edges([("r", "u", 2), ("r", "c", 5), ("u", "a", 3),
+                                 ("u", "v", 1), ("v", "b", 4), ("v", "d", 1)])
+    taxa = {"a": TaxonInfo(2, 3), "b": TaxonInfo(2, 2),
+            "c": TaxonInfo(3, MAX_HOURS), "d": TaxonInfo(1, 4)}
+    teams = (TeamWindow(0, 3), TeamWindow(2, MAX_HOURS))    # MAX_HOURS + 1 hours
+    base = Instance(tree, taxa, teams, 1, "strict")
+    with pytest.raises(InvalidInstance):
+        build_derived_index(base)
+    placed = [s for r in range(len(taxa) + 1) for s in itertools.combinations(tree.taxa, r)
+              if strict_feasible(base, s, guard=None) is not None]
+    assert 1 < len(placed) < 2 ** len(taxa)     # "a" and "b" both need team 0
+    best = min(placed, key=lambda s: (-pd_of_subset(tree, s),
+                                      sum(taxa[x].rescue_length for x in s), s))
+    value = pd_of_subset(tree, best)
+    for target in range(1, tree.total_weight() + 2):
+        inst = Instance(tree, taxa, teams, target, "strict")
+        out = brute_force_s_time_pd(inst)
+        assert (out.decision, out.value, out.saved) == (value >= target, value, best)
+        assert out.decision == (out.schedule is not None)
+        if out.decision:
+            assert verify_schedule(inst, out.schedule).ok

@@ -12,10 +12,12 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow, brute_force,
                       build_derived_index, solve_s_time_pd_team_subsets,
                       solve_time_pd_hour_vectors, solve_time_pd_team_vectors,
                       solve_time_pd_xp, strict_feasible)
+from rescuepd import budget_dp
 from rescuepd.budget_dp import STATE_GUARD, hour_vectors, subset_vectors, team_vectors
 from rescuepd.driver import ADMISSION
 from rescuepd.errors import BadParams, StateSpaceTooLarge
-from rescuepd.generators import gen_random_instance
+from rescuepd.files import schedule_to_dict
+from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.color_loss import loss_table_entry_count
 from rescuepd.color_target import trial_count
 from rescuepd.model import COLLABORATIVE, STRICT, check_size
@@ -250,3 +252,42 @@ def test_a_none_guard_is_a_default_only_where_documented():
         else:
             with pytest.raises(BadParams):
                 call(None)
+
+
+def recorded(out):
+    """What a chunked merge must not change: decision, value, saved set,
+    schedule and the states count."""
+    return (out.decision, out.value, out.saved,
+            out.schedule and schedule_to_dict(out.schedule, out.value),
+            out.diagnostics.get("states"))
+
+
+@pytest.mark.parametrize("pair_cells", [1, 7])
+def test_a_merge_in_many_passes_equals_one_pass(pair_cells, monkeypatch):
+    """Every flavor, on seeded instances of every tree shape at their best
+    value (a yes that walks the tables back) and one above it (a no): with
+    PAIR_CELLS at 1 or 7, a later internal child's merge takes many passes,
+    and each outcome equals the default run's."""
+    cases = []
+    for seed in range(48):
+        mode = STRICT if seed % 4 == 3 else COLLABORATIVE
+        inst = gen_random_instance(n=4 + seed % 4, n_teams=1 + seed % 3, max_ex=4 + seed % 5,
+                                   max_len=3, max_weight=3, mode=mode, seed=seed,
+                                   tree_shape=TREE_SHAPES[seed // 4 % len(TREE_SHAPES)])
+        best = brute_force(inst).value
+        for target in (best, best + 1):
+            probe = with_target(inst, target)
+            for solve, _, _ in SOLVERS[mode]:
+                cases.append((probe, solve, recorded(solve(probe))))
+    merge, passes = budget_dp._BudgetDP._merge, Counter()
+
+    def counted(self, g, pairs, sub, table):
+        passes[g.size > max(1, budget_dp.PAIR_CELLS // len(sub))] += 1
+        return merge(self, g, pairs, sub, table)
+
+    monkeypatch.setattr(budget_dp, "PAIR_CELLS", pair_cells)
+    monkeypatch.setattr(budget_dp._BudgetDP, "_merge", counted)
+    for probe, solve, want in cases:
+        assert recorded(solve(probe)) == want, (solve.__name__, probe.target)
+    assert passes[True] >= 100, passes
+    assert {want[0] for *_, want in cases} == {True, False}

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
@@ -268,3 +271,39 @@ def test_checked_yes_rejects_a_bad_witness():
             (("a", "b"), Schedule("collaborative", shared, ("a",)))]:     # b not scheduled
         with pytest.raises(RescuePDError):
             checked_yes(idx, "x", saved, sched)
+
+
+def test_the_same_instance_gets_the_very_same_index(fig1_instance):
+    idx = build_derived_index(fig1_instance)
+    assert build_derived_index(fig1_instance) is idx
+
+
+def test_an_equal_but_distinct_instance_gets_its_own_index(fig1_instance):
+    twin = Instance(fig1_instance.tree, dict(fig1_instance.taxa), fig1_instance.teams,
+                    fig1_instance.target, fig1_instance.mode)
+    assert twin == fig1_instance and twin is not fig1_instance
+    first = build_derived_index(fig1_instance)
+    second = build_derived_index(twin)
+    assert second is not first and second.instance is twin and second == first
+
+
+def test_a_build_that_raises_is_not_kept(fig1_instance):
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    huge = 2**63
+    over = Instance(tree, {"a": TaxonInfo(1, huge), "b": TaxonInfo(1, 1)},
+                    (TeamWindow(0, huge), TeamWindow(0, huge)), target=1)
+    kept = build_derived_index(fig1_instance)
+    for _ in range(2):
+        with pytest.raises(InvalidInstance):
+            build_derived_index(over)
+    assert build_derived_index(fig1_instance) is kept
+
+
+def test_the_index_keeps_no_earlier_instance_alive():
+    first = gen_random_instance(n=5, seed=1)
+    ref = weakref.ref(first)
+    build_derived_index(first)
+    build_derived_index(gen_random_instance(n=5, seed=2))
+    del first
+    gc.collect()
+    assert ref() is None
