@@ -131,7 +131,7 @@ class _Grid:
         self.index = np.arange(step)
         self.strides = np.array(strides, dtype=np.int64)
         self.fields = np.array(fields, dtype=np.int64)
-        radices = np.array(caps, dtype=np.int64) + 1
+        radices = np.array([c + 1 for c in caps], dtype=np.int64)
         self.digits = self.index // self.strides[:, None] % radices[:, None]
         self.codes = self.fields @ self.digits | guard
         self.links = {}
@@ -231,10 +231,11 @@ class _BudgetDP:
             if not cs:
                 continue
             caps = tuple(map(min, root, self.caps[v]))
-            if caps not in by_caps:
-                by_caps[caps] = _Grid(caps)
-            g = self.grids[v] = by_caps[caps]
-            table = np.full(g.size, self.neg, self.dtype)     # P_0
+            if caps not in by_caps:     # the grid and its P_0, never written
+                g = _Grid(caps)
+                by_caps[caps] = g, np.full(g.size, self.neg, self.dtype)
+            g, table = by_caps[caps]
+            self.grids[v] = g
             prefix = self.tables[v] = [table]
             for i, u in enumerate(cs):
                 w = tree.weight[u]
@@ -260,6 +261,8 @@ class _BudgetDP:
     def _leaf_merge(self, g, step, w, table):
         """The prefix table after a leaf child: max(table(B), max(0,
         table(B - S)) + w) over the leaf's shares S <= B."""
+        if not step:        # the leaf fits no budget here
+            return table
         head, out = self._head(table), table
         for rest, _ in step:
             out = np.maximum(out, head[rest] + w)
