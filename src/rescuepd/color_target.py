@@ -19,16 +19,16 @@ collaborative row is the prefix hours of all teams; in strict mode the
 table runs once per team against that team's hours, and the boolean cover
 product merges the teams.
 
-Trial t colors the tree from its own seeded generator,
-``Generator(PCG64(SeedSequence([seed, t])))``, so every trial is decided
-independently of the others.  ``trial_draws`` makes the colorings of a
-block of trials at once: from 16 rows up it runs the SeedSequence hashing
-and the PCG64 steps of every row in numpy, on the 128-bit states as pairs
-of uint64 words, and applies Lemire's bounded draw to the whole block.
-What the blocks of one request share is worked out once, in its
-``_BlockConstants``.  The rows are bit-identical to the per-trial
-generator, which redraws the rare row that hits Lemire's rejection;
-``tests/test_trial_draws.py`` pins this for the installed numpy.
+Trial t colors the tree from its own draws: the color at position p is
+draw(seed, t, p), one SplitMix64 hash of the seed's key, the trial and the
+position, mapped onto the palette by a multiply-shift with exact rejection
+(Salmon et al., SC 2011, on counter-based generators; Steele, Lea & Flood,
+OOPSLA 2014, on SplitMix64; Lemire, TOMACS 2019, on the bounded map).  Every
+trial is decided independently of the others, and its colors are uniform.
+``trial_draws`` makes the colorings of a block of trials in a few numpy
+passes, the same formula for every block size.  The stream is the
+library's own, so no numpy version changes it; ``tests/test_trial_draws.py``
+pins known rows of it.
 
 The request's ``_TrialPlan`` decides every trial, in blocks of 1, 16, 256,
 ... colorings of at most max(16, 2^14 / 2^k) rows and DRAW_CELLS draws,
@@ -45,12 +45,12 @@ loop gives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -266,250 +266,87 @@ def trial_blocks(n_trials: int, most: int, growth: int = 4):
         count *= growth
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+# The trial stream.  draw(seed, t, p) is a stateless hash of the seed, the
+# trial and the position: the seed's 64-bit words are folded into a key, trial
+# t's row key is mix(key ^ t G), and word j of the row, mix(row + j G), holds
+# positions 2j (low half) and 2j + 1 (high half), where mix is SplitMix64's
+# finalizer and G its increment.  A half h maps to color (h k >> 32) + 1,
+# unless the low half of h k falls below 2^32 mod k: then the position is
+# redrawn from the same half of the word at counter j + 2^32, j + 2 2^32, ...
+# until it is accepted, so every color has exactly floor(2^32 / k) halves.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_MASK64 = 2**64 - 1
+_LOW32, _SHIFT32 = np.uint64(2**32 - 1), np.uint64(32)
 
 
-# numpy's SeedSequence: a pool of four uint32 words, each input word and each
-# pool word hashed with the next constant of a fixed sequence, and the words
-# crossed by mix().  mix_entropy makes 4 + 12 hashes, generate_state(4,
-# uint64) eight.  PCG64 is then seeded with PCG's srandom: inc = 2 seq + 1,
-# state = (inc + init) M + inc (mod 2^128).  Each raw output steps the state,
-# s <- s M + inc, and returns the XSL-RR of the new state.  The 128-bit
-# numbers are (hi, lo) pairs of uint64 arrays, whose arithmetic wraps mod 2^64.
-_POOL = 4
-_BLOCK_ROWS = 16  # below this the per-call cost beats the per-row saving
-_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xca01f9dd), np.uint32(0x4973f715), np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of each uint64 of z, in place."""
+    for shift, mult in _MIX:
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
-    out = [value]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
+@functools.lru_cache(maxsize=1)
+def _seed_key(seed: int) -> np.uint64:
+    """The key of a non-negative seed: key = mix((key + G) ^ w) over its 64-bit
+    words w, low word first, from key 0; one word for seed 0.  A request's
+    blocks share one seed, so its key is folded once."""
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key += _GAMMA
+        key ^= np.uint64(seed & _MASK64)
+        _mix(key)
+        seed >>= 64
+        if not seed:
+            return key[0]
 
 
-_MIX_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)[:, None]
-_STATE_HASH = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
-_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
-_TWICE = np.tile(np.arange(_POOL), 2)  # generate_state hashes the pool words twice over
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """numpy's hashmix with consecutive constants: where value broadcasts
-    against consts[j], it is xored with consts[j] and times consts[j + 1]."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> _XSHIFT)
-
-
-def _seed_words(seed: int) -> list:
-    """The 32-bit words SeedSequence takes from a non-negative int."""
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words
-
-
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each a * b, from products of 32-bit limbs."""
-    a0, a1 = a & _LOW32, a >> _SHIFT32
-    b0, b1 = b & _LOW32, b >> _SHIFT32
-    mid = a0 * b0
-    mid >>= _SHIFT32
-    mid += a1 * b0
-    low = a0 * b1
-    low += mid & _LOW32
-    low >>= _SHIFT32
-    mid >>= _SHIFT32
-    mid += low
-    del low  # at most three block-sized arrays live at once
-    mid += a1 * b1
-    return mid
-
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, k_hi: np.ndarray, k_lo: np.ndarray):
-    """(hi, lo) * (k_hi, k_lo) mod 2^128."""
-    high = _mulhi64(lo, k_lo)
-    high += hi * k_lo
-    high += lo * k_hi
-    return high, lo * k_lo
-
-
-def _iadd128(hi: np.ndarray, lo: np.ndarray, hi2: np.ndarray, lo2: np.ndarray):
-    """(hi, lo) += (hi2, lo2) mod 2^128, in place; the low words' sum carries."""
-    lo += lo2
-    hi += hi2
-    hi += lo < lo2
-
-
-def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's output of each state: hi ^ lo rotated right by hi >> 58."""
-    folded = hi ^ lo
-    rot = hi >> np.uint64(58)
-    out = folded >> rot
-    np.negative(rot, out=rot)
-    rot &= np.uint64(63)  # a rotation by 0 shifts left by 0, not 64
-    folded <<= rot
-    out |= folded
-    return out
-
-
-_jumps = np.zeros((2, 2, 1, 0), dtype=np.uint64)  # see _jump_table
-
-
-def _jump_table(n: int) -> np.ndarray:
-    """The (hi, lo) words of the constants of raw positions 0 .. n - 1.
-
-    Seeded with (init, seq), PCG64 is at P init + Q inc after j + 1 steps,
-    where P = M^(j+2), Q = 1 + M + ... + M^(j+2) and inc = 2 seq + 1, and
-    [:, :, 0, j] holds P and Q.  One table serves every call: it grows on
-    demand to the widest row drawn, and each call takes a slice of it.
-    """
-    global _jumps
-    table = _jumps
-    if table.shape[-1] < n:
-        power, total, columns = _PCG_MULT**2 & _MASK128, 1 + _PCG_MULT, []
-        for _ in range(max(n, 2 * table.shape[-1])):
-            total = (total + power) & _MASK128
-            columns.append((power, total))
-            power = power * _PCG_MULT & _MASK128
-        consts = np.array(columns, dtype=object).T[:, None]
-        table = _jumps = np.array([consts >> 64, consts & _MASK64], dtype=np.uint64)
-    return table[..., :n]
-
-
-def _mix_round(pool: np.ndarray, src: int) -> None:
-    """mix_entropy's round of source word src, in place: pool[src] is fixed
-    while it is mixed into the other three words."""
-    n = _POOL + (_POOL - 1) * src
-    others = _OTHERS[src]
-    mixed = _MIX_L * pool[others] - _MIX_R * _hashmix(pool[src], _MIX_HASH[n:n + _POOL])
-    pool[others] = mixed ^ (mixed >> _XSHIFT)
-
-
-def _seed_prefix(words: list):
-    """What SeedSequence([seed, t]) computes before it first reads t, the
-    same for every t: the pool after the rounds of the seed's words (its
-    word len(words), t's, is a placeholder that each block overwrites), and
-    per such round what it subtracts from t's word."""
-    at = len(words)
-    entropy = np.zeros((_POOL, 1), dtype=np.uint32)
-    entropy[:at, 0] = words
-    pool = _hashmix(entropy, _MIX_HASH[:_POOL + 1])
-    subtract = []
-    for src in range(at):
-        j = _POOL + (_POOL - 1) * src + at - 1  # t's word is the (at - 1)-th of the others
-        subtract.append(_MIX_R * _hashmix(pool[src], _MIX_HASH[j:j + 2]))
-        _mix_round(pool, src)
-    return pool, subtract
-
-
-def _seed_block(prefix, at: int, first: int, count: int) -> np.ndarray:
-    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
-    of first .. first + count - 1 < 2^32, one column per trial, from the
-    seed's ``_seed_prefix`` and its word count ``at``, which leaves room for
-    t in the pool.  PCG64 reads the rows as init's (hi, lo) and seq's (hi,
-    lo)."""
-    const, subtract = prefix
-    word = _hashmix(np.arange(first, first + count, dtype=np.uint32),
-                    _MIX_HASH[at:at + 2])
-    for sub in subtract:
-        word = _MIX_L * word - sub
-        word ^= word >> _XSHIFT
-    pool = np.empty((_POOL, count), dtype=np.uint32)
-    pool[:] = const
-    pool[at] = word
-    for src in range(at, _POOL):
-        _mix_round(pool, src)
-    # uint64 word j of the state is its uint32 words 2j (low) and 2j + 1
-    half = _hashmix(pool.T.take(_TWICE, axis=1), _STATE_HASH)
-    return half.astype("<u4", copy=False).view("<u8").T
-
-
-def _pcg_outputs(seeded: np.ndarray, n: int, table: np.ndarray = None) -> np.ndarray:
-    """The first n raw outputs of PCG64 seeded with each column of seeded,
-    (init_hi, init_lo, seq_hi, seq_lo), one row per column; ``table`` is
-    ``_jump_table(n)`` when the caller holds it."""
-    if table is None:
-        table = _jump_table(n)
-    words = seeded.copy()  # (init, seq) becomes (init, inc), inc = 2 seq + 1
-    words[2:] <<= np.uint64(1)
-    words[2] |= seeded[3] >> np.uint64(63)
-    words[3] |= np.uint64(1)
-    hi, lo = _mul128(words[0::2, :, None], words[1::2, :, None], *table)
-    _iadd128(hi[0], lo[0], hi[1], lo[1])
-    return _xsl_rr(hi[0], lo[0])
-
-
-class _BlockConstants:
-    """What every block of one seed, palette and width that is drawn in
-    numpy shares: the seed's words and their part of the SeedSequence
-    pool, the jump constants of the row's positions and Lemire's rejection
-    threshold.  The pool and the jump constants are worked out at the
-    first such block; a request whose blocks all stay per-trial, such as
-    one of very wide rows, needs neither."""
-
-    def __init__(self, seed: int, n_colors: int, width: int):
-        self.words = _seed_words(seed)
-        self.n_raw = width // 2 + 1
-        self.threshold = np.uint64((2**32 - n_colors) % n_colors)
-
-    @cached_property
-    def prefix(self):
-        return _seed_prefix(self.words)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        return _jump_table(self.n_raw)
-
-
-def trial_draws(seed: int, first: int, count: int, n_colors: int, width: int,
-                shared: _BlockConstants = None) -> np.ndarray:
+def trial_draws(seed: int, first: int, count: int, n_colors: int, width: int) -> np.ndarray:
     """Color draws of trials first .. first + count - 1, one row per trial.
 
     Row r holds the colors in [1, n_colors] at positions 0 .. width of trial
-    first + r (position 0 is drawn but unused), bit-identical to
-    ``_trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)``,
-    so a trial's coloring does not depend on how the trials are grouped.
+    first + r (position 0 is drawn but unused), each draw(seed, first + r,
+    p) of the trial stream above, so a trial's coloring does not depend on
+    how the trials are grouped into blocks.  Every block is drawn by the
+    same few numpy passes; the rare rejected draw (a chance below 2^-27)
+    is redrawn in place.  The rows are defined by that formula alone, not
+    by any numpy generator, and ``tests/test_trial_draws.py`` pins some.
 
-    Blocks of 16 rows or more run every row's PCG64 in numpy: the
-    SeedSequence hashing over the trial indices, then the 128-bit seeding,
-    steps and output of all rows and positions at once, each position's
-    state reached by jumping ahead from the seed.  Lemire's bounded draw
-    maps the 32-bit halves (low half first) to colors for the whole block.
-    A row in which some draw falls in Lemire's rejection zone is redrawn by
-    ``_trial_rng``, as are small blocks, seeds of four or more words and
-    blocks that reach trial 2^32 (whose entropy no longer fits the pool).
-    numpy does not promise stable streams across versions (NEP 19); the
-    equality test against ``_trial_rng`` pins the installed numpy.
-
-    A block holds count x (width + 1) draws, and its arrays grow with
-    that; ``first_success`` keeps it within DRAW_CELLS.  A caller that
-    draws many blocks of one seed, palette and width passes their
-    ``_BlockConstants`` as ``shared``, so each is worked out once.
+    A block holds count x (width + 1) draws, and its arrays grow with that;
+    ``first_success`` keeps it within DRAW_CELLS.
     """
-    draws = np.empty((count, width + 1), dtype=np.int64)
-    shared = shared or _BlockConstants(seed, n_colors, width)
-    words = shared.words
-    if count < _BLOCK_ROWS or len(words) >= _POOL or first + count > 2**32:
-        redraw = range(count)
-    else:
-        raw = _pcg_outputs(_seed_block(shared.prefix, len(words), first, count),
-                           shared.n_raw, shared.table)
-        # the 32-bit halves of each output, low half first, times n_colors;
-        # the high half of a product is the color less one, the low half is
-        # in the rejection zone below the threshold
-        scaled = raw.astype("<u8", copy=False).view("<u4")[:, :width + 1] * np.uint64(n_colors)
-        halves = scaled.astype("<u8", copy=False).view("<u4")
-        np.add(halves[:, 1::2], 1, out=draws, casting="unsafe")
-        low, redraw = halves[:, 0::2], []
-        if shared.threshold and low.min() < shared.threshold:
-            redraw = np.flatnonzero((low < shared.threshold).any(axis=1)).tolist()
-    for r in redraw:
-        draws[r] = _trial_rng(seed, first + r).integers(1, n_colors + 1, size=width + 1)
+    rows = np.arange(first, first + count, dtype=np.uint64)
+    rows *= _GAMMA
+    rows ^= _seed_key(seed)
+    _mix(rows)
+    words = np.arange(width // 2 + 1, dtype=np.uint64)
+    words *= _GAMMA
+    words = _mix(words + rows[:, None])
+    # the 32-bit halves of each word, low half first, times n_colors: the
+    # high half of a product is the color less one, and its low half is in
+    # the rejection zone below the threshold
+    k, threshold = np.uint64(n_colors), 2**32 % n_colors
+    halves = words.astype("<u8", copy=False).view("<u4")[:, :width + 1]
+    draws = np.multiply(halves, k, dtype="<u8")
+    low = draws.view("<u4")[:, 0::2]
+    rejected = np.nonzero(low < threshold) if threshold and low.min() < threshold else ()
+    draws >>= _SHIFT32
+    draws = draws.view("<i8")
+    draws += 1
+    if rejected:
+        r, p = rejected
+        counter = (p // 2).astype(np.uint64)
+        while r.size:
+            counter += np.uint64(2**32)
+            word = _mix(counter * _GAMMA + rows[r])
+            product = (word >> (_SHIFT32 * (p % 2).astype(np.uint64)) & _LOW32) * k
+            ok = (product & _LOW32) >= threshold
+            draws[r[ok], p[ok]] = (product[ok] >> _SHIFT32) + 1
+            r, p, counter = r[~ok], p[~ok], counter[~ok]
     return draws
 
 
@@ -631,9 +468,8 @@ def first_success(seed: int, n_trials: int, most: int, n_colors: int,
     capped at DRAW_CELLS draws per block.  ``decide`` is exact, so its first
     yes is the first success."""
     most = min(most, max(1, DRAW_CELLS // (width + 1)))
-    shared = _BlockConstants(seed, n_colors, width)
     for first, count in trial_blocks(n_trials, most, growth):
-        draws = trial_draws(seed, first, count, n_colors, width, shared)
+        draws = trial_draws(seed, first, count, n_colors, width)
         hits = np.flatnonzero(decide(draws))
         if hits.size:
             return first + int(hits[0]), draws[hits[0]]
@@ -657,8 +493,8 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
     _palette(k)  # TargetTooLarge before any table is sized
     plan = _TrialPlan(idx, k, idx.team_hours if mode == STRICT else (idx.hours,))
     n_trials = trial_count(k, delta)
-    # blocks of 16 rows or more take the block draw at any target
-    hit = first_success(seed, n_trials, max(_BLOCK_ROWS, BATCH_CELLS >> k), k,
+    # up to 16 rows a block even at wide targets: a block's fixed cost is many rows' worth
+    hit = first_success(seed, n_trials, max(16, BATCH_CELLS >> k), k,
                         tree.total_weight(), plan.decide, _GROWTH)
     if hit is None:
         return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,

@@ -72,7 +72,7 @@ from rescuepd.color_loss import (LOSS_LIMIT, LossColoring, _masks_of_popcount,
                                  make_loss_coloring)
 from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
                                    _singleton_shortcut, _strict_witness,
-                                   _trial_rng, color_edges_from_hash,
+                                   color_edges_from_hash,
                                    solve_colored_s_time_pd,
                                    solve_colored_time_pd, trial_count)
 from rescuepd.cover import _ranked_rows
@@ -91,6 +91,52 @@ from rescuepd.structured import BOUND_GUARD, count_matrices
 
 NEG = -(2**62)
 MINF = -INF
+
+# the trial stream of ``color_target.trial_draws`` on Python ints, with no numpy
+GAMMA = 0x9E3779B97F4A7C15
+MASK32, MASK64 = 2**32 - 1, 2**64 - 1
+
+
+def splitmix(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def seed_key(seed: int) -> int:
+    """The seed's 64-bit words, low word first, folded into one key."""
+    key = 0
+    while True:
+        key = splitmix(((key + GAMMA) & MASK64) ^ (seed & MASK64))
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def row_key(seed: int, trial: int) -> int:
+    """The key of one trial's row of draws."""
+    return splitmix(seed_key(seed) ^ ((trial * GAMMA) & MASK64))
+
+
+def color_at(row: int, pos: int, n_colors: int) -> int:
+    """The color at position pos of a row: half pos % 2 of word pos // 2,
+    mapped onto [1, n_colors] by a multiply-shift, and redrawn from counter
+    + 2^32 while the low half of the product is below 2^32 mod n_colors."""
+    counter = pos // 2
+    while True:
+        word = splitmix((row + counter * GAMMA) & MASK64)
+        product = ((word >> (32 * (pos % 2))) & MASK32) * n_colors
+        if product & MASK32 >= 2**32 % n_colors:
+            return (product >> 32) + 1
+        counter += 2**32
+
+
+def trial_colors(seed: int, trial: int, n_colors: int, width: int) -> np.ndarray:
+    """draw(seed, trial, p) at positions p = 0 .. width on Python ints, as
+    ``trial_draws`` gives the trial's row."""
+    row = row_key(seed, trial)
+    return np.array([color_at(row, p, n_colors) for p in range(width + 1)])
 
 
 def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
@@ -111,7 +157,7 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
     width = tree.total_weight()
     n_trials = trial_count(k, delta)
     for trial in range(1, n_trials + 1):
-        f = _trial_rng(seed, trial).integers(1, k + 1, size=width + 1)
+        f = trial_colors(seed, trial, k, width)
         ok, found = kernel(idx, color_edges_from_hash(tree, k, f))
         if ok:
             saved, sched = witness(instance, idx, found)
@@ -312,7 +358,7 @@ def loss_coloring_from_draws(tree, loss, f):
 
 
 def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
-    """fpt-dbar with one ``_trial_rng`` generator per trial, drawn and
+    """fpt-dbar with one ``trial_colors`` row per trial, drawn and
     decided in trial order, as solve_time_pd_by_loss decides its blocks."""
     idx = build_derived_index(instance)
     out = trivial_outcome(idx, "fpt-dbar", trials=0, seed=seed)
@@ -337,7 +383,7 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
     plan = loss_plan(tree, loss)
     entries = None
     for trial in range(1, n_trials + 1):
-        f = _trial_rng(seed, trial).integers(1, 2 * loss + 1, size=width + 1)
+        f = trial_colors(seed, trial, 2 * loss, width)
         coloring = loss_coloring_from_draws(tree, loss, f)
         found, anchored, entries = reference_loss_dp_solve(instance, coloring, loss,
                                                            idx, plan)

@@ -521,7 +521,7 @@ def test_layer_chunks_bound_the_fill_memory():
     tree = parse_newick("(((((a:1,b:1):1,c:1):1,d:1):1,e:1):1,f:1);")
     inst = Instance(tree, {x: TaxonInfo(2, 5) for x in tree.taxa},
                     (TeamWindow(0, 5),), tree.total_weight() - 6)
-    row = trial_draws(0, 1, 1, 12, loss_draw_width(tree, 6))[0]
+    row = trial_draws(0, 2, 1, 12, loss_draw_width(tree, 6))[0]  # a yes coloring
     coloring = loss_coloring_from_draws(tree, 6, row)
     tracemalloc.start()
     try:

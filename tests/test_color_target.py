@@ -493,7 +493,7 @@ def test_trial_order_independence():
     """The reported trial equals the first success over the trial index
     space, so any execution order (or parallel split) gives the same
     outcome for a fixed (seed, delta)."""
-    from rescuepd.color_target import _trial_rng
+    from reference import trial_colors
     inst = gen_random_instance(n=5, n_teams=2, max_ex=6, max_len=4,
                                max_weight=3, seed=34, target=4)
     idx = build_derived_index(inst)
@@ -502,7 +502,7 @@ def test_trial_order_independence():
     width = inst.tree.total_weight()
     successes = []
     for trial in range(1, out.diagnostics["planned_trials"] + 1):
-        f = _trial_rng(5, trial).integers(1, inst.target + 1, size=width + 1)
+        f = trial_colors(5, trial, inst.target, width)
         col = color_edges_from_hash(inst.tree, inst.target, f)
         if solve_colored_time_pd(idx, col)[0]:
             successes.append(trial)
