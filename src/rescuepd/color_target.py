@@ -35,12 +35,14 @@ The request's ``_TrialPlan`` decides every trial, in blocks of 1, 16, 256,
 and screens each block first: a coloring under which the taxa that fit
 some capacity row do not cover the palette between them is a no, exactly,
 since a table adds no other taxon.  The rest are decided 2^14 table cells
-per numpy pass over (trials x color sets).  ``first_success``, which both color-coding solvers
-use, returns the lowest successful trial.  The one-coloring kernel
-(``solve_colored_time_pd`` / ``solve_colored_s_time_pd``) runs the same
-recurrence on that coloring alone and reads the witness back from the
-cells each taxon improved, so the outcome is the one a trial-by-trial
-loop gives.
+per numpy pass over (trials x color sets).  ``first_success``, which both
+color-coding solvers use, returns the lowest successful trial.  The
+one-coloring kernel (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``)
+is that table filled as a one-row block, the request's plan reused, which
+also records the cells each taxon improved; the witness is read back from
+them, so the outcome is the one a trial-by-trial loop gives, and the
+library holds one colored recurrence.  ``tests/reference.py`` keeps a
+plain-Python copy of it as the oracle.
 """
 
 from __future__ import annotations
@@ -138,31 +140,6 @@ def _color_positions(f, width: int) -> np.ndarray:
     return np.array(colors)
 
 
-def _colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
-    """The recurrence on one coloring against one capacity row.
-
-    Returns g, where g[C] is the least rescue length of a set that covers
-    at least the colors C and fits the capacity row, and per taxon in
-    deadline order the cells it improved, from which a witness is read back.
-    """
-    g = [INF] * (full + 1)
-    g[0] = 0
-    improved = []
-    for x in idx.order:
-        m, ell = masks[x], idx.instance.length(x)
-        room = cap[idx.class_of[x]]
-        keep = ~m
-        cells = set()
-        if m and ell <= room:
-            for c in range(full, 0, -1):  # downwards: source c & ~m is not yet updated
-                cand = g[c & keep] + ell
-                if cand < g[c] and cand <= room:
-                    g[c] = cand
-                    cells.add(c)
-        improved.append(cells)
-    return g, improved
-
-
 def _palette(n_colors) -> int:
     """The full color set of a palette of n_colors, checked before any table
     is sized: BadParams for a size that is not an integer >= 0, and
@@ -173,56 +150,63 @@ def _palette(n_colors) -> int:
     return (1 << n_colors) - 1
 
 
-def _colored_parts(idx: DerivedIndex, coloring: TargetColoring, rows):
-    """The recurrence on one coloring against each capacity row of rows:
-    the per-row parts, disjoint and in row order, of a set that covers the
-    palette, or None.  The rows' tables are merged by the boolean cover
-    product, the palette is split back along the merge, and each row's part
-    is read back from the cells its taxa improved, each cell losing a
-    taxon's colors; one row needs no merge and keeps the whole palette."""
+def _colored_parts(idx: DerivedIndex, coloring: TargetColoring, rows, plan):
+    """The recurrence on one coloring against each capacity row of rows, as
+    a one-row block of ``plan`` (a new ``_TrialPlan`` for these rows when it
+    is None): the per-row parts, disjoint and in row order, of a set that
+    covers the palette, or None.  The rows' tables are merged by the boolean
+    cover product, the palette is split back along the merge, and each
+    row's part is read back from the cells its taxa improved, each cell
+    losing a taxon's colors; one row needs no merge and keeps the whole
+    palette."""
     full = _palette(coloring.n_colors)
     masks = coloring.taxon_masks(idx.instance.tree)
-    tables = [_colored_table(idx, masks, cap, full) for cap in rows]
-    shares = [full] * len(tables)
-    if len(tables) == 1:  # g[full] alone decides; there is nothing to merge
-        if tables[0][0][full] == INF:
+    plan = plan or _TrialPlan(idx, coloring.n_colors, rows)
+    keep = np.array([[~masks[x] for x in idx.order]], dtype=np.int64)
+    improved = [[()] * len(idx.order) for _ in plan.room]
+    bits = [plan._reachable(keep, room, cells)[0]
+            for room, cells in zip(plan.room, improved)]
+    shares = [full] * len(bits)
+    if len(bits) == 1:  # g[full] alone decides; there is nothing to merge
+        if not bits[0][full]:
             return None
     else:
-        bits = [[v < INF for v in g] for g, _ in tables]
         stages = list(itertools.accumulate(bits, boolean_cover_combine))
         if not stages[-1][full]:
             return None
         # split the palette: row i covers cell ^ sub, and rows 0 .. i - 1 sub
-        for i in range(len(tables) - 1, 0, -1):
+        for i in range(len(bits) - 1, 0, -1):
             cell = shares[i]
             sub = next(s for s in range(cell, -1, -1)
                        if s | cell == cell and stages[i - 1][s] and bits[i][cell ^ s])
             shares[i], shares[i - 1] = cell ^ sub, sub
     parts, used = [], set()
-    for share, (_, improved) in zip(shares, tables):
-        part = [x for x in _read_back(idx.order, improved, share,
+    for share, cells in zip(shares, improved):
+        part = [x for x in _read_back(idx.order, cells, share,
                                       lambda x, c: c & ~masks[x]) if x not in used]
         used.update(part)
         parts.append(tuple(part))
     return tuple(parts)
 
 
-def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring):
+def solve_colored_time_pd(idx: DerivedIndex, coloring: TargetColoring, plan=None):
     """Exact decision for one coloring, collaborative mode.
 
     Returns (True, saved set) when some feasible set covers the palette,
     else (False, None).  The capacity row is the prefix hours of all teams.
+    ``plan`` is the request's ``_TrialPlan`` for this palette and row when
+    the caller has one.
     """
-    parts = _colored_parts(idx, coloring, (idx.hours,))
+    parts = _colored_parts(idx, coloring, (idx.hours,), plan)
     return (False, None) if parts is None else (True, canon(parts[0]))
 
 
-def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring):
+def solve_colored_s_time_pd(idx: DerivedIndex, coloring: TargetColoring, plan=None):
     """Exact decision for one coloring, strict mode: one capacity row per
     team, its own prefix hours.  Returns (True, per-team parts), which are
-    disjoint, or (False, None).
+    disjoint, or (False, None); ``plan`` as above, for the teams' rows.
     """
-    parts = _colored_parts(idx, coloring, idx.team_hours)
+    parts = _colored_parts(idx, coloring, idx.team_hours, plan)
     return (False, None) if parts is None else (True, parts)
 
 
@@ -404,12 +388,6 @@ class _TrialPlan:
     def _decide_rows(self, keep: np.ndarray) -> np.ndarray:
         """The tables' decision of each row of keep, the complements of the
         rows' taxon masks."""
-        if self.buffers is None or len(self.buffers[0]) < len(keep):
-            shape = (len(keep), self.full + 1)
-            # base[r, C] = r 2^k + C, the flat index of cell C of row r
-            self.buffers = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.int64),
-                            np.empty(shape, dtype=np.uint64),
-                            np.arange(shape[0] * shape[1]).reshape(shape))
         tables = [self._reachable(keep, room) for room in self.room]
         acc = tables[0]
         if len(tables) == 1:
@@ -418,12 +396,20 @@ class _TrialPlan:
             acc = cover_rows(acc, team)
         return (acc & tables[-1][:, ::-1]).any(axis=1)
 
-    def _reachable(self, keep: np.ndarray, room) -> np.ndarray:
+    def _reachable(self, keep: np.ndarray, room, improved=None) -> np.ndarray:
         """Per trial and color set C: does some set that fits the capacity
         row cover at least C?  g[C] = min(g[C], g[C & ~m] + ell) per taxon,
         where the sum is within the row.  A sum that is not gets the top
-        bit, the unreached mark, so one plain minimum keeps g[C]."""
+        bit, the unreached mark, so one plain minimum keeps g[C].  Given
+        ``improved``, one entry per taxon, entry t becomes the flat indices
+        of the cells taxon t lowered, the color sets of a one-row batch."""
         batch = len(keep)
+        if self.buffers is None or len(self.buffers[0]) < batch:
+            shape = (batch, self.full + 1)
+            # base[r, C] = r 2^k + C, the flat index of cell C of row r
+            self.buffers = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.int64),
+                            np.empty(shape, dtype=np.uint64),
+                            np.arange(shape[0] * shape[1]).reshape(shape))
         g, at, src, base = (b[:batch] for b in self.buffers)
         g.fill(_UNREACHED)
         g[:, 0] = 0
@@ -434,11 +420,13 @@ class _TrialPlan:
                 continue
             # ~m has every bit from k up, so the row's offset r 2^k stays
             np.bitwise_and(base, keep[:, t, None], out=at)
-            np.take(flat, at, out=src)
+            flat.take(at, out=src)
             np.subtract(limit, src, out=over)  # top bit set iff src > limit
             over &= _UNREACHED
             src += self.ell[t]
             src |= over
+            if improved is not None:
+                improved[t] = (src < g).ravel().nonzero()[0]
             np.minimum(g, src, out=g)
         return g != _UNREACHED
 
@@ -476,11 +464,11 @@ def first_success(seed: int, n_trials: int, most: int, n_colors: int,
     return None
 
 
-def _solve_by_target(instance, delta, seed, kernel, witness, mode):
+def _solve_by_target(instance, delta, seed, mode):
     """The trial loop of both modes: the request's ``_TrialPlan`` decides
     every trial against each team's hours in strict mode, else the prefix
-    hours of all teams, as ``kernel`` does; ``kernel`` and ``witness`` turn
-    the first success into a (saved set, schedule)."""
+    hours of all teams, and the mode's kernel re-runs the first success as a
+    one-row block of the same plan for its parts, the witness."""
     seed = checked_seed(seed, delta)
     check_mode(instance, mode, "fpt-d")
     idx = build_derived_index(instance)
@@ -491,7 +479,8 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
         return out
     k, tree = instance.target, instance.tree
     _palette(k)  # TargetTooLarge before any table is sized
-    plan = _TrialPlan(idx, k, idx.team_hours if mode == STRICT else (idx.hours,))
+    strict = mode == STRICT
+    plan = _TrialPlan(idx, k, idx.team_hours if strict else (idx.hours,))
     n_trials = trial_count(k, delta)
     # up to 16 rows a block even at wide targets: a block's fixed cost is many rows' worth
     hit = first_success(seed, n_trials, max(16, BATCH_CELLS >> k), k,
@@ -500,18 +489,15 @@ def _solve_by_target(instance, delta, seed, kernel, witness, mode):
         return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                             diagnostics={"planned_trials": n_trials, "delta": delta})
     trial, row = hit
-    _, found = kernel(idx, color_edges_from_hash(tree, k, row))
-    saved, sched = witness(instance, idx, found)
+    # by name at call time, so that a rebound kernel (the tracer's) runs
+    kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
+    _, found = kernel(idx, color_edges_from_hash(tree, k, row), plan)
+    parts = found if strict else (found,)
+    saved = canon(x for part in parts for x in part)
+    sched = (schedule_team_parts(instance, parts) if strict
+             else build_collaborative_schedule(idx, saved))
     return checked_yes(idx, "fpt-d", saved, sched, trials=trial, seed=seed,
                        diagnostics={"planned_trials": n_trials})
-
-
-def _collaborative_witness(instance, idx, saved):
-    return saved, build_collaborative_schedule(idx, saved)
-
-
-def _strict_witness(instance, idx, parts):
-    return canon(x for part in parts for x in part), schedule_team_parts(instance, parts)
 
 
 def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
@@ -521,12 +507,10 @@ def solve_time_pd_by_target(instance: Instance, delta: float = 1e-3,
     One-sided: every yes ships a re-verified witness; a no is wrong with
     probability at most delta.
     """
-    return _solve_by_target(instance, delta, seed, solve_colored_time_pd,
-                            _collaborative_witness, COLLABORATIVE)
+    return _solve_by_target(instance, delta, seed, COLLABORATIVE)
 
 
 def solve_s_time_pd_by_target(instance: Instance, delta: float = 1e-3,
                               seed: int = 0) -> SolveOutcome:
     """Randomized color-coding solver, strict mode (same contract)."""
-    return _solve_by_target(instance, delta, seed, solve_colored_s_time_pd,
-                            _strict_witness, STRICT)
+    return _solve_by_target(instance, delta, seed, STRICT)

@@ -1,9 +1,16 @@
 """Test-side oracles for the library's optimized paths.
 
-``solve_by_target_trial_by_trial`` is the fpt-d trial loop that decides one
-coloring per trial with the one-coloring kernel, in trial order, and stops
-at the first success.  The library's batched loop must return the same
-outcome, field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
+``plain_colored_table`` is the library's first fpt-d kernel, kept unchanged:
+the colored recurrence g[C] = min(g[C], g[C & ~m] + ell) on one coloring in
+plain Python, with a set of improved cells per taxon.
+``plain_colored_parts`` runs it against each capacity row, merges the
+teams with ``cover_product_direct`` and reads the parts back, the oracle of
+the one-row kernels ``solve_colored_time_pd`` / ``solve_colored_s_time_pd``
+(``plain_colored_time_pd`` / ``plain_colored_s_time_pd``) and of the batched
+table's decisions.  ``solve_by_target_trial_by_trial`` is the fpt-d trial
+loop that decides one coloring per trial with that plain kernel, in trial
+order, and stops at the first success.  The library's batched loop must
+return the same outcome, field for field.  ``solve_by_loss_trial_by_trial`` is the fpt-dbar loop
 with one generator and one plain-Python table per trial, the oracle of the
 loss solver's block draws and batched tables; ``loss_coloring_from_draws``
 reads one trial's coloring from its draws.  That table, ``_LossDP``, is the
@@ -70,11 +77,9 @@ from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
 from rescuepd.color_loss import (LOSS_LIMIT, LossColoring, _masks_of_popcount,
                                  anchored_tuples, candidate_tuples,
                                  make_loss_coloring)
-from rescuepd.color_target import (INF, MASK_LIMIT, _collaborative_witness,
-                                   _singleton_shortcut, _strict_witness,
-                                   color_edges_from_hash,
-                                   solve_colored_s_time_pd,
-                                   solve_colored_time_pd, trial_count)
+from rescuepd.color_target import (INF, MASK_LIMIT, _palette,
+                                   _singleton_shortcut, color_edges_from_hash,
+                                   trial_count)
 from rescuepd.cover import _ranked_rows
 from rescuepd.errors import (BoundTooLarge, DuplicateLeaf, LossTooLarge,
                              NonBinaryTree, NonIntegerWeight, ParseError,
@@ -84,8 +89,8 @@ from rescuepd.feasibility import (Schedule, _pack, build_collaborative_schedule,
                                   collaborative_feasible, schedule_team_parts,
                                   strict_feasible, verify_schedule)
 from rescuepd.model import (COLLABORATIVE, STRICT, DerivedIndex, Instance,
-                            PhyloTree, TeamWindow, build_derived_index, canon,
-                            pd_of_subset)
+                            PhyloTree, TeamWindow, _read_back,
+                            build_derived_index, canon, pd_of_subset)
 from rescuepd.outcome import SolveOutcome, trivial_outcome
 from rescuepd.structured import BOUND_GUARD, count_matrices
 
@@ -139,11 +144,76 @@ def trial_colors(seed: int, trial: int, n_colors: int, width: int) -> np.ndarray
     return np.array([color_at(row, p, n_colors) for p in range(width + 1)])
 
 
+def plain_colored_table(idx: DerivedIndex, masks: dict, cap, full: int):
+    """The colored recurrence on one coloring against one capacity row, in
+    plain Python: g, where g[C] is the least rescue length of a set that
+    covers at least the colors C and fits the row, and per taxon in
+    deadline order the set of cells it improved."""
+    g = [INF] * (full + 1)
+    g[0] = 0
+    improved = []
+    for x in idx.order:
+        m, ell = masks[x], idx.instance.length(x)
+        room = cap[idx.class_of[x]]
+        keep = ~m
+        cells = set()
+        if m and ell <= room:
+            for c in range(full, 0, -1):  # downwards: source c & ~m is not yet updated
+                cand = g[c & keep] + ell
+                if cand < g[c] and cand <= room:
+                    g[c] = cand
+                    cells.add(c)
+        improved.append(cells)
+    return g, improved
+
+
+def plain_colored_parts(idx: DerivedIndex, coloring, rows):
+    """``plain_colored_table`` against each capacity row of rows: the
+    per-row parts, disjoint and in row order, of a set that covers the
+    palette, or None, split and read back as the library's kernels do."""
+    full = _palette(coloring.n_colors)
+    masks = coloring.taxon_masks(idx.instance.tree)
+    tables = [plain_colored_table(idx, masks, cap, full) for cap in rows]
+    shares = [full] * len(tables)
+    if len(tables) == 1:
+        if tables[0][0][full] == INF:
+            return None
+    else:
+        bits = [[v < INF for v in g] for g, _ in tables]
+        stages = list(itertools.accumulate(bits, cover_product_direct))
+        if not stages[-1][full]:
+            return None
+        for i in range(len(tables) - 1, 0, -1):
+            cell = shares[i]
+            sub = next(s for s in range(cell, -1, -1)
+                       if s | cell == cell and stages[i - 1][s] and bits[i][cell ^ s])
+            shares[i], shares[i - 1] = cell ^ sub, sub
+    parts, used = [], set()
+    for share, (_, improved) in zip(shares, tables):
+        part = [x for x in _read_back(idx.order, improved, share,
+                                      lambda x, c: c & ~masks[x]) if x not in used]
+        used.update(part)
+        parts.append(tuple(part))
+    return tuple(parts)
+
+
+def plain_colored_time_pd(idx: DerivedIndex, coloring):
+    """The oracle of ``solve_colored_time_pd``: (True, saved set) or (False, None)."""
+    parts = plain_colored_parts(idx, coloring, (idx.hours,))
+    return (False, None) if parts is None else (True, canon(parts[0]))
+
+
+def plain_colored_s_time_pd(idx: DerivedIndex, coloring):
+    """The oracle of ``solve_colored_s_time_pd``: (True, per-team parts) or
+    (False, None)."""
+    parts = plain_colored_parts(idx, coloring, idx.team_hours)
+    return (False, None) if parts is None else (True, parts)
+
+
 def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
-    """fpt-d, one kernel call per trial; ``strict`` picks the mode's
+    """fpt-d, one plain kernel call per trial; ``strict`` picks the mode's
     kernel and witness step as solve_s_time_pd_by_target does."""
-    kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
-    witness = _strict_witness if strict else _collaborative_witness
+    kernel = plain_colored_s_time_pd if strict else plain_colored_time_pd
     idx = build_derived_index(instance)
     out = (trivial_outcome(idx, "fpt-d", trials=0)
            or _singleton_shortcut(instance, idx, "fpt-d"))
@@ -160,7 +230,10 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
         f = trial_colors(seed, trial, k, width)
         ok, found = kernel(idx, color_edges_from_hash(tree, k, f))
         if ok:
-            saved, sched = witness(instance, idx, found)
+            parts = found if strict else (found,)
+            saved = canon(x for part in parts for x in part)
+            sched = (schedule_team_parts(instance, parts) if strict
+                     else build_collaborative_schedule(idx, saved))
             return SolveOutcome(True, "fpt-d", saved=saved, schedule=sched,
                                 value=pd_of_subset(tree, saved), trials=trial,
                                 seed=seed, diagnostics={"planned_trials": n_trials})
@@ -389,8 +462,8 @@ def solve_by_loss_trial_by_trial(instance, delta=1e-3, seed=0):
                                                            idx, plan)
         if found:
             sacrificed = {x for x, _, _ in anchored}
-            saved, sched = _collaborative_witness(
-                instance, idx, canon(set(tree.taxa) - sacrificed))
+            saved = canon(set(tree.taxa) - sacrificed)
+            sched = build_collaborative_schedule(idx, saved)
             return SolveOutcome(True, "fpt-dbar", saved=saved, schedule=sched,
                                 value=pd_of_subset(tree, saved), trials=trial,
                                 seed=seed, diagnostics={"planned_trials": n_trials,

@@ -12,8 +12,9 @@ Criteria, in order:
   5. every yes across the sweeps shipped a verified witness (enforced
      inline; a violation raises and fails the sweep tests);
   6. scaling checks: color-coding trial counts match the formula exactly,
-     the colored solver's wall time tracks the 2^target table size within
-     2x between targets 8 and 12, and the loss table materializes exactly
+     the batched colored table's wall time per trial tracks the 2^target
+     table size within 2x between targets 8 and 12, and the loss table
+     materializes exactly
      its predicted number of entries;
   7. the anchored-set witness construction is exhaustively correct on
      seeded binary instances.
@@ -23,12 +24,15 @@ import itertools
 import math
 import time
 
+import numpy as np
+
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_time_pd, build_derived_index,
-                      collaborative_feasible, color_edges_from_hash,
-                      loss_dp_solve, loss_table_entry_count,
-                      make_loss_coloring, pd_of_subset, solve_colored_time_pd,
-                      solve_time_pd_by_loss, trial_count, verify_schedule)
+                      collaborative_feasible, loss_dp_solve,
+                      loss_table_entry_count,
+                      make_loss_coloring, pd_of_subset, solve_time_pd_by_loss,
+                      trial_count, verify_schedule)
+from rescuepd.color_target import _TrialPlan, trial_draws
 from rescuepd.driver import applicable_algorithms, run_bench
 from rescuepd.generators import gen_random_instance
 
@@ -278,31 +282,38 @@ def test_criterion_6_scaling_checks():
     assert not out.decision
     assert out.trials == trial_count(2, 0.5) == 6
 
-    # wall time of the colored solver tracks the 2^target table size.  Each
-    # reading times enough calls to last about 10 ms, the two targets'
-    # readings alternate so that both see the same machine load, and the
-    # best of five readings' time per call counts
+    # wall time of the colored decision that runs every trial, the batched
+    # table, tracks the 2^target table size.  Each target's plan decides a
+    # 256-row block of colorings that all pass its screen; each reading
+    # times enough blocks to last about 10 ms, the two targets' readings
+    # alternate so that both see the same machine load, and the best of
+    # five readings' time per trial counts
     base = gen_random_instance(n=120, n_teams=3, max_ex=6, max_len=5,
                                max_weight=2, seed=42, tree_shape="star")
-    kernels = {}
+    blocks = {}
     for target in (8, 12):
         inst = Instance(base.tree, base.taxa, base.teams, target)
-        width = inst.tree.total_weight()
-        f = [(pos % target) + 1 for pos in range(width + 1)]
-        kernels[target] = (build_derived_index(inst),
-                           color_edges_from_hash(inst.tree, target, f))
+        idx = build_derived_index(inst)
+        plan = _TrialPlan(idx, target, (idx.hours,))
+        draws = trial_draws(0, 1, 1024, target, inst.tree.total_weight())
+        covered = np.bitwise_or.reduce(
+            np.left_shift(1, draws[:, plan.fit_draws] - 1), axis=1)
+        passing = draws[covered == plan.full][:256]
+        assert len(passing) == 256, (target, len(passing))
+        blocks[target] = (plan, passing)
 
-    def per_call(target, calls):
+    def per_trial(target, calls):
+        plan, block = blocks[target]
         t0 = time.perf_counter()
         for _ in range(calls):
-            solve_colored_time_pd(*kernels[target])
-        return (time.perf_counter() - t0) / calls
+            plan.decide(block)
+        return (time.perf_counter() - t0) / (calls * len(block))
 
-    calls = {target: math.ceil(0.01 / per_call(target, 1)) for target in kernels}
-    times = {target: math.inf for target in kernels}
+    calls = {target: math.ceil(0.01 / (256 * per_trial(target, 1))) for target in blocks}
+    times = {target: math.inf for target in blocks}
     for _ in range(5):
-        for target in kernels:
-            times[target] = min(times[target], per_call(target, calls[target]))
+        for target in blocks:
+            times[target] = min(times[target], per_trial(target, calls[target]))
     ratio = times[12] / times[8]
     predicted = 2 ** (12 - 8)
     assert predicted / 2 <= ratio <= predicted * 2, (ratio, times)

@@ -128,6 +128,24 @@ def test_bench_subcommand(tmp_path, capsys):
     assert len(lines) > 10
 
 
+@pytest.mark.parametrize("n", [9, 14])
+def test_bench_subcommand_on_strict_instances_past_eight_taxa(tmp_path, capsys, n):
+    """The oracle of a bench is brute at its own guard, so strict sweeps of
+    9 and 14 taxa are cross-checked rather than refused."""
+    sweep = {"families": [{"name": "strict", "count": 2, "seed0": 0, "n": n,
+                           "n_teams": 2, "max_ex": 6, "max_len": 3,
+                           "mode": "strict"}]}
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(sweep))
+    csv_path = tmp_path / "bench.csv"
+    code = main(["bench", "--sweep", str(sweep_path), "--out", str(csv_path)])
+    text = capsys.readouterr().out
+    assert code == 0, text
+    assert "disagreements: 0" in text
+    algorithms = [line.split(",")[7] for line in csv_path.read_text().splitlines()[1:]]
+    assert algorithms.count("brute") == 2 and len(algorithms) > 2, algorithms
+
+
 TINY = {"count": 1, "n": 4, "n_teams": 1, "max_ex": 4, "max_len": 3,
         "max_weight": 2}
 

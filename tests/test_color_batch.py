@@ -1,11 +1,13 @@
-"""The batched fpt-d trials against the one-coloring kernel and the
+"""The batched fpt-d trials against the plain-Python kernel and the
 trial-by-trial loop.
 
-The batch and the kernel run one recurrence, taxa in deadline order with
-g[C] = min(g[C], g[C & ~m] + ell): the batch in numpy over many colorings,
-the kernel in plain Python on one.  Their agreement checks the batching;
-the recurrence itself is checked against brute-force colored oracles here
-near the hours bound, and for both kernels with their witnesses in
+The library runs one recurrence, taxa in deadline order with g[C] =
+min(g[C], g[C & ~m] + ell), in numpy over a block of colorings; its
+one-coloring kernels are a one-row block of it.  ``tests/reference.py``
+keeps the first kernel, the same recurrence in plain Python on one
+coloring, as the oracle: their agreement checks the batching.  The
+recurrence itself is checked against brute-force colored oracles here near
+the hours bound, and for both kernels with their witnesses in
 ``test_color_target.py``.
 """
 
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       build_derived_index, color_edges_from_hash,
-                      solve_colored_s_time_pd, solve_colored_time_pd,
                       solve_s_time_pd_by_target, solve_time_pd_by_target)
 from rescuepd import color_target, solve_time_pd_by_loss
 from rescuepd.color_loss import DRAW_ROWS
@@ -31,7 +32,8 @@ from rescuepd.errors import BadParams
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT, pd_of_subset
 
-from reference import (loss_draw_width, solve_by_loss_trial_by_trial,
+from reference import (loss_draw_width, plain_colored_s_time_pd,
+                       plain_colored_time_pd, solve_by_loss_trial_by_trial,
                        solve_by_target_trial_by_trial, strict_feasible_by_partition,
                        trial_colors)
 from test_color_loss import outcome_fields
@@ -72,7 +74,8 @@ def plan_for(idx, strict):
 
 
 def kernel_decisions(idx, draws, strict):
-    kernel = solve_colored_s_time_pd if strict else solve_colored_time_pd
+    """The plain oracle's decision of each row of draws."""
+    kernel = plain_colored_s_time_pd if strict else plain_colored_time_pd
     tree, k = idx.instance.tree, idx.instance.target
     return [kernel(idx, color_edges_from_hash(tree, k, row))[0] for row in draws]
 
@@ -305,20 +308,23 @@ def test_wide_targets_take_the_block_draw(monkeypatch):
 def test_first_successes_across_the_x16_blocks_equal_the_trial_by_trial_loop():
     """Three weight-2 leaves at target 6: a trial succeeds only when its six
     draws are six distinct colors, so first successes fall inside fpt-d's
-    blocks of 16 (trials 2-17) and 256 (trials 18-273), and each equals the
-    trial-by-trial loop's, in both modes."""
+    blocks of 16 (trials 2-17) and 256 (trials 18-273).  Seeds are tried in
+    order, at most 300 per mode, until both blocks hold a first success;
+    each seed's outcome equals the trial-by-trial loop's, in both modes."""
     tree = PhyloTree.from_edges([("r", x, 2) for x in "abc"])
     taxa = {x: TaxonInfo(1, 3) for x in "abc"}
-    hits = set()
     for mode in (COLLABORATIVE, STRICT):
         inst = Instance(tree, taxa, (TeamWindow(0, 3),), 6, mode)
         solve = solve_s_time_pd_by_target if mode == STRICT else solve_time_pd_by_target
-        for seed in range(16):
+        blocks = set()
+        for seed in range(300):
             got = solve(inst, 1e-3, seed)
             assert got == solve_by_target_trial_by_trial(inst, 1e-3, seed, mode == STRICT)
-            hits.add((mode, 2 <= got.trials <= 17, 18 <= got.trials <= 273))
-    for mode in (COLLABORATIVE, STRICT):
-        assert {(mode, True, False), (mode, False, True)} <= hits, hits
+            if got.decision and 2 <= got.trials <= 273:
+                blocks.add(16 if got.trials <= 17 else 256)
+            if blocks == {16, 256}:
+                break
+        assert blocks == {16, 256}, (mode, blocks)
 
 
 def wide_no_instance(width, target=4):

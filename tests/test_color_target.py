@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
                       solve_s_time_pd_by_target, solve_time_pd_by_loss,
                       solve_time_pd_by_target, strict_feasible, trial_count,
                       verify_schedule)
-from rescuepd.color_target import MASK_LIMIT, TargetColoring, _TrialPlan
+from rescuepd.color_target import MASK_LIMIT, TargetColoring, _TrialPlan, trial_draws
 from rescuepd.driver import solve_auto
 from rescuepd.errors import BadParams, TargetTooLarge
 from rescuepd.generators import TREE_SHAPES, gen_random_instance
 from rescuepd.model import COLLABORATIVE, MAX_HOURS, STRICT
 
-from reference import printed_rule_decision
+from reference import (plain_colored_s_time_pd, plain_colored_time_pd,
+                       printed_rule_decision)
 
 
 def mask(*colors):
@@ -340,6 +343,64 @@ def test_kernels_accept_lengths_near_the_hours_bound():
         assert sorted(saved) == ["a", "b"]
         caps = idx.team_hours if mode == "strict" else (idx.hours,)
         assert _TrialPlan(idx, 2, caps).decide(draws).tolist() == [True]
+
+
+def near_max_hours(base, rng):
+    """base with team windows up to MAX_HOURS in total and lengths near a
+    team's whole window or near 2^63, the edge of the batched table's uint64
+    cells."""
+    n_teams = len(base.teams)
+    big = MAX_HOURS // n_teams
+    teams = tuple(TeamWindow(rng.randint(0, 3), rng.randint(big - 64, big))
+                  for _ in range(n_teams))
+    taxa = {x: TaxonInfo(rng.choice((rng.randint(1, big), rng.randint(big - 64, big),
+                                     rng.randint(2**62, MAX_HOURS))),
+                         rng.randint(1, big))
+            for x in base.tree.taxa}
+    return Instance(base.tree, taxa, teams, base.target, base.mode)
+
+
+def test_kernels_return_the_plain_oracle_parts():
+    """The one-row kernels return the very decision and parts of the
+    plain-Python kernel in ``tests/reference.py``, called directly and with
+    the request's plan after it decided a 16-row block: palettes of 0-10
+    colors (strict teams merged by the ranked product from 9 colors on),
+    1-5 teams, both modes, taxa that fit no capacity row, taxa with no
+    colors, and lengths near MAX_HOURS."""
+    rng = random.Random(28)
+    seen = Counter()
+    for case in range(220):
+        strict = case % 2 == 1
+        k, n_teams = case % 11, 1 + case // 2 % 5
+        inst = gen_random_instance(n=rng.randint(2, 8), n_teams=n_teams, max_ex=8,
+                                   max_len=rng.randint(1, 5), max_weight=3,
+                                   savable_frac=rng.choice((0.3, 0.7, 1.0)),
+                                   tree_shape=rng.choice(TREE_SHAPES),
+                                   seed=rng.randrange(10**6),
+                                   mode=STRICT if strict else COLLABORATIVE)
+        huge = case % 3 == 0
+        if huge:
+            inst = near_max_hours(inst, rng)
+        idx = build_derived_index(inst)
+        full = (1 << k) - 1
+        col = TargetColoring(k, {e: rng.choice((0, rng.randint(0, full), rng.randint(0, full)))
+                                 for e in inst.tree.edge_order})
+        kernel, oracle = ((solve_colored_s_time_pd, plain_colored_s_time_pd) if strict
+                          else (solve_colored_time_pd, plain_colored_time_pd))
+        want = oracle(idx, col)
+        assert kernel(idx, col) == want, case
+        plan = _TrialPlan(idx, k, idx.team_hours if strict else (idx.hours,))
+        if k:
+            plan.decide(trial_draws(case, 1, 16, k, inst.tree.total_weight()))
+        assert kernel(idx, col, plan) == want, case
+        seen["yes"] += want[0]
+        seen["no"] += not want[0]
+        seen["ranked yes"] += want[0] and strict and k >= 9 and n_teams > 1
+        seen["no room"] += any(room < 0 for rows in plan.room for room in rows)
+        seen["no colors"] += 0 in col.taxon_masks(inst.tree).values()
+        seen["huge yes"] += want[0] and huge and k > 0
+    assert min(seen[key] for key in ("yes", "no", "ranked yes", "no room", "no colors",
+                                     "huge yes")) > 0, seen
 
 
 def test_bad_colorings_raise_rescuepd_errors():

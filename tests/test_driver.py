@@ -304,6 +304,21 @@ def test_bench_times_the_oracle():
     assert all(row.pd_total == instance.tree.total_weight() for row in rows)
 
 
+@pytest.mark.parametrize("n", [9, 14])
+def test_bench_cross_checks_strict_instances_past_the_auto_cap(n):
+    """Strict brute's default guard is its own reach, STRICT_GUARD, not
+    auto's cap of 8 taxa: run_bench checks strict instances of 9 and 14
+    taxa against the oracle, and auto still does not admit brute there."""
+    instance = gen_random_instance(n=n, n_teams=2, max_ex=6, max_len=3,
+                                   mode=STRICT, seed=0)
+    caps = {algorithm: cap for algorithm, _, cap, _ in ADMISSION[STRICT]}
+    assert caps["brute"] == 8 < n <= brute.STRICT_GUARD
+    rows, disagreements, _, _ = driver.run_bench([(0, "strict", instance)])
+    assert [row.algorithm for row in rows] == ["brute"] + applicable_algorithms(instance)
+    assert len(rows) > 1 and disagreements == []
+    assert "brute" not in applicable_algorithms(instance)
+
+
 def verified_schedules(monkeypatch):
     """The schedules feasibility.verify_schedule is asked to check, through
     every module of the package that imported it."""
