@@ -27,10 +27,12 @@ at a time for every trial at once.  It first screens the block: a coloring
 is a no when, for some deadline class q with a positive deficit, the taxa
 due by q that have a candidate tuple are too short together to pay it.  That is exact, since a
 colored yes sacrifices distinct taxa, each through one candidate, whose
-lengths pay every positive deficit.  The lowest trial that succeeds
-fills its table again as one row, from the candidate tuples of its
-coloring (``loss_dp_solve``), and the witness is read back from that row,
-so the outcome is the one a trial-by-trial loop gives.  Cells are int64
+lengths pay every positive deficit.  One rule, ``_LossBatch._candidates``,
+picks the candidate tuples of every coloring: eligible path edges, path
+colors pairwise distinct, sibling key color off the path.  The lowest
+trial that succeeds fills its table again as one row under that rule
+(``loss_dp_solve``), and the witness is read back from that row, so the
+outcome is the one a trial-by-trial loop gives.  Cells are int64
 while the rescue lengths sum to less than 2^62, and Python ints from there
 on.
 
@@ -42,12 +44,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .color_target import BATCH_CELLS, INF, checked_seed, first_success, trial_count
-from .errors import LossTooLarge, NonBinaryTree, RescuePDError
+from .errors import BadParams, LossTooLarge, NonBinaryTree, RescuePDError
 from .feasibility import build_collaborative_schedule, collaborative_feasible
 from .model import (COLLABORATIVE, DerivedIndex, Instance, PhyloTree,
                     build_derived_index, canon, check_size)
@@ -87,14 +90,6 @@ class LossColoring:
             m |= self.color_mask(e)
         return m
 
-    def path_has_unique_colors(self, edges) -> bool:
-        total, union = 0, 0
-        for e in set(edges):
-            m = self.color_mask(e)
-            total += m.bit_count()
-            union |= m
-        return total == union.bit_count()
-
 
 def make_loss_coloring(tree: PhyloTree, loss: int, key_color: dict,
                        extra_colors: dict) -> LossColoring:
@@ -103,8 +98,11 @@ def make_loss_coloring(tree: PhyloTree, loss: int, key_color: dict,
     An edge of weight w within the loss budget is path-eligible only if its
     extras are exactly w-1 colors distinct from the key color; random draws
     that collide are demoted (treated like heavy edges), which preserves the
-    exact color-to-weight accounting on every eligible edge.
+    exact color-to-weight accounting on every eligible edge.  BadParams
+    for a key color that is not an integer >= 1 or an extra color mask that
+    is not an integer >= 0.
     """
+    _check_colors(tree, LossColoring(2 * loss, key_color, extra_colors, frozenset()))
     eligible = set()
     extras = {}
     for e in tree.edge_order:
@@ -138,25 +136,6 @@ def anchored_tuples(tree: PhyloTree):
             path.append(v)
             below = v
             v = tree.parent[v]
-    return out
-
-
-def candidate_tuples(tree: PhyloTree, coloring: LossColoring, idx: DerivedIndex,
-                     q: int, tuples=None):
-    """Tuples with the taxon due within class q that any good set may use:
-    eligible unique-color path whose colors avoid the sibling key color.
-    ``tuples`` is ``anchored_tuples(tree)`` when the caller already has it."""
-    out = []
-    for x, v, e, path in anchored_tuples(tree) if tuples is None else tuples:
-        if idx.class_of[x] > q:
-            continue
-        if any(p not in coloring.eligible for p in path):
-            continue
-        if not coloring.path_has_unique_colors(path):
-            continue
-        if coloring.key_bit(e) & coloring.path_mask(path):
-            continue
-        out.append((x, v, e, path))
     return out
 
 
@@ -356,6 +335,16 @@ class _LossBatch:
         """The number T3(c1) + 2 T3(c2) of one cell."""
         return int(self.t3[c1] + 2 * self.t3[c2])
 
+    def _candidates(self, pmask, kbit):
+        """The candidate rule, on rows of path colors and sibling key colors:
+        a tuple is a candidate when its path colors number its path weight,
+        so they are pairwise distinct, and its sibling key color is off the
+        path.  In place, it sets to ``too_wide`` the path colors of every
+        tuple that has fewer.  The padding tuple, last in the last taxon's
+        run, is never a candidate."""
+        pmask[np.bitwise_count(pmask) != self.weight] = self.too_wide
+        return (pmask != self.too_wide) & (pmask & kbit == 0)
+
     def decide(self, draws: np.ndarray) -> np.ndarray:
         """Colored decision of every trial whose draws are a row of draws.
 
@@ -372,10 +361,7 @@ class _LossBatch:
         pmask = np.bitwise_or.reduceat(bits[:, self.path_draws], self.path_starts,
                                        axis=1)
         kbit = bits[:, self.sibling_draw]
-        pmask[np.bitwise_count(pmask) != self.weight] = self.too_wide
-        # a candidate: path draws pairwise distinct, sibling key off the path;
-        # the padding tuple, last in the last taxon's run, never is one
-        candidate = (pmask != self.too_wide) & (pmask & kbit == 0)
+        candidate = self._candidates(pmask, kbit)
         sacrificable = np.logical_or.reduceat(candidate, self.taxon_starts, axis=1)
         live = np.flatnonzero(
             (sacrificable.astype(self.dtype) @ self.pay >= self.owed).all(axis=1))
@@ -433,23 +419,28 @@ class _LossBatch:
         return found, table
 
     def solve_one(self, idx: DerivedIndex, coloring: LossColoring):
-        """(found, anchored set or None) of one coloring: its table is filled
-        as one row, whose candidates are the coloring's ``candidate_tuples``,
-        and the witness is read back from it."""
+        """(found, anchored set or None) of one coloring: its tuples within
+        the loss are written as one row, ``_candidates`` picks the
+        candidates as it does for every trial, and the witness is read back
+        from that row's table.  BadParams for a malformed coloring, before
+        any array is written (``_check_colors``)."""
+        _check_colors(idx.instance.tree, coloring)
         full = (1 << self.bits) - 1
         pmask = np.full(len(self.cls), self.too_wide)
         kbit = np.zeros_like(pmask)
-        shift = self.cls.copy()  # a non-candidate's child is never read
-        cands = []  # (class, length, path colors, sibling key color, tuple)
-        for x, v, e, path in candidate_tuples(idx.instance.tree, coloring, idx,
-                                              self.nc - 1, self.tuples):
+        for x, v, e, path in self.tuples:
             j = self.index_of.get((x, v, e))
-            pm, kb = coloring.path_mask(path), coloring.key_bit(e)
-            if j is None or (pm | kb) > full:
-                continue  # a path above the loss or a color off the palette fits no cell
-            pmask[j], kbit[j] = pm, kb
-            shift[j] += (self.t3[pm] - 2 * self.t3[kb]) * self.nc
-            cands.append((idx.class_of[x], idx.instance.length(x), pm, kb, (x, v, e)))
+            # a path with an ineligible edge stays too_wide, whatever its colors
+            if j is not None and all(p in coloring.eligible for p in path):
+                pm, kb = coloring.path_mask(path), coloring.key_bit(e)
+                if pm | kb <= full:  # a color off the palette fits no cell
+                    pmask[j], kbit[j] = pm, kb
+        tup = np.flatnonzero(self._candidates(pmask, kbit))
+        shift = self.cls.copy()  # a non-candidate's child is never read
+        shift[tup] += (self.t3[pmask[tup]] - 2 * self.t3[kbit[tup]]) * self.nc
+        keys = list(self.index_of)  # the tuples within the loss, in anchored order
+        cands = [(idx.class_of[keys[j][0]], idx.instance.length(keys[j][0]),
+                  int(pmask[j]), int(kbit[j]), keys[j]) for j in tup.tolist()]
         found, table = self._fill(pmask[None], kbit[None], shift[None])
         if not found[0]:
             return False, None
@@ -489,6 +480,21 @@ class _LossBatch:
                 raise RescuePDError("loss table backtrack failed")
             anchored.append(tup)
             c1, c2, q = c1 & ~pmask, (c2 | pmask) & ~kbit, cls_t
+
+
+def _check_colors(tree: PhyloTree, coloring: LossColoring):
+    """BadParams unless every edge has a key color that is an integer >= 1,
+    every extra color mask is an integer >= 0, and every eligible edge has
+    as many colors as it weighs.  Colors above the palette are allowed."""
+    for e, mask in coloring.extra_colors.items():
+        check_size(mask, f"the extra color mask of edge {e!r}")
+    for e in tree.edge_order:
+        key = coloring.key_color.get(e)
+        if not isinstance(key, numbers.Integral) or isinstance(key, bool) or key < 1:
+            raise BadParams(f"the key color of edge {e!r} must be an integer >= 1, "
+                            f"got {key!r}")
+        if e in coloring.eligible and coloring.color_mask(e).bit_count() != tree.weight[e]:
+            raise BadParams(f"eligible edge {e!r} must have {tree.weight[e]} colors")
 
 
 def _check_binary(tree: PhyloTree):

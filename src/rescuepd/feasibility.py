@@ -15,9 +15,10 @@ subsets of a set (Held and Karp 1962) decides them all at once.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatch, InfeasibleSet, SetTooLarge
+from .errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
 from .model import COLLABORATIVE, STRICT, DerivedIndex, Instance, canon, check_size
 
 
@@ -47,9 +48,18 @@ class VerificationReport:
     underfilled: list = field(default_factory=list)     # labels short of hours
 
 
+def _distinct(taxa_set) -> tuple[str, ...]:
+    """The labels of a taxa set, each once, in canonical order; UnknownTaxon
+    for a set that is not iterable or holds a label that is not hashable."""
+    try:
+        return canon(set(taxa_set))
+    except TypeError:
+        raise UnknownTaxon(f"{taxa_set!r} is not a set of taxon labels") from None
+
+
 def collaborative_feasible(idx: DerivedIndex, taxa_set) -> bool:
     """Prefix condition: class-wise cumulative length within capacity."""
-    members = set(taxa_set)
+    members = _distinct(taxa_set)
     need = [0] * idx.n_classes
     for x in members:
         ell = idx.instance.length(x)  # UnknownTaxon before the class lookup
@@ -69,7 +79,7 @@ def build_collaborative_schedule(idx: DerivedIndex, taxa_set) -> Schedule:
     (class, label) order; each taxon gets the next rescue-length pairs.
     Deterministic, and always passes verify_schedule on feasible input.
     """
-    members = canon(taxa_set)
+    members = _distinct(taxa_set)
     if not collaborative_feasible(idx, members):
         raise InfeasibleSet(f"no collaborative schedule saves {members}")
     inst = idx.instance
@@ -149,7 +159,7 @@ def strict_feasible(instance: Instance, taxa_set, guard: int = 10):
     the subset table's backtrack gives one part per team, packed earliest
     deadline first, which fits wherever the table's order fits.  The guard,
     an integer >= 0 or None for none, bounds the 2^|set| states."""
-    members = canon(taxa_set)
+    members = _distinct(taxa_set)
     if guard is not None:
         check_size(guard, "the guard")
         if len(members) > guard:
@@ -170,14 +180,23 @@ def schedule_team_parts(instance: Instance, parts) -> Schedule:
     """Strict schedule from per-team taxa sets, earliest deadline first.
 
     Each team's part must satisfy the single-team prefix condition; runs are
-    packed back-to-back from the window start.
+    packed back-to-back from the window start.  A taxon in two parts is
+    InfeasibleSet, as no strict schedule runs a taxon on two teams.
     """
+    try:
+        parts = list(parts)
+    except TypeError:
+        raise UnknownTaxon(f"{parts!r} is not a sequence of taxa sets") from None
     assignment = {}
     saved = []
     for i, part in enumerate(parts):
         if i >= len(instance.teams):
             raise DomainMismatch(f"part {i} has no team among {len(instance.teams)}")
-        taxa = sorted(part, key=lambda x: (instance.deadline(x), x))
+        taxa = sorted(_distinct(part), key=lambda x: (instance.deadline(x), x))
+        twice = set(saved).intersection(taxa)
+        if twice:
+            raise InfeasibleSet(f"{min(twice)!r} is in two parts, but a strict "
+                                "schedule runs it on one team")
         placed = _pack(instance, i, taxa, assignment)
         if placed < len(taxa):
             raise InfeasibleSet(f"team {i} cannot fit {taxa[placed]!r} by its deadline")
@@ -199,7 +218,11 @@ def _available(instance: Instance, key) -> bool:
 
 def verify_schedule(instance: Instance, schedule: Schedule) -> VerificationReport:
     """Check validity, saving, and (strict mode) one-team consecutive runs,
-    all in the instance's mode; a schedule of the other mode is not ok."""
+    all in the instance's mode; a schedule of the other mode is not ok.
+    DomainMismatch for an assignment that is not a mapping, UnknownTaxon for
+    a label that is not the instance's."""
+    if not isinstance(schedule.assignment, Mapping):
+        raise DomainMismatch(f"the assignment {schedule.assignment!r} is not a mapping")
     for key in schedule.assignment:
         if not _available(instance, key):
             raise DomainMismatch(f"pair {key} is outside the availability set")
@@ -207,11 +230,11 @@ def verify_schedule(instance: Instance, schedule: Schedule) -> VerificationRepor
     slots: dict[str, list] = {}
     report = VerificationReport(ok=True, mode=instance.mode)
     for (i, j), x in sorted(schedule.assignment.items()):
+        if j > instance.deadline(x):  # UnknownTaxon before the label is hashed
+            report.post_deadline.append((x, i, j))
         hours[x] = hours.get(x, 0) + 1
         slots.setdefault(x, []).append((i, j))
-        if j > instance.deadline(x):
-            report.post_deadline.append((x, i, j))
-    touched = set(hours) | set(schedule.saved)
+    touched = set(hours).union(_distinct(schedule.saved))
     for x in sorted(touched, key=str):  # instance.length raises UnknownTaxon
         report.hours[x] = hours.get(x, 0)
         report.required[x] = instance.length(x)

@@ -352,9 +352,14 @@ def _read_back(order, improved, cell, shrink) -> list:
 def pd_of_subset(tree: PhyloTree, taxa_set) -> int:
     """Total weight of edges with at least one member of the set below them:
     the union of the members' root paths, each walked up to the first edge
-    already counted.  A member that is not a leaf raises UnknownTaxon."""
+    already counted.  A member that is not a leaf, or a set that is not
+    iterable, raises UnknownTaxon."""
     parent, counted = tree.parent, set()
-    for x in taxa_set:
+    try:
+        members = iter(taxa_set)
+    except TypeError:
+        raise UnknownTaxon(f"{taxa_set!r} is not a set of taxon labels") from None
+    for x in members:
         try:
             leaf = (x in parent or x == tree.root) and not tree.children.get(x)
         except TypeError:  # unhashable

@@ -12,9 +12,11 @@ predicates work on any tree, since tuples carry their sibling edge
 explicitly.
 """
 
-from rescuepd.color_loss import LossColoring, candidate_tuples
+from rescuepd.color_loss import LossColoring
 from rescuepd.errors import RescuePDError
 from rescuepd.model import DerivedIndex, PhyloTree
+
+from reference import candidate_tuples, path_has_unique_colors
 
 
 def path_between(tree: PhyloTree, v: str, x: str) -> tuple[str, ...]:
@@ -33,7 +35,7 @@ def is_good(tree: PhyloTree, coloring: LossColoring, tup, c1: int, c2: int) -> b
     path = path_between(tree, v, x)
     if any(p not in coloring.eligible for p in path):
         return False
-    if not coloring.path_has_unique_colors(path):
+    if not path_has_unique_colors(coloring, path):
         return False
     if coloring.path_mask(path) & ~c1:
         return False

@@ -18,7 +18,11 @@ library's first loss table, kept unchanged: a dict over (path colors,
 sibling colors, class) filled one c1 at a time, with the scan of
 ``accept`` and the backtrack of ``extract`` that fix the witness.
 ``reference_loss_dp_solve`` runs it on one coloring, the oracle of
-``loss_dp_solve``.
+``loss_dp_solve``.  ``candidate_tuples`` is the library's first candidate
+rule, tuple by tuple in plain Python (eligible path, pairwise distinct path
+colors by ``path_has_unique_colors``, sibling key off the path): ``_LossDP``
+and the lemma checkers read it, and it is the oracle of the batch's rule
+``_LossBatch._candidates``.
 ``collaborative_schedule_from_pairs`` builds the greedy collaborative
 schedule from the full list of (team, slot) pairs, which the library now
 merges lazily from the team windows.
@@ -75,8 +79,7 @@ import numpy as np
 from rescuepd.budget_dp import (STATE_GUARD, hour_vectors, subset_vectors,
                                 team_vectors)
 from rescuepd.color_loss import (LOSS_LIMIT, LossColoring, _masks_of_popcount,
-                                 anchored_tuples, candidate_tuples,
-                                 make_loss_coloring)
+                                 anchored_tuples, make_loss_coloring)
 from rescuepd.color_target import (INF, MASK_LIMIT, _palette,
                                    _singleton_shortcut, color_edges_from_hash,
                                    trial_count)
@@ -239,6 +242,35 @@ def solve_by_target_trial_by_trial(instance, delta=1e-3, seed=0, strict=False):
                                 seed=seed, diagnostics={"planned_trials": n_trials})
     return SolveOutcome(False, "fpt-d", trials=n_trials, seed=seed,
                         diagnostics={"planned_trials": n_trials, "delta": delta})
+
+
+def path_has_unique_colors(coloring: LossColoring, edges) -> bool:
+    """Do the color sets of the edges overlap nowhere?"""
+    total, union = 0, 0
+    for e in set(edges):
+        m = coloring.color_mask(e)
+        total += m.bit_count()
+        union |= m
+    return total == union.bit_count()
+
+
+def candidate_tuples(tree: PhyloTree, coloring: LossColoring, idx: DerivedIndex,
+                     q: int, tuples=None):
+    """Tuples with the taxon due within class q that any good set may use:
+    eligible unique-color path whose colors avoid the sibling key color.
+    ``tuples`` is ``anchored_tuples(tree)`` when the caller already has it."""
+    out = []
+    for x, v, e, path in anchored_tuples(tree) if tuples is None else tuples:
+        if idx.class_of[x] > q:
+            continue
+        if any(p not in coloring.eligible for p in path):
+            continue
+        if not path_has_unique_colors(coloring, path):
+            continue
+        if coloring.key_bit(e) & coloring.path_mask(path):
+            continue
+        out.append((x, v, e, path))
+    return out
 
 
 @dataclass(frozen=True)

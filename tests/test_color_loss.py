@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescuepd import (Instance, PhyloTree, TaxonInfo, TeamWindow,
+from rescuepd import (Instance, LossColoring, PhyloTree, TaxonInfo, TeamWindow,
                       brute_force_time_pd, build_derived_index,
                       collaborative_feasible, loss_dp_solve,
                       loss_table_entry_count, make_loss_coloring,
                       pd_of_subset, solve_time_pd_by_loss,
                       solve_time_pd_by_target, trial_count, verify_schedule)
-from rescuepd.color_loss import TABLE_GUARD, _LossBatch, candidate_tuples
+from rescuepd.color_loss import TABLE_GUARD, _LossBatch
 from rescuepd.color_target import trial_draws
 from rescuepd.driver import (LOSS_WORK_CAP, applicable_algorithms, run_algorithm,
                              solve_auto)
@@ -26,9 +26,9 @@ from conftest import color_mask
 from lemmas import (anchored_set_for_sacrifice, check_color_respectful,
                     find_valid_ordering, injective_coloring, is_good,
                     is_q_grounding, path_between)
-from reference import (_LossDP, loss_coloring_from_draws, loss_draw_width,
-                       offspring, prefix, reference_loss_dp_solve,
-                       solve_by_loss_trial_by_trial)
+from reference import (_LossDP, candidate_tuples, loss_coloring_from_draws,
+                       loss_draw_width, offspring, prefix,
+                       reference_loss_dp_solve, solve_by_loss_trial_by_trial)
 
 
 def deadline_of(instance):
@@ -571,9 +571,12 @@ def drawn_instance(data, loss, huge):
 
 
 def drawn_coloring(data, tree, loss):
-    """A trial's coloring, a coloring whose ill-formed edges are demoted, or
-    the injective coloring, whose colors may lie off the palette."""
-    kind = data.draw(st.sampled_from(("trial", "demoted", "injective")), label="kind")
+    """A trial's coloring, a hand-made coloring whose ill-formed edges are
+    demoted, one built directly that makes only some of its well-formed
+    edges eligible, or the injective coloring, whose colors may lie off the
+    palette."""
+    kind = data.draw(st.sampled_from(("trial", "demoted", "direct", "injective")),
+                     label="kind")
     if kind == "trial":
         row = trial_draws(data.draw(st.integers(0, 2**32), label="seed"),
                           data.draw(st.integers(1, 400), label="trial"), 1,
@@ -589,7 +592,12 @@ def drawn_coloring(data, tree, loss):
             st.sets(palette, min_size=tree.weight[e] - 1, max_size=tree.weight[e] - 1),
             st.sets(palette)), label="extras")
         extras[e] = color_mask(*colors)
-    return make_loss_coloring(tree, loss, key, extras)
+    coloring = make_loss_coloring(tree, loss, key, extras)
+    if kind == "demoted":
+        return coloring
+    eligible = frozenset(e for e in sorted(coloring.eligible)
+                         if data.draw(st.booleans(), label=f"{e} eligible"))
+    return LossColoring(coloring.n_colors, key, coloring.extra_colors, eligible)
 
 
 @settings(deadline=None, max_examples=300)
@@ -602,6 +610,80 @@ def test_one_row_equals_the_scalar_table(data):
     coloring = drawn_coloring(data, inst.tree, loss)
     assert loss_dp_solve(inst, coloring, loss) == \
         reference_loss_dp_solve(inst, coloring, loss)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_one_row_candidates_are_the_oracle_rule(data):
+    """The candidates that solve_one hands its backtrack are the oracle's
+    candidate_tuples whose paths are within the loss and whose colors are
+    in the palette: the same tuples, with the same colors, in the same
+    order.  The rule reads no length or deadline, so the instance has the
+    hours to save every taxon, and every coloring reaches the backtrack."""
+    loss = data.draw(st.integers(1, 3), label="loss")
+    base = drawn_instance(data, loss, False)
+    tree = base.tree
+    inst = Instance(tree, base.taxa,
+                    (TeamWindow(0, 1),) * sum(map(base.length, tree.taxa)), base.target)
+    idx = build_derived_index(inst)
+    assert max(idx.deficits) <= 0
+    coloring = drawn_coloring(data, tree, loss)
+    full = (1 << 2 * loss) - 1
+    want = []
+    for x, v, e, path in candidate_tuples(tree, coloring, idx, idx.n_classes - 1):
+        pm, kb = coloring.path_mask(path), coloring.key_bit(e)
+        if sum(tree.weight[p] for p in path) <= loss and pm | kb <= full:
+            want.append((idx.class_of[x], inst.length(x), pm, kb, (x, v, e)))
+    got = []
+    extract = _LossBatch._extract
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_LossBatch, "_extract",
+                      lambda self, table, cands, *cell:
+                      got.append(cands) or extract(self, table, cands, *cell))
+        assert loss_dp_solve(inst, coloring, loss)[:2] == (True, [])
+    assert got == [want]
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, extras", [
+    (0, {}), (-3, {}), (1.5, {}), (None, {}), (True, {}), (MISSING, {}),
+    (4, {"u": -1}), (4, {"a": 1.5}), (4, {"b": None}), (4, {"c": "1"}),
+], ids=["key 0", "key -3", "key 1.5", "key None", "key True", "no key",
+        "extras -1", "extras 1.5", "extras None", "extras str"])
+def test_malformed_loss_colorings_are_bad_params(key, extras):
+    """A key color of edge c that is not an integer >= 1, or an extra color
+    mask that is not an integer >= 0, is BadParams: from make_loss_coloring,
+    and from loss_dp_solve for a coloring built directly."""
+    tree = parse_newick("((a:1,b:1)u:1,c:2)r;")
+    inst = Instance(tree, {x: TaxonInfo(1, 2) for x in tree.taxa},
+                    (TeamWindow(0, 2),), tree.total_weight() - 2)
+    keys = {"u": 1, "a": 2, "b": 3}
+    if key is not MISSING:
+        keys["c"] = key
+    extras = dict({"u": 0, "a": 0, "b": 0}, **extras)
+    with pytest.raises(BadParams):
+        make_loss_coloring(tree, 2, keys, extras)
+    with pytest.raises(BadParams):
+        loss_dp_solve(inst, LossColoring(4, keys, extras, frozenset("uab")), 2)
+
+
+def test_an_eligible_edge_needs_as_many_colors_as_it_weighs():
+    """Edge c weighs 2 but has one color: BadParams, while the coloring that
+    makes it ineligible, and one whose key colors lie off the palette, are
+    answered."""
+    tree = parse_newick("((a:1,b:1)u:1,c:2)r;")
+    inst = Instance(tree, {x: TaxonInfo(1, 2) for x in tree.taxa},
+                    (TeamWindow(0, 2),), tree.total_weight() - 2)
+    keys, extras = {"u": 1, "a": 2, "b": 3, "c": 4}, {"u": 0, "a": 0, "b": 0}
+    with pytest.raises(BadParams):
+        loss_dp_solve(inst, LossColoring(4, keys, extras, frozenset("uabc")), 2)
+    for coloring in (LossColoring(4, keys, extras, frozenset("uab")),
+                     LossColoring(4, dict(keys, c=70), dict(extras, c=1 << 80),
+                                  frozenset("uabc"))):
+        assert loss_dp_solve(inst, coloring, 2) == \
+            reference_loss_dp_solve(inst, coloring, 2)
 
 
 @pytest.mark.parametrize("length", [2**62, MAX_HOURS])

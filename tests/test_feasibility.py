@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from rescuepd import (Instance, PhyloTree, Schedule, TaxonInfo, TeamWindow,
                       build_collaborative_schedule, build_derived_index,
-                      collaborative_feasible, schedule_team_parts,
-                      strict_feasible, verify_schedule)
+                      collaborative_feasible, pd_of_subset,
+                      schedule_team_parts, strict_feasible, verify_schedule)
 from rescuepd.errors import DomainMismatch, InfeasibleSet, SetTooLarge, UnknownTaxon
 from rescuepd.feasibility import strict_table
 from rescuepd.generators import gen_random_instance
@@ -243,11 +243,49 @@ def test_verify_schedule_rejects_unknown_taxa():
     (lambda c, s: strict_feasible(s, ["zz"]), UnknownTaxon),
     (lambda c, s: schedule_team_parts(s, [["zz"], []]), UnknownTaxon),
     (lambda c, s: schedule_team_parts(s, [[], [], ["a"]]), DomainMismatch),
+    (lambda c, s: collaborative_feasible(build_derived_index(c), None), UnknownTaxon),
+    (lambda c, s: collaborative_feasible(build_derived_index(c), [["a"]]), UnknownTaxon),
+    (lambda c, s: build_collaborative_schedule(build_derived_index(c), None), UnknownTaxon),
+    (lambda c, s: strict_feasible(s, None), UnknownTaxon),
+    (lambda c, s: pd_of_subset(c.tree, None), UnknownTaxon),
+    (lambda c, s: schedule_team_parts(s, None), UnknownTaxon),
+    (lambda c, s: schedule_team_parts(s, [None]), UnknownTaxon),
+    (lambda c, s: verify_schedule(s, Schedule("strict", None, ())), DomainMismatch),
+    (lambda c, s: verify_schedule(s, Schedule("strict", [((0, 1), "a")], ())),
+     DomainMismatch),
+    (lambda c, s: verify_schedule(s, Schedule("strict", {(0, 1): ["x"]}, ())), UnknownTaxon),
+    (lambda c, s: verify_schedule(s, Schedule("strict", {(0, 1): "a"}, None)), UnknownTaxon),
+    (lambda c, s: verify_schedule(s, Schedule("strict", {}, (["a"],))), UnknownTaxon),
 ], ids=["collaborative_feasible", "build_collaborative_schedule", "strict_feasible",
-        "schedule_team_parts", "part without a team"])
+        "schedule_team_parts", "part without a team", "collaborative_feasible None",
+        "collaborative_feasible unhashable", "build_collaborative_schedule None",
+        "strict_feasible None", "pd_of_subset None", "schedule_team_parts None",
+        "part None", "assignment None", "assignment list", "unhashable label",
+        "saved None", "unhashable saved label"])
 def test_feasibility_rejects_unknown_taxa_and_extra_parts(call, error):
     with pytest.raises(error):
         call(split_rescue("collaborative"), split_rescue("strict"))
+
+
+def test_repeated_labels_are_one_taxon():
+    """A taxa set names a taxon once however often it lists it: two unit
+    taxa due at 1 and one (0, 1) team save {a}, listed as a, a.  Parts
+    are per team, so a taxon in two of them is InfeasibleSet."""
+    tree = PhyloTree.from_edges([("r", "a", 1), ("r", "b", 1)])
+    taxa = {"a": TaxonInfo(1, 1), "b": TaxonInfo(1, 1)}
+    inst = Instance(tree, taxa, (TeamWindow(0, 1),), 1)
+    idx = build_derived_index(inst)
+    assert collaborative_feasible(idx, ["a", "a"])
+    assert build_collaborative_schedule(idx, ["a", "a"]) == \
+        build_collaborative_schedule(idx, ["a"])
+    strict = Instance(tree, taxa, inst.teams, 1, "strict")
+    assert strict_feasible(strict, ["a", "a"]) == strict_feasible(strict, ["a"]) == \
+        Schedule("strict", {(0, 1): "a"}, ("a",))
+    two = Instance(tree, taxa, (TeamWindow(0, 1), TeamWindow(0, 1)), 1, "strict")
+    assert schedule_team_parts(two, [["a", "a"], ["b"]]) == \
+        Schedule("strict", {(0, 1): "a", (1, 1): "b"}, ("a", "b"))
+    with pytest.raises(InfeasibleSet):
+        schedule_team_parts(two, [["a"], ["a"]])
 
 
 def test_schedule_team_parts():
