@@ -20,21 +20,25 @@ uses at most 2 * loss color slots, so a trial succeeds with probability at
 least e^(-2*loss) and ceil(e^(2*loss) * ln(1/delta)) trials bound the
 false-no rate by delta.  Yes answers are re-verified before return.
 
-One table decides every trial.  Trials come in blocks of 1, 4, 16, 64 and
-256 colorings, each of at most DRAW_CELLS draws, and ``_LossBatch`` fills
-the table of a whole block in numpy, one popcount layer of path-color sets
-at a time for every trial at once.  It first screens the block: a coloring
-is a no when, for some deadline class q with a positive deficit, the taxa
-due by q that have a candidate tuple are too short together to pay it.  That is exact, since a
-colored yes sacrifices distinct taxa, each through one candidate, whose
-lengths pay every positive deficit.  One rule, ``_LossBatch._candidates``,
+One table decides every trial.  Trials come in blocks of 4, 16, 64 and
+then 256 colorings, each of at most DRAW_CELLS draws, and ``_LossBatch``
+fills the table of a whole block in numpy, one popcount layer of
+path-color sets at a time for every trial at once.  It first screens the
+block: a coloring is a no when, for some deadline class q with a positive
+deficit, the ``loss`` longest taxa due by q that have a candidate tuple are
+too short together to pay it.  That is exact, since a colored yes
+sacrifices distinct taxa, each through one candidate, whose lengths pay
+every positive deficit; their paths have pairwise disjoint colors, at
+least one each, within a path-color set of at most ``loss`` colors, so
+they are at most ``loss`` taxa.  One rule, ``_LossBatch._candidates``,
 picks the candidate tuples of every coloring: eligible path edges, path
-colors pairwise distinct, sibling key color off the path.  The lowest
-trial that succeeds fills its table again as one row under that rule
-(``loss_dp_solve``), and the witness is read back from that row, so the
-outcome is the one a trial-by-trial loop gives.  Cells are int64
-while the rescue lengths sum to less than 2^62, and Python ints from there
-on.
+colors pairwise distinct, sibling key color off the path.  The pass that
+decides the lowest successful trial keeps its row and table, and
+``loss_dp_solve`` reads the witness back from that table when the trial's
+coloring writes the same row under that rule (a new coloring fills its
+own one-row pass), so the outcome is the one a trial-by-trial loop gives.
+Cells are int64 while the rescue lengths sum to less than 2^62, and Python
+ints from there on.
 
 The dynamic program requires a binary tree, which makes the sibling edge of
 an anchor unique.
@@ -45,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +104,12 @@ def make_loss_coloring(tree: PhyloTree, loss: int, key_color: dict,
     extras are exactly w-1 colors distinct from the key color; random draws
     that collide are demoted (treated like heavy edges), which preserves the
     exact color-to-weight accounting on every eligible edge.  BadParams
-    for a key color that is not an integer >= 1 or an extra color mask that
-    is not an integer >= 0.
+    for a loss that is not an integer >= 0, before anything else, for key
+    colors or extra color masks that are not mappings, and for a key color
+    that is not an integer >= 1 or an extra color mask that is not an
+    integer >= 0.
     """
+    check_size(loss, "the loss")
     _check_colors(tree, LossColoring(2 * loss, key_color, extra_colors, frozenset()))
     eligible = set()
     extras = {}
@@ -261,6 +269,7 @@ class _LossBatch:
         tree = idx.instance.tree
         self.tuples = tuple(anchored_tuples(tree))
         self.positions, self.width = _color_positions(tree, loss)
+        self.loss = loss
         self.bits = bits = 2 * loss
         self.nc = nc = idx.n_classes
         self.deficits = idx.deficits
@@ -277,13 +286,17 @@ class _LossBatch:
                 owners.append(x)
         # the screen: a taxon's tuples are consecutive, and pay[g, j] is the
         # length of the g-th taxon if it is due by the j-th class with a
-        # positive deficit (owed[j]), else 0
+        # positive deficit (owed[j]), else 0; by_pay[:, j] lists the taxa by
+        # what they pay class j, most first, and pay_sorted[:, j] what they pay
         starts = [t for t, x in enumerate(owners) if t == 0 or x != owners[t - 1]]
         owed = [q for q, d in enumerate(self.deficits) if d > 0]
         self.taxon_starts = np.array(starts, dtype=np.intp)
         self.owed = np.array([self.deficits[q] for q in owed], dtype=self.dtype)
-        self.pay = np.array([[within[t][1] if within[t][0] <= q else 0 for q in owed]
-                             for t in starts], dtype=self.dtype).reshape(len(starts), len(owed))
+        pay = np.array([[within[t][1] if within[t][0] <= q else 0 for q in owed]
+                        for t in starts], dtype=self.dtype).reshape(len(starts), len(owed))
+        self.pay = pay
+        self.by_pay = np.argsort(-pay, axis=0, kind="stable")
+        self.pay_sorted = np.take_along_axis(pay, self.by_pay, axis=0)
         # the padding tuple: two draws at the unused position 0 give one
         # color for a weight above the loss, so it is never a candidate
         pad = len(within)
@@ -330,6 +343,7 @@ class _LossBatch:
                                           cells[lo:lo + step], tuples, slot))
             gather = max(gather, min(step, len(c1)) * c2.shape[1] * tuples.size)
         self.rows = max(1, BATCH_CELLS // max(gather, self.n_cells * nc))
+        self.kept = None  # (pmask, kbit, table) of the last block's first yes
 
     def _cell(self, c1: int, c2: int) -> int:
         """The number T3(c1) + 2 T3(c2) of one cell."""
@@ -349,29 +363,47 @@ class _LossBatch:
         """Colored decision of every trial whose draws are a row of draws.
 
         A screen first says no to every coloring under which, for some
-        class q with a positive deficit, the taxa due by q that have a
-        candidate tuple are too short together to pay that deficit.  The
-        screen is exact: a yes sacrifices a set of such taxa, one tuple
-        each, whose lengths due by q pay every positive deficit d_q, as
-        saving all the other taxa needs.  Each taxon counts once, so the
-        sums stay below the total length.  The rows that pass fill the
-        tables, ``rows`` per pass.
+        class q with a positive deficit, the ``loss`` longest taxa due by q
+        that have a candidate tuple are too short together to pay that
+        deficit.  The screen is exact: a yes sacrifices a set of such taxa,
+        one tuple each, whose lengths due by q pay every positive deficit
+        d_q, as saving all the other taxa needs.  Their paths are pairwise
+        color-disjoint within c1, which holds at most ``loss`` colors, and
+        each path holds at least one, so at most ``loss`` taxa are
+        sacrificed.  Each taxon counts once, so the sums stay below the
+        total length.  All such taxa are summed first, one product that
+        most rows fail, and the rows left sum the ``loss`` longest.  The
+        rows that pass fill the tables, ``rows`` per pass, and every row is
+        decided.  The first row that succeeds is
+        kept, with its table, in ``kept`` for ``solve_one``.
         """
+        self.kept = None
         bits = np.left_shift(1, draws - 1)
         pmask = np.bitwise_or.reduceat(bits[:, self.path_draws], self.path_starts,
                                        axis=1)
         kbit = bits[:, self.sibling_draw]
         candidate = self._candidates(pmask, kbit)
         sacrificable = np.logical_or.reduceat(candidate, self.taxon_starts, axis=1)
+        # all of them first, a product that most rows fail; then, per owed
+        # class, the first loss of them by pay
         live = np.flatnonzero(
             (sacrificable.astype(self.dtype) @ self.pay >= self.owed).all(axis=1))
+        if live.size:
+            paying = sacrificable[live][:, self.by_pay]
+            paying &= np.cumsum(paying, axis=1) <= self.loss
+            live = live[((paying * self.pay_sorted).sum(axis=1) >= self.owed).all(axis=1)]
         pow3 = self.pow3[draws[live]]
         shift = (np.add.reduceat(pow3[:, self.path_draws], self.path_starts, axis=1)
                  - 2 * pow3[:, self.sibling_draw]) * self.nc + self.cls
         found = np.zeros(len(draws), dtype=bool)
         for lo in range(0, len(live), self.rows):
             part = live[lo:lo + self.rows]
-            found[part] = self._fill(pmask[part], kbit[part], shift[lo:lo + self.rows])[0]
+            hit, table = self._fill(pmask[part], kbit[part], shift[lo:lo + self.rows])
+            found[part] = hit
+            if self.kept is None and hit.any():
+                r = int(np.flatnonzero(hit)[0])
+                # copies, so that the pass's tables are not kept alive
+                self.kept = (pmask[part[r]].copy(), kbit[part[r]].copy(), table[r].copy())
         return found
 
     def _fill(self, pmask, kbit, shift):
@@ -422,8 +454,10 @@ class _LossBatch:
         """(found, anchored set or None) of one coloring: its tuples within
         the loss are written as one row, ``_candidates`` picks the
         candidates as it does for every trial, and the witness is read back
-        from that row's table.  BadParams for a malformed coloring, before
-        any array is written (``_check_colors``)."""
+        from that row's table.  When the row is the one ``decide`` kept,
+        its table is the kept one; else the row is filled as a one-row
+        pass.  BadParams for a malformed coloring, before any array is
+        written (``_check_colors``)."""
         _check_colors(idx.instance.tree, coloring)
         full = (1 << self.bits) - 1
         pmask = np.full(len(self.cls), self.too_wide)
@@ -436,15 +470,31 @@ class _LossBatch:
                 if pm | kb <= full:  # a color off the palette fits no cell
                     pmask[j], kbit[j] = pm, kb
         tup = np.flatnonzero(self._candidates(pmask, kbit))
-        shift = self.cls.copy()  # a non-candidate's child is never read
-        shift[tup] += (self.t3[pmask[tup]] - 2 * self.t3[kbit[tup]]) * self.nc
         keys = list(self.index_of)  # the tuples within the loss, in anchored order
         cands = [(idx.class_of[keys[j][0]], idx.instance.length(keys[j][0]),
                   int(pmask[j]), int(kbit[j]), keys[j]) for j in tup.tolist()]
-        found, table = self._fill(pmask[None], kbit[None], shift[None])
-        if not found[0]:
-            return False, None
-        return True, self._extract(table[0], cands, *self._accept(table[0]))
+        if self._is_kept(pmask, kbit):
+            table = self.kept[2]
+        else:
+            shift = self.cls.copy()  # a non-candidate's child is never read
+            shift[tup] += (self.t3[pmask[tup]] - 2 * self.t3[kbit[tup]]) * self.nc
+            found, tables = self._fill(pmask[None], kbit[None], shift[None])
+            if not found[0]:
+                return False, None
+            table = tables[0]
+        return True, self._extract(table, cands, *self._accept(table))
+
+    def _is_kept(self, pmask, kbit) -> bool:
+        """Whether a row, its candidates picked, is the row ``decide`` kept:
+        the same path colors, ``too_wide`` on the same non-candidates, and
+        the same sibling key colors off them.  A non-candidate's sibling and
+        child are never read, so the row's table is the kept one."""
+        if self.kept is None:
+            return False
+        kept_pmask, kept_kbit, _ = self.kept
+        tuples = pmask != self.too_wide
+        return (np.array_equal(kept_pmask, pmask)
+                and np.array_equal(kept_kbit[tuples], kbit[tuples]))
 
     def _accept(self, table):
         """The first cell (c1, c2) whose last class meets the last deficit:
@@ -483,9 +533,13 @@ class _LossBatch:
 
 
 def _check_colors(tree: PhyloTree, coloring: LossColoring):
-    """BadParams unless every edge has a key color that is an integer >= 1,
-    every extra color mask is an integer >= 0, and every eligible edge has
-    as many colors as it weighs.  Colors above the palette are allowed."""
+    """BadParams unless the key colors and extra color masks are mappings,
+    every edge has a key color that is an integer >= 1, every extra color
+    mask is an integer >= 0, and every eligible edge has as many colors as
+    it weighs.  Colors above the palette are allowed."""
+    if not isinstance(coloring.key_color, Mapping) or \
+            not isinstance(coloring.extra_colors, Mapping):
+        raise BadParams("key colors and extra color masks must be mappings of edges")
     for e, mask in coloring.extra_colors.items():
         check_size(mask, f"the extra color mask of edge {e!r}")
     for e in tree.edge_order:
@@ -525,8 +579,9 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
     One-sided like the target solver: yes answers ship verified witnesses,
     a no is wrong with probability at most delta.  Loss budget zero needs
     no colors: saving everything either works or nothing does.  Colorings
-    are drawn for blocks of 1, 4, 16, ... trials; the reported trial is the
-    lowest that succeeds.
+    are drawn for blocks of 4, 16, 64, ... trials; the reported trial is
+    the lowest that succeeds, and its witness is read from the table of
+    the pass that decided it.
     """
     seed = checked_seed(seed, delta)
     check_mode(instance, COLLABORATIVE, "fpt-dbar")
@@ -554,7 +609,7 @@ def solve_time_pd_by_loss(instance: Instance, delta: float = 1e-3,
         return SolveOutcome(False, "fpt-dbar", trials=n_trials, seed=seed,
                             diagnostics={"planned_trials": n_trials, "delta": delta,
                                          "table_entries": batch.entries})
-    # the first success fills its table again for the witness
+    # the witness is read from the table of the pass that decided the trial
     trial, row = hit
     coloring = _row_coloring(tree, loss, batch.positions, row.tolist())
     _, anchored, entries = loss_dp_solve(instance, coloring, loss, idx, batch)

@@ -30,19 +30,20 @@ passes, the same formula for every block size.  The stream is the
 library's own, so no numpy version changes it; ``tests/test_trial_draws.py``
 pins known rows of it.
 
-The request's ``_TrialPlan`` decides every trial, in blocks of 1, 16, 256,
-... colorings of at most max(16, 2^14 / 2^k) rows and DRAW_CELLS draws,
-and screens each block first: a coloring under which the taxa that fit
-some capacity row do not cover the palette between them is a no, exactly,
-since a table adds no other taxon.  The rest are decided 2^14 table cells
-per numpy pass over (trials x color sets).  ``first_success``, which both
-color-coding solvers use, returns the lowest successful trial.  The
-one-coloring kernel (``solve_colored_time_pd`` / ``solve_colored_s_time_pd``)
-is that table filled as a one-row block, the request's plan reused, which
-also records the cells each taxon improved; the witness is read back from
-them, so the outcome is the one a trial-by-trial loop gives, and the
-library holds one colored recurrence.  ``tests/reference.py`` keeps a
-plain-Python copy of it as the oracle.
+The request's ``_TrialPlan`` decides every trial, in blocks of 16, 256, ...
+colorings of at most max(16, 2^14 / 2^k) rows and DRAW_CELLS draws (a
+block starts at its growth factor, since a one-row block costs about what
+a 16-row one does), and screens each block first: a coloring under which
+the taxa that fit some capacity row do not cover the palette between them
+is a no, exactly, since a table adds no other taxon.  The rest are decided
+2^14 table cells per numpy pass over (trials x color sets).
+``first_success``, which both color-coding solvers use, returns the lowest
+successful trial.  The one-coloring kernel (``solve_colored_time_pd`` /
+``solve_colored_s_time_pd``) is that table filled as a one-row block, the
+request's plan reused, which also records the set of cells each taxon
+improved; the witness is read back from them, so the outcome is the one a
+trial-by-trial loop gives, and the library holds one colored recurrence.
+``tests/reference.py`` keeps a plain-Python copy of it as the oracle.
 """
 
 from __future__ import annotations
@@ -237,12 +238,11 @@ def trial_count(n_colors: int, delta: float) -> int:
 
 
 def trial_blocks(n_trials: int, most: int, growth: int = 4):
-    """(first, count) of the trial blocks 1, growth, growth^2, ... trials
-    long, each at most ``most`` >= 1, that cover trials 1 to n_trials in
-    order."""
+    """(first, count) of the trial blocks growth, growth^2, ... trials long,
+    each at most ``most`` >= 1, that cover trials 1 to n_trials in order."""
     if most < 1:
         raise BadParams(f"a trial block must hold at least one trial, got {most!r}")
-    first, count = 1, 1
+    first, count = 1, growth
     while first <= n_trials:
         count = min(count, most, n_trials - first + 1)
         yield first, count
@@ -258,9 +258,10 @@ def trial_blocks(n_trials: int, most: int, growth: int = 4):
 # unless the low half of h k falls below 2^32 mod k: then the position is
 # redrawn from the same half of the word at counter j + 2^32, j + 2 2^32, ...
 # until it is accepted, so every color has exactly floor(2^32 / k) halves.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MIX_INT = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_GAMMA = np.uint64(_GAMMA_INT)
+_MIX = tuple((np.uint64(shift), np.uint64(mult)) for shift, mult in _MIX_INT)
 _MASK64 = 2**64 - 1
 _LOW32, _SHIFT32 = np.uint64(2**32 - 1), np.uint64(32)
 
@@ -277,16 +278,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _seed_key(seed: int) -> np.uint64:
     """The key of a non-negative seed: key = mix((key + G) ^ w) over its 64-bit
-    words w, low word first, from key 0; one word for seed 0.  A request's
-    blocks share one seed, so its key is folded once."""
-    key = np.zeros(1, dtype=np.uint64)
+    words w, low word first, from key 0; one word for seed 0.  It is folded
+    on Python ints, once per seed, since a request's blocks share one."""
+    key = 0
     while True:
-        key += _GAMMA
-        key ^= np.uint64(seed & _MASK64)
-        _mix(key)
+        key = ((key + _GAMMA_INT) & _MASK64) ^ (seed & _MASK64)
+        for shift, mult in _MIX_INT:
+            key ^= key >> shift
+            key = key * mult & _MASK64
+        key ^= key >> 31
         seed >>= 64
         if not seed:
-            return key[0]
+            return np.uint64(key)
 
 
 def trial_draws(seed: int, first: int, count: int, n_colors: int, width: int) -> np.ndarray:
@@ -401,8 +404,9 @@ class _TrialPlan:
         row cover at least C?  g[C] = min(g[C], g[C & ~m] + ell) per taxon,
         where the sum is within the row.  A sum that is not gets the top
         bit, the unreached mark, so one plain minimum keeps g[C].  Given
-        ``improved``, one entry per taxon, entry t becomes the flat indices
-        of the cells taxon t lowered, the color sets of a one-row batch."""
+        ``improved``, one entry per taxon, entry t becomes the set of the
+        flat indices of the cells taxon t lowered, the color sets of a
+        one-row batch, so that the read-back tests a cell in O(1)."""
         batch = len(keep)
         if self.buffers is None or len(self.buffers[0]) < batch:
             shape = (batch, self.full + 1)
@@ -426,7 +430,7 @@ class _TrialPlan:
             src += self.ell[t]
             src |= over
             if improved is not None:
-                improved[t] = (src < g).ravel().nonzero()[0]
+                improved[t] = set((src < g).ravel().nonzero()[0].tolist())
             np.minimum(g, src, out=g)
         return g != _UNREACHED
 

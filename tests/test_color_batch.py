@@ -39,14 +39,15 @@ from reference import (loss_draw_width, plain_colored_s_time_pd,
 from test_color_loss import outcome_fields
 from test_color_target import colored_brute
 
-# first trials of the blocks of 4, 16, 64 and 256 colorings that grow x4
-# (fpt-dbar), and of fpt-d's blocks of 16, 256 and 512 at target 5
-BATCH_STARTS = (2, 6, 22, 86, 342, 18, 274, 786)
+# first trials of the blocks of 4, 16, 64, 256 and 256 colorings that grow
+# x4 (fpt-dbar), and of fpt-d's blocks of 256, 512 and 512 at target 5 (its
+# block of 16 starts at trial 1 too)
+BATCH_STARTS = (1, 5, 21, 85, 341, 17, 273, 785)
 
 
 @given(st.integers(0, 3000), st.integers(1, 300))
 def test_trial_blocks_cover_the_trials_in_order(n_trials, most):
-    """Blocks of 1, g, g^2, ... trials, each capped at ``most``, the last cut
+    """Blocks of g, g^2, g^3, ... trials, each capped at ``most``, the last cut
     at n_trials, where g is 4 by default and 16 for fpt-d: none is empty,
     and they cover trials 1 .. n_trials."""
     for growth, blocks in ((4, list(trial_blocks(n_trials, most))),
@@ -56,9 +57,9 @@ def test_trial_blocks_cover_the_trials_in_order(n_trials, most):
         assert all(count > 0 for _, count in blocks)
         for i, (_, count) in enumerate(blocks):
             if i < len(blocks) - 1:
-                assert count == min(growth**i, most)
+                assert count == min(growth**(i + 1), most)
             else:
-                assert count <= min(growth**i, most)
+                assert count <= min(growth**(i + 1), most)
 
 
 @pytest.mark.parametrize("n_trials, most", [(5, 0), (5, -2)])
@@ -308,7 +309,7 @@ def test_wide_targets_take_the_block_draw(monkeypatch):
 def test_first_successes_across_the_x16_blocks_equal_the_trial_by_trial_loop():
     """Three weight-2 leaves at target 6: a trial succeeds only when its six
     draws are six distinct colors, so first successes fall inside fpt-d's
-    blocks of 16 (trials 2-17) and 256 (trials 18-273).  Seeds are tried in
+    blocks of 16 (trials 1-16) and 256 (trials 17-272).  Seeds are tried in
     order, at most 300 per mode, until both blocks hold a first success;
     each seed's outcome equals the trial-by-trial loop's, in both modes."""
     tree = PhyloTree.from_edges([("r", x, 2) for x in "abc"])
@@ -320,8 +321,8 @@ def test_first_successes_across_the_x16_blocks_equal_the_trial_by_trial_loop():
         for seed in range(300):
             got = solve(inst, 1e-3, seed)
             assert got == solve_by_target_trial_by_trial(inst, 1e-3, seed, mode == STRICT)
-            if got.decision and 2 <= got.trials <= 273:
-                blocks.add(16 if got.trials <= 17 else 256)
+            if got.decision and 1 <= got.trials <= 272:
+                blocks.add(16 if got.trials <= 16 else 256)
             if blocks == {16, 256}:
                 break
         assert blocks == {16, 256}, (mode, blocks)

@@ -45,6 +45,31 @@ def test_bad_loss_sizes_are_bad_params(loss):
         loss_dp_solve(inst, coloring, loss)
 
 
+@pytest.mark.parametrize("loss", [-1, 1.5, "2", None, True])
+def test_a_coloring_refuses_bad_losses(loss):
+    """make_loss_coloring checks the loss before it reads any color: "2"
+    would compare an int with a str, and -1 would size a palette of -2."""
+    tree = parse_newick("((a:1,b:1)u:1,c:2)r;")
+    with pytest.raises(BadParams):
+        make_loss_coloring(tree, loss, {e: 1 for e in tree.edge_order}, {})
+
+
+@pytest.mark.parametrize("keys, extras", [(None, {}), ("key", {}), ({}, None), ({}, [])])
+def test_color_maps_that_are_not_mappings_are_bad_params(keys, extras):
+    """Key colors or extra color masks that are not mappings of edges are
+    BadParams: from make_loss_coloring, and from loss_dp_solve for a
+    coloring built directly."""
+    tree = parse_newick("((a:1,b:1)u:1,c:2)r;")
+    inst = Instance(tree, {x: TaxonInfo(1, 2) for x in tree.taxa},
+                    (TeamWindow(0, 2),), tree.total_weight() - 2)
+    if keys == {}:
+        keys = {e: 1 for e in tree.edge_order}
+    with pytest.raises(BadParams):
+        make_loss_coloring(tree, 2, keys, extras)
+    with pytest.raises(BadParams):
+        loss_dp_solve(inst, LossColoring(4, keys, extras, frozenset()), 2)
+
+
 def test_fig2_eligibility_and_pd(fig2):
     assert sorted(fig2.coloring.eligible) == \
         ["v1", "v2", "x1", "x2", "x3", "x5", "x6"]
@@ -322,7 +347,7 @@ def test_deficit_near_the_hours_bound():
 
 
 # first trials of the solver's blocks of 4, 16, 64 and 256 colorings
-BLOCK_STARTS = (2, 6, 22, 86, 342)
+BLOCK_STARTS = (1, 5, 21, 85, 341)
 
 
 def batch_for(instance, loss):
@@ -348,7 +373,7 @@ def test_batched_decisions_match_the_scalar_table(data):
     inst = Instance(base.tree, taxa, base.teams,
                     max(0, base.tree.total_weight() - loss))
     start = data.draw(st.sampled_from(BLOCK_STARTS), label="block start")
-    first = data.draw(st.integers(max(2, start - 8), start), label="first")
+    first = data.draw(st.integers(max(1, start - 8), start), label="first")
     count = data.draw(st.integers(1, 24), label="count")
     seed = data.draw(st.integers(0, 2**32), label="seed")
     draws = trial_draws(seed, first, count, 2 * loss, loss_draw_width(inst.tree, loss))
@@ -462,6 +487,134 @@ def test_hopeless_instances_fill_no_table(monkeypatch, owing):
         assert outcome_fields(out) == outcome_fields(
             solve_by_loss_trial_by_trial(inst, 1e-3, seed))
     assert passed == []
+
+
+def three_unit_taxa(owed):
+    """((a:1,b:1):1,(c:1,d:5):1) at loss 2, one deadline class: a, b and c
+    take one hour each and are the only taxa within the loss; d is heavy.
+    The one team has 4 - owed hours, so the deficit is ``owed``."""
+    tree = parse_newick("((a:1,b:1):1,(c:1,d:5):1);")
+    taxa = {x: TaxonInfo(1, 4) for x in tree.taxa}
+    inst = Instance(tree, taxa, (TeamWindow(0, 4 - owed),), tree.total_weight() - 2)
+    assert build_derived_index(inst).deficits == (owed,)
+    return inst
+
+
+def test_the_screen_counts_at_most_loss_taxa(monkeypatch):
+    """Deficit 3 at loss 2: a, b and c together pay it, and under some
+    colorings all three have a candidate tuple, yet no two of them do.  A
+    colored yes sacrifices at most ``loss`` taxa, so every coloring is
+    screened out, no table is filled, and the outcome is the trial-by-trial
+    loop's."""
+    passed = spy_fill(monkeypatch)
+    inst = three_unit_taxa(3)
+    idx, tree = build_derived_index(inst), inst.tree
+    draws = trial_draws(4, 1, 64, 4, loss_draw_width(tree, 2))
+    all_three = [row for row in draws
+                 if {x for x, *_ in candidate_tuples(
+                     tree, loss_coloring_from_draws(tree, 2, row), idx, 0)} >= set("abc")]
+    assert all_three
+    assert not batch_for(inst, 2).decide(draws).any()
+    for seed in range(2):
+        out = solve_time_pd_by_loss(inst, 0.1, seed)
+        assert not out.decision and out.trials == trial_count(4, 0.1)
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 0.1, seed))
+    assert passed == []
+
+
+def test_loss_taxa_that_pay_pass_the_screen(monkeypatch):
+    """Deficit 2 at loss 2: two of a, b and c pay it, and sacrificing a and
+    c loses weight 2, so some colorings pass the screen and are yeses, and
+    every row's decision is the scalar table's."""
+    passed = spy_fill(monkeypatch)
+    inst = three_unit_taxa(2)
+    draws = trial_draws(4, 1, 64, 4, loss_draw_width(inst.tree, 2))
+    got = batch_for(inst, 2).decide(draws).tolist()
+    assert got == reference_decisions(inst, 2, draws)
+    assert sum(passed) >= sum(got) > 0
+    for seed in range(2):
+        out = solve_time_pd_by_loss(inst, 0.1, seed)
+        assert out.decision
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 0.1, seed))
+
+
+def spy_passes(monkeypatch):
+    """(rows, found, table) of each table pass the batches run."""
+    passes = []
+    fill = _LossBatch._fill
+    def spy(self, pmask, kbit, shift):
+        found, table = fill(self, pmask, kbit, shift)
+        passes.append((len(pmask), found.copy(), table))
+        return found, table
+    monkeypatch.setattr(_LossBatch, "_fill", spy)
+    return passes
+
+
+def test_the_witness_reads_the_deciding_pass(monkeypatch):
+    """Seeded yeses at losses 2 and 3, first successes in the first and the
+    second block: the solver fills no table after the pass that decides its
+    first success, and its outcome is the trial-by-trial loop's.  The table
+    ``decide`` keeps is that of a fresh one-row fill of the same coloring,
+    and loss_dp_solve on another coloring, with the same batch, fills a
+    table and matches the scalar table."""
+    passes = spy_passes(monkeypatch)
+    later = 0
+    for seed, loss, solver_seed in itertools.product((51, 61, 68, 110), (2, 3), range(4)):
+        base = gen_random_instance(n=6, n_teams=2, max_ex=6, max_len=2,
+                                   max_weight=3, seed=seed, savable_frac=1.0)
+        inst = Instance(base.tree, base.taxa, base.teams, base.tree.total_weight() - loss)
+        idx, tree = build_derived_index(inst), inst.tree
+        del passes[:]
+        out = solve_time_pd_by_loss(inst, 1e-3, solver_seed)
+        assert out.decision and out.trials >= 1
+        assert outcome_fields(out) == outcome_fields(
+            solve_by_loss_trial_by_trial(inst, 1e-3, solver_seed))
+        assert passes[-1][1].any()
+        assert not any(found.any() for _, found, _ in passes[:-1])
+        later += out.trials > 4
+        # trials 1 .. the first success as one block of a new batch
+        batch = batch_for(inst, loss)
+        draws = trial_draws(solver_seed, 1, out.trials, 2 * loss, batch.width)
+        found = batch.decide(draws)
+        assert found[-1] and not found[:-1].any()
+        coloring = loss_coloring_from_draws(tree, loss, draws[-1])
+        del passes[:]
+        got = loss_dp_solve(inst, coloring, loss, idx, batch)
+        assert passes == [] and got == reference_loss_dp_solve(inst, coloring, loss)
+        assert loss_dp_solve(inst, coloring, loss, idx, batch_for(inst, loss)) == got
+        assert len(passes) == 1 and passes[0][0] == 1
+        assert np.array_equal(passes[0][2][0], batch.kept[2])
+        other = loss_coloring_from_draws(tree, loss, trial_draws(
+            solver_seed + 1, 1, 1, 2 * loss, batch.width)[0])
+        del passes[:]
+        got = loss_dp_solve(inst, other, loss, idx, batch)
+        assert len(passes) == 1 and got == reference_loss_dp_solve(inst, other, loss)
+    assert later >= 4, later
+
+
+def test_the_kept_row_is_matched_on_its_sibling_colors(monkeypatch):
+    """d weighs more than the loss, so its key color is on no path, but it
+    is the sibling of c's tuple.  A coloring that differs from the kept one
+    only there has the kept path colors and other sibling colors: it fills
+    its own table and still matches the scalar table."""
+    passes = spy_passes(monkeypatch)
+    inst = three_unit_taxa(2)
+    idx, tree = build_derived_index(inst), inst.tree
+    batch = batch_for(inst, 2)
+    draws = trial_draws(4, 1, 64, 4, batch.width)
+    row = draws[np.flatnonzero(batch.decide(draws))[0]]
+    kept = loss_coloring_from_draws(tree, 2, row)
+    for color in set(range(1, 5)) - {kept.key_color["d"]}:
+        other = make_loss_coloring(tree, 2, dict(kept.key_color, d=color),
+                                   kept.extra_colors)
+        del passes[:]
+        got = loss_dp_solve(inst, other, 2, idx, batch)
+        assert len(passes) == 1 and got == reference_loss_dp_solve(inst, other, 2)
+    del passes[:]
+    assert loss_dp_solve(inst, kept, 2, idx, batch) == reference_loss_dp_solve(inst, kept, 2)
+    assert passes == []
 
 
 @pytest.mark.parametrize("length, int64_cells", [(2**60 - 1, True), (2**60, False)])

@@ -63,10 +63,11 @@ def test_pinned_rows(seed, n_colors):
 
 def test_a_row_does_not_depend_on_its_block():
     """Trial 300 of seed 2027 is the same row alone, inside fpt-dbar's block
-    of 256 (trials 86-341) and fpt-d's of 256 (trials 18-273 and on), and
-    in a block that crosses trial 2^32."""
+    of 256 (trials 85-340) and fpt-d's of 512 at target 5 (trials 273-784),
+    in a block of 512 from trial 1, and in a block that crosses trial
+    2^32."""
     row = [1, 1, 1, 2, 5, 2, 2, 3, 3, 5, 4, 2, 5, 2, 1, 1, 2, 4, 3, 3, 2, 2, 1, 3, 2, 4]
-    for first, count in ((300, 1), (86, 256), (274, 256), (1, 512)):
+    for first, count in ((300, 1), (85, 256), (273, 512), (1, 512)):
         assert trial_draws(2027, first, count, 5, 25)[300 - first].tolist() == row
     late = [2, 4, 2, 5, 5, 3, 4, 4, 1, 3, 2, 5, 5, 4, 2, 3, 5, 4, 1, 2, 1, 2, 5, 5, 1, 4]
     for first, count in ((2**32 + 3, 1), (2**32 - 10, 20)):
